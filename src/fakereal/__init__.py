@@ -1,17 +1,17 @@
 """Fake/real news classification from article text and publisher history."""
 
 from .corpus import (
-    ArticleTensor,
     EmbeddingTable,
     Label,
     NewsArticle,
     Thresholds,
     TokenizedArticle,
-    build_tensor,
     compute_thresholds,
     load_corpus,
     load_embeddings,
     split_article,
+    token_ids,
+    vocab_vectors,
 )
 from .fusion import Model, VARIANTS, classify, init_model, integrate
 from .pipeline import (
@@ -29,7 +29,7 @@ from .pipeline import (
     prepare_data,
     train,
 )
-from .slcnn import SlcnnModel, required_hcbs, slcnn_forward, width_trace
+from .slcnn import SlcnnModel, required_hcbs, slcnn_apply, width_trace
 from .social import (
     CreditLedger,
     FollowerGraph,

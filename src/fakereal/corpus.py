@@ -1,4 +1,4 @@
-"""News corpus loading, tokenization, and input-tensor construction.
+"""News corpus loading, tokenization, and token-id input construction.
 
 File formats:
   * corpus: JSON Lines, one object per line with fields ``id``,
@@ -7,9 +7,12 @@ File formats:
   * embeddings: plain text, one line per word: ``word v1 v2 ... vE``
     (the layout published GloVe vectors use).
 
-An article becomes a fixed-shape 3D tensor: row 0 is the headline, rows
-1..t_d are body sentences, each row holds up to t_s word vectors of
-dimension E.  Longer texts are cropped, shorter ones zero-padded.
+An article becomes a fixed-shape (t_d+1, t_s) matrix of token ids: row 0
+is the headline, rows 1..t_d are body sentences, each row holds up to t_s
+words.  Longer texts are cropped, shorter ones padded with id 0.  A
+prepared dataset keeps one vector table whose row i is the embedding of
+the word with id i (row 0, padding, is all zeros), so each word vector is
+stored once rather than once per occurrence.
 """
 
 import json
@@ -82,11 +85,6 @@ class Thresholds:
     def __post_init__(self):
         if self.t_s < 1 or self.t_d < 1:
             raise ValueError(f"thresholds must be >= 1, got t_s={self.t_s} t_d={self.t_d}")
-
-
-@dataclass
-class ArticleTensor:
-    data: np.ndarray
 
 
 _SENTENCE_BREAK = re.compile(r"[.!?]+")
@@ -177,25 +175,31 @@ class EmbeddingTable:
         return rng.uniform(lo, hi, self.dimension)
 
 
-def embed_word(table: EmbeddingTable, word: str) -> np.ndarray:
-    """Vector for one word: stored if in vocabulary, stable-random if OOV,
-    zeros for the padding token."""
-    return table.lookup(word)
-
-
-def build_tensor(tok: TokenizedArticle, th: Thresholds, table: EmbeddingTable) -> ArticleTensor:
-    """Fixed-shape (t_d+1, t_s, E) tensor for one article.
+def token_ids(tok: TokenizedArticle, th: Thresholds, vocab: dict) -> np.ndarray:
+    """Fixed-shape (t_d+1, t_s) int32 id matrix for one article.
 
     Row 0 is the headline, rows 1..t_d the first t_d body sentences; each
-    row holds the first t_s words.  Slots past the available words or
-    sentences stay zero.
+    row holds the ids of its first t_s words.  Slots past the available
+    words or sentences stay 0, the padding id.  `vocab` maps word -> id
+    and is extended in place: a word not in it yet gets the next id
+    (len(vocab) + 1), so ids follow first occurrence.
     """
-    data = np.zeros((th.t_d + 1, th.t_s, table.dimension))
+    ids = np.zeros((th.t_d + 1, th.t_s), dtype=np.int32)
     rows = [tok.headline_tokens] + tok.body_sentences[: th.t_d]
     for r, words in enumerate(rows):
         for c, word in enumerate(words[: th.t_s]):
-            data[r, c, :] = table.lookup(word)
-    return ArticleTensor(data)
+            ids[r, c] = vocab.setdefault(word, len(vocab) + 1)
+    return ids
+
+
+def vocab_vectors(vocab: dict, table: EmbeddingTable) -> np.ndarray:
+    """(len(vocab)+1, E) vector table for the ids `vocab` assigned: row 0
+    is zeros (padding), row i is table.lookup() of the word with id i,
+    stable-random vectors for OOV words included."""
+    vectors = np.zeros((len(vocab) + 1, table.dimension))
+    for word, i in vocab.items():
+        vectors[i] = table.lookup(word)
+    return vectors
 
 
 def load_corpus(path) -> list:

@@ -198,31 +198,33 @@ def init_model(variant: str, t_s: int, t_d: int, embed_dim: int, rng,
                  rows=rows, k=k, dropout_rate=dropout_rate)
 
 
-def forward_batch(model: Model, x: np.ndarray, explicit, mode: str, rng=None) -> Tensor:
-    """Batched articles (B, rows, t_s, E) (+ explicit (B, m)) -> logits (B, 2)."""
-    if x.shape[1] != model.rows:
-        raise ValueError(f"batch has {x.shape[1]} rows, model expects {model.rows}")
-    latent = slcnn_apply(model.slcnn, Tensor(x))
+def forward_batch(model: Model, ids: np.ndarray, vectors: np.ndarray, explicit, mode: str,
+                  rng=None) -> Tensor:
+    """Batched articles as token ids (B, rows, t_s) into the word-vector
+    table (V, E) (+ explicit (B, m)) -> logits (B, 2)."""
+    if ids.shape[1] != model.rows:
+        raise ValueError(f"batch has {ids.shape[1]} rows, model expects {model.rows}")
+    latent = slcnn_apply(model.slcnn, ids, vectors)
     if model.integrator:
         if explicit is None or explicit.shape[1] != model.explicit_width:
             raise ValueError(f"variant {model.variant!r} needs explicit width {model.explicit_width}")
         reduced = integrator_apply(model.integrator, integrate_batch(latent, explicit))
     else:
         reduced = latent
-    flat = nncore.reshape(reduced, (x.shape[0], model.rows * model.k))
+    flat = nncore.reshape(reduced, (ids.shape[0], model.rows * model.k))
     return head_apply(model.head, flat, model.dropout_rate, mode, rng)
 
 
-def loss_batch(model: Model, x, explicit, labels, mode: str, rng=None):
+def loss_batch(model: Model, ids, vectors, explicit, labels, mode: str, rng=None):
     """Forward plus softmax cross-entropy; labels are 0=Real / 1=Fake ints.
     Returns (probs ndarray, scalar loss Tensor)."""
-    logits = forward_batch(model, x, explicit, mode, rng)
+    logits = forward_batch(model, ids, vectors, explicit, mode, rng)
     return nncore.softmax_xent_batch(logits, labels)
 
 
-def predict_batch(model: Model, x, explicit):
+def predict_batch(model: Model, ids, vectors, explicit):
     """Eval-mode predictions: (probs (B, 2), int labels (B,)); ties go Real."""
-    logits = forward_batch(model, x, explicit, "eval")
+    logits = forward_batch(model, ids, vectors, explicit, "eval")
     probs = nncore.softmax(logits.data)
     preds = (probs[:, 1] > probs[:, 0]).astype(np.int64)
     return probs, preds

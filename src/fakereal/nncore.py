@@ -5,11 +5,11 @@ and per-channel), pairwise max pooling, dense layers, inverted dropout,
 softmax cross-entropy, and Adam, with reverse-mode gradients and a
 finite-difference checker.  float64 throughout, row-major numpy storage.
 
-Graph ops (conv1x2_full, conv1x2_depthwise, maxpool_pairs, linear, relu,
-reshape, transpose, concat, dropout_t, softmax_xent_batch) build a tape of
-`Tensor` nodes over batched arrays.  The module-level conv_1x2 / maxpool2 /
-dense / softmax_xent / dropout functions are their plain single-instance
-forms, handy for spot checks.
+Graph ops (conv1x2_full, conv1x2_tokens, conv1x2_depthwise, maxpool_pairs,
+linear, relu, reshape, transpose, concat, gather_rows, dropout_t,
+softmax_xent_batch) build a tape of `Tensor` nodes over batched arrays.
+The module-level conv_1x2 / maxpool2 / dense / softmax_xent / dropout
+functions are their plain single-instance forms, handy for spot checks.
 """
 
 import json
@@ -172,6 +172,66 @@ def conv1x2_full(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 gx[:, :, :-1, :] += np.einsum("bfrt,fe->brte", gm, wb[:, 0, :])
                 gx[:, :, 1:, :] += np.einsum("bfrt,fe->brte", gm, wb[:, 1, :])
                 _accum(x, gx)
+        out._backward = bp
+    return out
+
+
+def conv1x2_tokens(ids, vectors, w: Tensor, b: Tensor) -> Tensor:
+    """conv1x2_full over rows of token ids into a frozen vector table.
+
+    ids: (B, R, W) integer rows indexing vectors (V, E); w: (k, 2, E);
+    b: (k,).  Returns (B, k, R, W-1), the value conv1x2_full gives on
+    vectors[ids].  The table takes no gradient, so the conv is linear in
+    it: every table row is projected once, P = vectors @ [W0; W1]^T, and
+    each output is P0[id_t] + P1[id_{t+1}] + b.  Backward scatter-adds the
+    masked gradient into per-token rows of dP and takes dW = dP^T @ vectors.
+    """
+    ids = np.asarray(ids)
+    vb, wb, bb = np.asarray(vectors, dtype=np.float64), w.data, b.data
+    if (ids.ndim != 3 or ids.dtype.kind not in "iu" or vb.ndim != 2 or wb.ndim != 3
+            or wb.shape[1] != 2 or vb.shape[1] != wb.shape[2] or bb.shape != (wb.shape[0],)):
+        raise ValueError(f"conv1x2_tokens shape mismatch: ids{ids.shape} "
+                         f"vectors{vb.shape} w{wb.shape} b{bb.shape}")
+    if ids.shape[2] < 2:
+        raise ValueError("window larger than input")
+    k, vocab = wb.shape[0], vb.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise ValueError(f"token id out of range for a table of {vocab} rows")
+    i0 = ids[:, :, :-1]
+    i1 = ids[:, :, 1:]
+    # (2k, V): rows 0..k-1 project onto tap 0, rows k..2k-1 onto tap 1
+    proj = np.concatenate([wb[:, 0, :], wb[:, 1, :]]) @ vb.T
+    pre = (np.take(proj[:k], i0, axis=1) + np.take(proj[k:], i1, axis=1)
+           + bb[:, None, None, None])
+    out = Tensor(np.ascontiguousarray(np.moveaxis(np.maximum(pre, 0.0), 0, 1)), (w, b))
+    if out.requires_grad:
+        def bp():
+            gm = out.grad * (out.data > 0.0)
+            _accum(b, gm.sum(axis=(0, 2, 3)))
+            per_filter = np.moveaxis(gm, 1, 0).reshape(k, -1)
+            dproj = np.stack([np.bincount(taps.ravel(), weights=per_filter[f], minlength=vocab)
+                              for taps in (i0, i1) for f in range(k)])
+            _accum(w, (dproj @ vb).reshape(2, k, -1).transpose(1, 0, 2))
+        out._backward = bp
+    return out
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """out[i] = x[index[i]] along axis 0; the output has shape
+    index.shape + x.shape[1:].  Rows of x may be gathered any number of
+    times, and backward sums their gradients with one bincount."""
+    xb = x.data
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu" or (index.size and (index.min() < 0
+                                                         or index.max() >= xb.shape[0])):
+        raise ValueError(f"gather_rows index out of range for {xb.shape[0]} rows")
+    out = Tensor(xb[index], (x,))
+    if out.requires_grad:
+        def bp():
+            width = int(np.prod(xb.shape[1:]))
+            keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+            g = np.bincount(keys, weights=out.grad.ravel(), minlength=xb.size)
+            _accum(x, g.reshape(xb.shape))
         out._backward = bp
     return out
 

@@ -15,6 +15,7 @@ and text signal for desk-scale experiments.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import corpus, fusion, nncore, social
 from .corpus import DATASET_PRESETS, Label
 from .fusion import EXPLICIT_ORDER, VARIANTS
 from .seeds import rng_for
+from .slcnn import required_hcbs
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -124,6 +126,19 @@ class RunConfig:
                     "influence.d_max"):
             if v[key] < 0:
                 raise ConfigError(f"{key} must be >= 0")
+        try:
+            required_hcbs(v["model.t_s"])
+        except ValueError as exc:
+            raise ConfigError(f"model.t_s: {exc}") from None
+        # the integrator reduces rows of the k latent values plus the
+        # variant's explicit features
+        explicit_width = len(VARIANTS[v["model.variant"]])
+        if explicit_width:
+            try:
+                required_hcbs(v["model.filters"] + explicit_width)
+            except ValueError as exc:
+                raise ConfigError(f"model.filters = {v['model.filters']} with variant "
+                                  f"{v['model.variant']}: integrator {exc}") from None
         if v["train.epochs"] < -1:
             raise ConfigError("train.epochs must be >= -1 (-1 selects early stopping)")
         if v["train.lr"] <= 0.0:
@@ -146,11 +161,16 @@ class RunConfig:
         return out
 
 
+# a comment starts at a '#' that opens the line or follows whitespace, so
+# values such as paths may contain '#'
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _read_config_file(path):
     pairs = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -245,9 +265,13 @@ def eval_report(y_true, y_pred) -> EvalReport:
 
 @dataclass
 class DataBundle:
-    """Everything a training or evaluation pass needs, fully materialized."""
+    """Everything a training or evaluation pass needs, fully materialized.
+
+    train_x and test_x hold token ids (n, t_d+1, t_s) into `vectors`, the
+    (V, E) word-vector table whose row 0 is padding."""
     thresholds: corpus.Thresholds
     embed_dim: int
+    vectors: np.ndarray
     train_ids: list
     train_x: np.ndarray
     train_y: np.ndarray
@@ -296,8 +320,9 @@ def load_graph(config) -> social.FollowerGraph:
 
 
 def prepare_data(config: RunConfig) -> DataBundle:
-    """Load corpora and side files, tensorize, and build normalized
-    explicit features (min-max fitted on the training split only)."""
+    """Load corpora and side files, turn the text into token ids over one
+    vector table, and build normalized explicit features (min-max fitted
+    on the training split only)."""
     if not config.train_path or not config.test_path:
         raise ConfigError("data.train and data.test must be set")
     if not config.embeddings_path:
@@ -316,10 +341,16 @@ def prepare_data(config: RunConfig) -> DataBundle:
     else:
         th = corpus.compute_thresholds(train_tok, t_s_fixed=config.t_s)
 
-    def tensorize(toks):
-        if not toks:
-            return np.zeros((0, th.t_d + 1, th.t_s, table.dimension))
-        return np.stack([corpus.build_tensor(t, th, table).data for t in toks])
+    vocab = {}
+
+    def tokenize(toks):
+        ids = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
+        for i, tok in enumerate(toks):
+            ids[i] = corpus.token_ids(tok, th, vocab)
+        return ids
+
+    train_x = tokenize(train_tok)
+    test_x = tokenize(test_tok)
 
     ledger = social.tally_credit(train_articles)
     graph = load_graph(config)
@@ -332,11 +363,12 @@ def prepare_data(config: RunConfig) -> DataBundle:
     return DataBundle(
         thresholds=th,
         embed_dim=table.dimension,
+        vectors=corpus.vocab_vectors(vocab, table),
         train_ids=[a.id for a in train_articles],
-        train_x=tensorize(train_tok),
+        train_x=train_x,
         train_y=np.array([a.label.value for a in train_articles], dtype=np.int64),
         test_ids=[a.id for a in test_articles],
-        test_x=tensorize(test_tok),
+        test_x=test_x,
         test_y=np.array([a.label.value for a in test_articles], dtype=np.int64),
         explicit_train=social.apply_minmax(scaler, raw_train),
         explicit_test=social.apply_minmax(scaler, raw_test),
@@ -385,12 +417,12 @@ class TrainResult:
     checkpoint_path: str = ""
 
 
-def _predict_all(model, x, explicit, batch_size):
+def _predict_all(model, x, vectors, explicit, batch_size):
     preds = []
     for start in range(0, x.shape[0], batch_size):
         sl = slice(start, start + batch_size)
         ex = explicit[sl] if explicit is not None else None
-        _, p = fusion.predict_batch(model, x[sl], ex)
+        _, p = fusion.predict_batch(model, x[sl], vectors, ex)
         preds.append(p)
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
@@ -410,7 +442,9 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
     validation slice of the training split (patience on accuracy, best
     weights restored).  Deterministic for a fixed config: init, dropout,
     shuffling, the validation split, and the cold-start perturbation each
-    draw from their own seeded stream.
+    draw from their own seeded stream.  A non-finite loss stops training
+    with a ValueError naming the epoch and batch, before anything is
+    written to out_dir.
     """
     if bundle is None:
         bundle = prepare_data(config)
@@ -460,11 +494,14 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         epochs_run = epoch
         order = fit_idx[rng_shuffle.permutation(len(fit_idx))]
         loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
+        for batch, start in enumerate(range(0, len(order), config.batch_size), 1):
             idx = order[start:start + config.batch_size]
             nncore.zero_grads(tensors)
-            _, loss = fusion.loss_batch(model, bundle.train_x[idx], slice_ex(idx),
-                                        y[idx], "train", rng_dropout)
+            _, loss = fusion.loss_batch(model, bundle.train_x[idx], bundle.vectors,
+                                        slice_ex(idx), y[idx], "train", rng_dropout)
+            if not np.isfinite(loss.data):
+                raise ValueError(f"training diverged: loss {float(loss.data)} at epoch "
+                                 f"{epoch} batch {batch} (lr {config.lr!r})")
             loss.backward()
             grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
                      for t in tensors]
@@ -473,14 +510,14 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         epoch_loss = loss_sum / len(order)
 
         train_acc = float(np.mean(
-            _predict_all(model, bundle.train_x[fit_idx], slice_ex(fit_idx),
+            _predict_all(model, bundle.train_x[fit_idx], bundle.vectors, slice_ex(fit_idx),
                          config.batch_size) == y[fit_idx]))
         entry = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc, "val_acc": None}
         line = f"epoch {epoch:4d} loss {epoch_loss:.6f} train_acc {train_acc:.4f}"
         if early_stopping:
             val_acc = float(np.mean(
-                _predict_all(model, bundle.train_x[val_idx], slice_ex(val_idx),
-                             config.batch_size) == y[val_idx]))
+                _predict_all(model, bundle.train_x[val_idx], bundle.vectors,
+                             slice_ex(val_idx), config.batch_size) == y[val_idx]))
             entry["val_acc"] = val_acc
             line += f" val_acc {val_acc:.4f}"
             if val_acc > best_val:
@@ -568,7 +605,7 @@ def evaluate_model(model: fusion.Model, bundle: DataBundle, config: RunConfig) -
         bundle.test_ids, bundle.explicit_test, config.coldstart_fraction,
         rng_for(config.seed, "perturb_test"))
     explicit = _variant_explicit(explicit_full, config.variant)
-    preds = _predict_all(model, bundle.test_x, explicit, config.batch_size)
+    preds = _predict_all(model, bundle.test_x, bundle.vectors, explicit, config.batch_size)
     return eval_report(bundle.test_y, preds)
 
 
@@ -647,11 +684,12 @@ ABLATION_VARIANTS = ("slcnn", "slcnn_c", "slcnn_i", "full")
 
 def ablate(config: RunConfig, out_dir=None) -> dict:
     """Train and evaluate all four variants on one prepared dataset
-    (tokenized once); returns variant -> EvalReport."""
+    (tokenized once); returns variant -> EvalReport.  Every variant's
+    config is validated before the data is prepared."""
+    configs = {v: config.with_overrides({"model.variant": v}) for v in ABLATION_VARIANTS}
     bundle = prepare_data(config)
     results = {}
-    for variant in ABLATION_VARIANTS:
-        cfg = config.with_overrides({"model.variant": variant})
+    for variant, cfg in configs.items():
         sub = os.path.join(out_dir, variant) if out_dir else None
         res = train(cfg, out_dir=sub, bundle=bundle)
         report = evaluate_model(res.model, bundle, cfg)

@@ -1,4 +1,4 @@
-"""Sentence-level CNN over article tensors.
+"""Sentence-level CNN over articles stored as token ids.
 
 Each sentence row is pushed through a stack of horizontal convolutional
 blocks (HCB): two 1x2 convolutions with ReLU, then max pooling over
@@ -8,7 +8,10 @@ weights, so the latent matrix is row-permutation-equivariant.
 
 The first convolution of the first block is the only full-depth one (it
 consumes the embedding axis and fans out to k channels); every other
-convolution is per-channel with an independent 1x2 kernel.
+convolution is per-channel with an independent 1x2 kernel.  On article
+text the full-depth conv reads token ids and the frozen word-vector table
+(nncore.conv1x2_tokens); the integrator's depth-1 stacks use the dense
+form (nncore.conv1x2_full).
 """
 
 from dataclasses import dataclass, field
@@ -128,12 +131,18 @@ def hcb_apply(block: HcbBlock, x: Tensor) -> Tensor:
         h = nncore.conv1x2_full(x, block.conv1_w, block.conv1_b)
     else:
         h = nncore.conv1x2_depthwise(x, block.conv1_w, block.conv1_b)
+    return _hcb_tail(block, h)
+
+
+def _hcb_tail(block: HcbBlock, h: Tensor) -> Tensor:
+    """What a block does after its first conv: the per-channel conv, then pooling."""
     h = nncore.conv1x2_depthwise(h, block.conv2_w, block.conv2_b)
     return nncore.maxpool_pairs(h)
 
 
 def stack_apply(blocks: list, x: Tensor) -> Tensor:
-    """Run a full stack; input (B, R, W, E), output (B, R, k) at width 1."""
+    """Run blocks until width 1: input (B, R, W, E) when the first block
+    is full-depth, else (B, k, R, W); output (B, R, k)."""
     h = x
     for block in blocks:
         h = hcb_apply(block, h)
@@ -174,21 +183,35 @@ def init_slcnn(t_s: int, embed_dim: int, k: int, rng) -> SlcnnModel:
     return SlcnnModel(blocks=blocks, t_s=t_s, embed_dim=embed_dim, config=HcbConfig(filters_k=k))
 
 
-def slcnn_apply(model: SlcnnModel, x: Tensor) -> Tensor:
-    """Graph forward: batch (B, rows, t_s, E) -> latent (B, rows, k)."""
-    if x.data.shape[2] != model.t_s or x.data.shape[3] != model.embed_dim:
-        raise ValueError(f"input shape {x.data.shape} does not match model "
-                         f"(t_s={model.t_s}, E={model.embed_dim})")
+def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:
+    """Graph forward: token ids (B, rows, t_s) into the frozen vector table
+    (V, E) -> latent (B, rows, k).  Id 0 is padding.
+
+    Rows never mix, and every all-padding row has the same latent, so the
+    stack runs once on the rows holding a word plus one padding row; a
+    row gather then spreads the results back to (B, rows, k).  A row's
+    latent does not depend on which other rows share its batch.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 3:
+        raise ValueError(f"token ids must be 3D (batch, rows, t_s), got shape {ids.shape}")
+    if ids.shape[2] != model.t_s:
+        raise ValueError(f"token id shape {ids.shape} does not match model (t_s={model.t_s})")
+    if np.ndim(vectors) != 2 or np.shape(vectors)[1] != model.embed_dim:
+        raise ValueError(f"vector table shape {np.shape(vectors)} does not match model "
+                         f"(E={model.embed_dim})")
     if required_hcbs(model.t_s) != len(model.blocks):
         raise ValueError("model block count does not match its t_s")
-    return stack_apply(model.blocks, x)
+    batch, rows, width = ids.shape
+    flat = ids.reshape(batch * rows, width)
+    words = flat.any(axis=1)
+    n_words = int(np.count_nonzero(words))
+    source = np.full(batch * rows, n_words)      # padding rows read the last computed row
+    source[words] = np.arange(n_words)
+    computed = np.concatenate([flat[words], np.zeros((1, width), dtype=ids.dtype)])
 
-
-def slcnn_forward(model: SlcnnModel, article_tensor) -> np.ndarray:
-    """One article (t_d+1, t_s, E) -> latent matrix (t_d+1, k)."""
-    data = getattr(article_tensor, "data", article_tensor)
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"article tensor must be 3D, got shape {x.shape}")
-    out = slcnn_apply(model, Tensor(x[None, :, :, :]))
-    return out.data[0]
+    first = model.blocks[0]
+    h = nncore.conv1x2_tokens(computed[None], vectors, first.conv1_w, first.conv1_b)
+    latent = stack_apply(model.blocks[1:], _hcb_tail(first, h))
+    latent = nncore.reshape(latent, latent.data.shape[1:])
+    return nncore.gather_rows(latent, source.reshape(batch, rows))

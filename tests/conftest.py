@@ -1,7 +1,14 @@
-"""Shared fixtures: an independent influence oracle used by the unit and
-acceptance suites."""
+"""Shared fixtures: independent reference implementations used by the unit
+and acceptance suites."""
 
+import types
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
+
+from fakereal import fusion, nncore, slcnn
+from fakereal.nncore import Tensor
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +40,66 @@ def influence_oracle():
         return total / (n_users - 1)
 
     return oracle
+
+
+# ---------------------------------------------------------------------------
+# dense-input oracle: articles as (t_d+1, t_s, E) word-vector tensors, and
+# the text CNN's first conv as conv1x2_full over them
+
+
+@dataclass
+class ArticleTensor:
+    data: np.ndarray
+
+
+def embed_word(table, word):
+    """Vector for one word: stored if in vocabulary, stable-random if OOV,
+    zeros for the padding token."""
+    return table.lookup(word)
+
+
+def build_tensor(tok, th, table):
+    """Fixed-shape (t_d+1, t_s, E) tensor for one article: row 0 the
+    headline, rows 1..t_d the first t_d body sentences, each row the
+    vectors of its first t_s words; every other slot is zero."""
+    data = np.zeros((th.t_d + 1, th.t_s, table.dimension))
+    rows = [tok.headline_tokens] + tok.body_sentences[: th.t_d]
+    for r, words in enumerate(rows):
+        for c, word in enumerate(words[: th.t_s]):
+            data[r, c, :] = embed_word(table, word)
+    return ArticleTensor(data)
+
+
+def dense_latent(model, x):
+    """Word vectors (B, rows, t_s, E) -> latent (B, rows, k), every row,
+    padding included, through conv1x2_full and the rest of the stack."""
+    return slcnn.stack_apply(model.blocks, Tensor(x))
+
+
+def dense_logits(model, x, explicit, mode="eval", rng=None):
+    """fusion.forward_batch on word vectors (B, rows, t_s, E)."""
+    latent = dense_latent(model.slcnn, x)
+    if model.integrator:
+        latent = fusion.integrator_apply(model.integrator, fusion.integrate_batch(latent, explicit))
+    flat = nncore.reshape(latent, (x.shape[0], model.rows * model.k))
+    return fusion.head_apply(model.head, flat, model.dropout_rate, mode, rng)
+
+
+def as_tokens(x):
+    """Word vectors (..., E) as (ids, vectors) with vectors[ids] == x: each
+    slot holding a nonzero vector gets its own table row, and all-zero
+    slots get the padding id 0."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1, x.shape[-1])
+    live = flat.any(axis=1)
+    ids = np.zeros(flat.shape[0], dtype=np.int32)
+    ids[live] = np.arange(1, np.count_nonzero(live) + 1)
+    vectors = np.concatenate([np.zeros((1, x.shape[-1])), flat[live]])
+    return ids.reshape(x.shape[:-1]), vectors
+
+
+@pytest.fixture(scope="session")
+def dense_oracle():
+    return types.SimpleNamespace(ArticleTensor=ArticleTensor, embed_word=embed_word,
+                                 build_tensor=build_tensor, latent=dense_latent,
+                                 logits=dense_logits, as_tokens=as_tokens)

@@ -112,7 +112,7 @@ def test_width_recurrence_reference_values():
           f"trace(46)={trace}")
 
 
-def test_end_to_end_gradient_check():
+def test_end_to_end_gradient_check(dense_oracle):
     """Backprop against central finite differences, loss to parameters.
 
     The narrow probe (k=2, dense 8, 10x4 rows, body depth 2) covers the
@@ -130,12 +130,13 @@ def test_end_to_end_gradient_check():
         rng = np.random.default_rng(data_seed)
         model = fusion.init_model(variant, 10, 2, 4, rng_for(0, "init"), k=k,
                                   dense_width=8, dropout_rate=0.0)
-        x = rng.normal(size=(3, 3, 10, 4)) * 0.5 + 0.3
+        # each word slot its own table row: the same inputs as dense rows
+        ids, vectors = dense_oracle.as_tokens(rng.normal(size=(3, 3, 10, 4)) * 0.5 + 0.3)
         explicit = 0.2 + 0.6 * rng.random((3, m_cols)) if m_cols else None
         labels = np.array([0, 1, 0])
 
         def loss_fn():
-            _, loss = fusion.loss_batch(model, x, explicit, labels, "eval")
+            _, loss = fusion.loss_batch(model, ids, vectors, explicit, labels, "eval")
             return loss
 
         return nncore.grad_check(loss_fn, model.param_tensors(),

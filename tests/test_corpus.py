@@ -1,4 +1,5 @@
-"""Tokenization, sizing thresholds, embeddings, and corpus file round-trips."""
+"""Tokenization, sizing thresholds, embeddings, token-id inputs, and corpus
+file round-trips."""
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from fakereal.corpus import (
     NewsArticle,
     Thresholds,
     TokenizedArticle,
-    build_tensor,
     compute_thresholds,
-    embed_word,
     load_corpus,
     load_embeddings,
     split_article,
+    token_ids,
+    vocab_vectors,
     write_corpus,
     write_embeddings,
 )
@@ -97,29 +98,29 @@ class TestEmbeddingTable:
     def test_known_word_returned_verbatim(self):
         vec = np.array([1.0, -2.0, 0.5])
         table = EmbeddingTable(3, vectors={"cat": vec})
-        assert np.array_equal(embed_word(table, "cat"), vec)
+        assert np.array_equal(table.lookup("cat"), vec)
 
     def test_padding_token_is_zero(self):
         table = EmbeddingTable(4)
-        assert np.array_equal(embed_word(table, PADDING_TOKEN), np.zeros(4))
+        assert np.array_equal(table.lookup(PADDING_TOKEN), np.zeros(4))
 
     def test_oov_is_stable_within_and_across_tables(self):
         a = EmbeddingTable(8, oov_seed=3)
         b = EmbeddingTable(8, oov_seed=3)
-        first = embed_word(a, "zyxxy")
-        assert np.array_equal(first, embed_word(a, "zyxxy"))
-        assert np.array_equal(first, embed_word(b, "zyxxy"))
+        first = a.lookup("zyxxy")
+        assert np.array_equal(first, a.lookup("zyxxy"))
+        assert np.array_equal(first, b.lookup("zyxxy"))
 
     def test_oov_depends_on_seed_and_word(self):
         table = EmbeddingTable(8, oov_seed=0)
         other_seed = EmbeddingTable(8, oov_seed=1)
-        assert not np.array_equal(embed_word(table, "aard"), embed_word(other_seed, "aard"))
-        assert not np.array_equal(embed_word(table, "aard"), embed_word(table, "vark"))
+        assert not np.array_equal(table.lookup("aard"), other_seed.lookup("aard"))
+        assert not np.array_equal(table.lookup("aard"), table.lookup("vark"))
 
     def test_oov_within_range(self):
         table = EmbeddingTable(16, oov_range=(-0.01, 0.01))
         for word in ("one", "two", "three"):
-            vec = embed_word(table, word)
+            vec = table.lookup(word)
             assert np.all(vec >= -0.01) and np.all(vec <= 0.01)
 
     def test_wrong_dimension_rejected(self):
@@ -133,6 +134,9 @@ class TestEmbeddingTable:
 
 
 class TestBuildTensor:
+    """An article's token-id matrix, and the vector table it indexes, against
+    the dense oracle's word-vector tensor."""
+
     def table(self):
         return EmbeddingTable(2, vectors={
             "a": np.array([1.0, 0.0]),
@@ -140,33 +144,53 @@ class TestBuildTensor:
             "c": np.array([1.0, 1.0]),
         })
 
-    def test_shape_and_layout(self):
+    def build(self, tok, th, dense_oracle, table=None):
+        table = table or self.table()
+        vocab = {}
+        ids = token_ids(tok, th, vocab)
+        vectors = vocab_vectors(vocab, table)
+        assert ids.dtype == np.int32 and ids.shape == (th.t_d + 1, th.t_s)
+        assert np.array_equal(vectors[ids], dense_oracle.build_tensor(tok, th, table).data)
+        return ids, vocab
+
+    def test_shape_and_layout(self, dense_oracle):
         tok = TokenizedArticle(["a"], [["b", "c"], ["c"]])
-        t = build_tensor(tok, Thresholds(t_s=3, t_d=2), self.table())
-        assert t.data.shape == (3, 3, 2)
-        assert np.array_equal(t.data[0, 0], [1.0, 0.0])   # headline row first
-        assert np.array_equal(t.data[1, 0], [0.0, 1.0])
-        assert np.array_equal(t.data[1, 1], [1.0, 1.0])
-        assert np.array_equal(t.data[2, 0], [1.0, 1.0])
+        ids, vocab = self.build(tok, Thresholds(t_s=3, t_d=2), dense_oracle)
+        assert vocab == {"a": 1, "b": 2, "c": 3}      # ids in first-seen order
+        assert ids.tolist() == [[1, 0, 0], [2, 3, 0], [3, 0, 0]]   # headline row first
 
-    def test_pads_missing_slots_with_zeros(self):
+    def test_pads_missing_slots_with_zeros(self, dense_oracle):
         tok = TokenizedArticle(["a"], [["b"]])
-        t = build_tensor(tok, Thresholds(t_s=3, t_d=3), self.table())
-        assert np.all(t.data[1, 1:] == 0.0)
-        assert np.all(t.data[2:] == 0.0)
+        ids, _ = self.build(tok, Thresholds(t_s=3, t_d=3), dense_oracle)
+        assert np.all(ids[1, 1:] == 0)
+        assert np.all(ids[2:] == 0)
 
-    def test_crops_long_sentences_and_bodies(self):
+    def test_crops_long_sentences_and_bodies(self, dense_oracle):
         tok = TokenizedArticle(["a", "b", "c"], [["a"], ["b"], ["c"]])
-        t = build_tensor(tok, Thresholds(t_s=2, t_d=2), self.table())
-        assert t.data.shape == (3, 2, 2)
+        ids, vocab = self.build(tok, Thresholds(t_s=2, t_d=2), dense_oracle)
         # third headline word and third sentence fall off
-        assert np.array_equal(t.data[0, 1], [0.0, 1.0])
-        assert np.array_equal(t.data[2, 0], [0.0, 1.0])
+        assert ids.tolist() == [[1, 2], [1, 0], [2, 0]]
+        assert "c" not in vocab
 
-    def test_empty_article_is_all_zero(self):
-        tok = TokenizedArticle([], [])
-        t = build_tensor(tok, Thresholds(t_s=4, t_d=3), self.table())
-        assert np.all(t.data == 0.0)
+    def test_empty_article_is_all_zero(self, dense_oracle):
+        ids, vocab = self.build(TokenizedArticle([], []), Thresholds(t_s=4, t_d=3), dense_oracle)
+        assert np.all(ids == 0) and vocab == {}
+
+    def test_vocabulary_is_shared_across_articles(self, dense_oracle):
+        table = self.table()
+        th = Thresholds(t_s=3, t_d=1)
+        vocab = {}
+        first = token_ids(TokenizedArticle(["b", "zed"], []), th, vocab)
+        second = token_ids(TokenizedArticle(["zed", "a", "b"], []), th, vocab)
+        assert first[0].tolist() == [1, 2, 0] and second[0].tolist() == [2, 3, 1]
+        vectors = vocab_vectors(vocab, table)
+        assert np.all(vectors[0] == 0.0)
+        # every row is the table's own vector, bit for bit, OOV draw included
+        for word, i in vocab.items():
+            assert np.array_equal(vectors[i], table.lookup(word))
+        for tok, ids in ((TokenizedArticle(["b", "zed"], []), first),
+                         (TokenizedArticle(["zed", "a", "b"], []), second)):
+            assert np.array_equal(vectors[ids], dense_oracle.build_tensor(tok, th, table).data)
 
 
 class TestCorpusFiles:

@@ -1,5 +1,6 @@
 """Feature fusion and the assembled classifier: explicit-feature layout,
-integrator reduction, tie-breaking, and end-to-end gradients."""
+integrator reduction, tie-breaking, end-to-end gradients, and whole-model
+logits against the dense-input oracle."""
 
 import numpy as np
 import pytest
@@ -175,38 +176,39 @@ class TestModelAssembly:
 class TestForward:
     def batch(self, rows=3, n=4):
         rng = np.random.default_rng(7)
-        return rng.normal(size=(n, rows, 10, 4)) * 0.1
+        ids = rng.integers(0, 20, size=(n, rows, 10)).astype(np.int32)
+        return ids, rng.normal(size=(20, 4)) * 0.1
 
     def test_shapes_and_explicit_checks(self):
         model = init_model("slcnn_c", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)
-        x = self.batch()
-        logits = forward_batch(model, x, np.random.default_rng(1).random((4, 3)), "eval")
+        ids, vectors = self.batch()
+        logits = forward_batch(model, ids, vectors, np.random.default_rng(1).random((4, 3)), "eval")
         assert logits.data.shape == (4, 2)
         with pytest.raises(ValueError, match="needs explicit width 3"):
-            forward_batch(model, x, None, "eval")
+            forward_batch(model, ids, vectors, None, "eval")
         with pytest.raises(ValueError, match="needs explicit width 3"):
-            forward_batch(model, x, np.ones((4, 5)), "eval")
+            forward_batch(model, ids, vectors, np.ones((4, 5)), "eval")
         with pytest.raises(ValueError, match="batch has 2 rows, model expects 3"):
-            forward_batch(model, x[:, :2], np.ones((4, 3)), "eval")
+            forward_batch(model, ids[:, :2], vectors, np.ones((4, 3)), "eval")
 
     def test_latent_only_variant_ignores_explicit(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)
-        logits = forward_batch(model, self.batch(), None, "eval")
+        logits = forward_batch(model, *self.batch(), None, "eval")
         assert logits.data.shape == (4, 2)
 
     def test_predict_batch_ties_to_real(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)
         model.head = zero_head(3 * 2)
-        probs, preds = predict_batch(model, self.batch(), None)
+        probs, preds = predict_batch(model, *self.batch(), None)
         assert np.allclose(probs, 0.5)
         assert np.array_equal(preds, np.zeros(4, dtype=np.int64))
 
     def test_eval_forward_is_deterministic(self):
         model = init_model("full", 10, 2, 4, rng_for(2, "init"))
-        x = self.batch()
+        ids, vectors = self.batch()
         ex = np.random.default_rng(2).random((4, 5))
-        a = forward_batch(model, x, ex, "eval")
-        b = forward_batch(model, x, ex, "eval")
+        a = forward_batch(model, ids, vectors, ex, "eval")
+        b = forward_batch(model, ids, vectors, ex, "eval")
         assert np.array_equal(a.data, b.data)
 
 
@@ -216,25 +218,60 @@ class TestEndToEndGradients:
     # meaningless; the tight threshold keeps any drift into one loud.
     # the default-width model is gradient-checked end to end on corpus
     # data in the acceptance suite.
-    def check(self, variant, data_seed, m_cols=0):
+    def check(self, dense_oracle, variant, data_seed, m_cols=0):
         rng = np.random.default_rng(data_seed)
         model = init_model(variant, 10, 2, 4, rng_for(0, "init"), k=2,
                            dense_width=8, dropout_rate=0.0)
-        x = rng.normal(size=(3, 3, 10, 4)) * 0.5 + 0.3
+        # each word slot its own table row: the same inputs as dense rows
+        ids, vectors = dense_oracle.as_tokens(rng.normal(size=(3, 3, 10, 4)) * 0.5 + 0.3)
         explicit = 0.2 + 0.6 * rng.random((3, m_cols)) if m_cols else None
         labels = np.array([0, 1, 0])
 
         def loss_fn():
-            _, loss = loss_batch(model, x, explicit, labels, "eval")
+            _, loss = loss_batch(model, ids, vectors, explicit, labels, "eval")
             return loss
 
         return grad_check(loss_fn, model.param_tensors(), n_coords=60, seed=4)
 
-    def test_latent_only(self):
-        assert self.check("slcnn", data_seed=1) < 1e-6
+    def test_latent_only(self, dense_oracle):
+        assert self.check(dense_oracle, "slcnn", data_seed=1) < 1e-6
 
-    def test_with_credit_features(self):
-        assert self.check("slcnn_c", data_seed=0, m_cols=3) < 1e-6
+    def test_with_credit_features(self, dense_oracle):
+        assert self.check(dense_oracle, "slcnn_c", data_seed=0, m_cols=3) < 1e-6
 
-    def test_with_influence_features(self):
-        assert self.check("slcnn_i", data_seed=0, m_cols=2) < 1e-6
+    def test_with_influence_features(self, dense_oracle):
+        assert self.check(dense_oracle, "slcnn_i", data_seed=0, m_cols=2) < 1e-6
+
+
+class TestDenseOracle:
+    """Whole-model logits from token ids against the dense oracle, on a
+    synthetic corpus prepared the way training prepares it."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory):
+        from fakereal import pipeline
+        spec = pipeline.SynthSpec(n_real=6, n_fake=6, n_users=6, vocab_size=20, n_markers=3,
+                                  embed_dim=5, sents_min=1, sents_max=4, pubs_max=2)
+        paths = pipeline.write_synthetic(pipeline.gen_synthetic(spec, seed=3),
+                                         str(tmp_path_factory.mktemp("oracle")))
+        return pipeline.prepare_data(pipeline.synth_config(paths, {"model.t_d": "5"}))
+
+    @pytest.mark.parametrize("variant", ["slcnn", "full"])
+    def test_logits_match_dense_oracle(self, bundle, dense_oracle, variant):
+        th = bundle.thresholds
+        model = init_model(variant, th.t_s, th.t_d, bundle.embed_dim, rng_for(1, "init"))
+        ids = bundle.train_x
+        explicit = bundle.explicit_train if variant == "full" else None
+        assert (~ids.any(axis=2)).any()           # the corpus has padding rows
+        got = forward_batch(model, ids, bundle.vectors, explicit, "eval").data
+        want = dense_oracle.logits(model, bundle.vectors[ids], explicit).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_logits_do_not_depend_on_batch_neighbours(self, bundle):
+        th = bundle.thresholds
+        model = init_model("full", th.t_s, th.t_d, bundle.embed_dim, rng_for(2, "init"))
+        ids, ex = bundle.train_x, bundle.explicit_train
+        whole = forward_batch(model, ids, bundle.vectors, ex, "eval").data
+        for picked in ([0, 1, 2], [5, 0, 3], [0]):
+            part = forward_batch(model, ids[picked], bundle.vectors, ex[picked], "eval").data
+            assert np.max(np.abs(part[picked.index(0)] - whole[0])) <= 1e-12

@@ -13,10 +13,12 @@ from fakereal.nncore import (
     concat,
     conv1x2_depthwise,
     conv1x2_full,
+    conv1x2_tokens,
     conv_1x2,
     dense,
     dropout,
     dropout_t,
+    gather_rows,
     grad_check,
     linear,
     load_checkpoint,
@@ -255,7 +257,104 @@ class TestGraphOps:
         assert np.array_equal(x.grad, np.ones((2, 3, 4)))
 
 
+class TestTokenConv:
+    """conv1x2_tokens against conv1x2_full on the looked-up vectors."""
+
+    def inputs(self, seed, shape=(3, 4, 9), vocab=15, depth=6, k=5):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, vocab, size=shape).astype(np.int32)
+        ids[0, 1] = 0                                   # one all-padding row
+        vectors = rng.normal(size=(vocab, depth))
+        vectors[0] = 0.0
+        return ids, vectors, rng.normal(size=(k, 2, depth)), rng.normal(size=k) * 0.3
+
+    def test_forward_and_parameter_gradients_match_dense_op(self):
+        ids, vectors, w, b = self.inputs(0)
+        upstream = np.random.default_rng(1).normal(size=(3, 5, 4, 8))
+        outs, grads = [], []
+        for op, first in ((conv1x2_tokens, (ids, vectors)), (conv1x2_full, (Tensor(vectors[ids]),))):
+            wt, bt = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+            out = op(*first, wt, bt)
+            out.grad = upstream
+            out._backward()
+            outs.append(out.data)
+            grads.append((wt.grad, bt.grad))
+
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        assert outs[0].shape == (3, 5, 4, 8)
+        assert rel(outs[0], outs[1]) <= 1e-12
+        assert rel(grads[0][0], grads[1][0]) <= 1e-12      # dW
+        assert rel(grads[0][1], grads[1][1]) <= 1e-12      # db
+
+    def test_padding_id_gives_bias_then_relu(self):
+        w = Tensor(np.ones((2, 2, 3)))
+        b = Tensor(np.array([0.5, -0.5]))
+        vectors = np.ones((4, 3))
+        vectors[0] = 0.0
+        out = conv1x2_tokens(np.zeros((1, 1, 3), dtype=np.int32), vectors, w, b)
+        assert np.array_equal(out.data[0, :, 0], [[0.5, 0.5], [0.0, 0.0]])
+
+    def test_rejects_bad_inputs(self):
+        ids, vectors, w, b = self.inputs(2)
+        w, b = Tensor(w), Tensor(b)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            conv1x2_tokens(ids.astype(np.float64), vectors, w, b)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            conv1x2_tokens(ids, vectors[:, :4], w, b)
+        with pytest.raises(ValueError, match="out of range"):
+            conv1x2_tokens(ids + 15, vectors, w, b)
+        with pytest.raises(ValueError, match="out of range"):
+            conv1x2_tokens(ids - 1, vectors, w, b)
+        with pytest.raises(ValueError, match="window larger than input"):
+            conv1x2_tokens(ids[:, :, :1], vectors, w, b)
+
+
+class TestGatherRows:
+    def test_forward_and_summed_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        index = np.array([[2, 0], [2, 2]])
+        out = gather_rows(x, index)
+        assert out.data.shape == (2, 2, 2)
+        assert np.array_equal(out.data[1, 0], [4.0, 5.0])
+        out.grad = np.arange(8.0).reshape(2, 2, 2)
+        out._backward()
+        # row 2 was read three times, row 0 once, row 1 never
+        assert np.array_equal(x.grad, [[2.0, 3.0], [0.0, 0.0], [0 + 4 + 6.0, 1 + 5 + 7.0]])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            gather_rows(Tensor(np.ones((2, 3))), np.array([0, 2]))
+        with pytest.raises(ValueError, match="out of range"):
+            gather_rows(Tensor(np.ones((2, 3))), np.array([-1]))
+
+
 class TestGradCheck:
+    def test_token_conv_and_row_gather(self):
+        # same kink-free regime as test_conv_pool_stack, on token ids; the
+        # gather reads some rows several times, so its backward must sum
+        rng = np.random.default_rng(5)
+        ids = rng.integers(0, 7, size=(1, 4, 6)).astype(np.int32)
+        vectors = rng.normal(size=(7, 4)) * 0.2
+        vectors[0] = 0.0
+        wf = Tensor(rng.normal(size=(3, 2, 4)) * 0.3, requires_grad=True)
+        bf = Tensor(np.full(3, 0.6), requires_grad=True)
+        wo = Tensor(rng.normal(size=(5 * 3, 2)) * 0.3, requires_grad=True)
+        bo = Tensor(np.zeros(2), requires_grad=True)
+        index = np.array([[0, 3, 3, 1, 0], [2, 3, 0, 0, 1]])
+        labels = np.array([0, 1])
+
+        def loss_fn():
+            h = maxpool_pairs(conv1x2_tokens(ids, vectors, wf, bf))   # (1, 3, 4, 2)
+            h = maxpool_pairs(h)                                      # (1, 3, 4, 1)
+            rows = transpose(reshape(h, (3, 4)), (1, 0))              # (4, 3)
+            flat = reshape(gather_rows(rows, index), (2, 15))
+            _, loss = softmax_xent_batch(linear(flat, wo, bo), labels)
+            return loss
+
+        assert grad_check(loss_fn, [wf, bf, wo, bo], n_coords=60, seed=1) < 1e-5
+
     def test_dense_softmax_stack(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(4, 6)))

@@ -105,9 +105,9 @@ class TestRunConfig:
         assert config.train_path == ""
 
     def test_values_parse_from_strings(self):
-        config = RunConfig({"model.filters": "12", "train.lr": "0.01",
+        config = RunConfig({"model.filters": "10", "train.lr": "0.01",
                             "model.variant": "slcnn_c"})
-        assert config.filters == 12
+        assert config.filters == 10
         assert config.lr == 0.01
         assert config.variant == "slcnn_c"
 
@@ -145,14 +145,34 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             RunConfig({key: value})
 
+    @pytest.mark.parametrize("values,message", [
+        ({"model.t_s": "6"}, "model.t_s: width 6 cannot reduce to 1"),
+        ({"model.t_s": "8"}, "model.t_s: width 8 cannot reduce to 1"),
+        ({"model.filters": "4"}, "model.filters = 4 with variant full: integrator width 9 "
+                                 "cannot reduce"),
+        ({"model.filters": "12", "model.variant": "slcnn_c"},
+         "model.filters = 12 with variant slcnn_c: integrator width 15 cannot reduce"),
+    ])
+    def test_unreducible_shapes_fail_fast(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(values)
+
+    def test_filters_only_bound_by_the_configured_variant(self):
+        # without explicit features there is no integrator to reduce
+        assert RunConfig({"model.filters": "4", "model.variant": "slcnn"}).filters == 4
+        assert RunConfig({"model.filters": "2", "model.variant": "slcnn_i"}).filters == 2
+        with pytest.raises(ConfigError, match="variant full"):
+            RunConfig({"model.filters": "4", "model.variant": "slcnn"}).with_overrides(
+                {"model.variant": "full"})
+
     def test_epochs_sentinel_values_allowed(self):
         assert RunConfig({"train.epochs": "-1"}).epochs == -1
         assert RunConfig({"train.epochs": "0"}).epochs == 0
 
     def test_with_overrides_returns_new_config(self):
         base = RunConfig()
-        updated = base.with_overrides({"model.filters": "3"})
-        assert updated.filters == 3
+        updated = base.with_overrides({"model.filters": "6"})
+        assert updated.filters == 6
         assert base.filters == 8
         with pytest.raises(ConfigError, match="unknown config key"):
             base.with_overrides({"bogus": "1"})
@@ -184,6 +204,18 @@ class TestConfigFile:
         config = load_config(path=path)
         assert config.variant == "slcnn_i"
         assert config.lr == 0.01
+        assert config.t_s == 12
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = self.write(tmp_path, (
+            "data.train = runs/#3/train.jsonl\n"
+            "data.test = runs/#3/test.jsonl # held out\n"
+            "#model.t_s = 99\n"
+            "model.t_s = 12\t# tab before the comment\n"
+        ))
+        config = load_config(path=path)
+        assert config.train_path == "runs/#3/train.jsonl"
+        assert config.test_path == "runs/#3/test.jsonl"
         assert config.t_s == 12
 
     def test_missing_equals_names_line(self, tmp_path):
@@ -545,8 +577,11 @@ class TestPrepareData:
         th = b.thresholds
         assert th.t_s == 10
         assert b.embed_dim == 6
-        assert b.train_x.shape == (14, th.t_d + 1, 10, 6)
+        assert b.train_x.shape == (14, th.t_d + 1, 10)
+        assert b.train_x.dtype == b.test_x.dtype == np.int32
         assert b.test_x.shape[0] == 6
+        assert b.vectors.ndim == 2 and b.vectors.shape[1] == 6
+        assert not b.vectors[0].any()
         assert b.train_y.tolist().count(1) == 7
         assert b.explicit_train.shape == (14, 5)
         assert b.explicit_test.shape == (6, 5)
@@ -565,6 +600,17 @@ class TestPrepareData:
     def test_no_cold_articles_when_all_have_publishers(self, small_bundle):
         assert not small_bundle.cold_train.any()
         assert not small_bundle.cold_test.any()
+
+    def test_token_ids_index_the_dense_tensors(self, small_config, small_bundle, dense_oracle):
+        table = corpus.load_embeddings(small_config.embeddings_path, oov_seed=small_config.seed)
+        for path, ids in ((small_config.train_path, small_bundle.train_x),
+                          (small_config.test_path, small_bundle.test_x)):
+            articles = corpus.load_corpus(path)
+            assert len(articles) == ids.shape[0]
+            for art, art_ids in zip(articles, ids):
+                want = dense_oracle.build_tensor(corpus.split_article(art),
+                                                 small_bundle.thresholds, table).data
+                assert np.array_equal(small_bundle.vectors[art_ids], want)
 
     def test_fixed_depth_override(self, synth_paths):
         config = synth_config(synth_paths, overrides={"model.t_d": "9"})
@@ -652,10 +698,18 @@ class TestTraining:
         perm = rng_for(config.seed, "valsplit").permutation(n)
         val_idx = perm[:val_count]
         _, preds = fusion.predict_batch(result.model,
-                                        small_bundle.train_x[val_idx],
+                                        small_bundle.train_x[val_idx], small_bundle.vectors,
                                         small_bundle.explicit_train[val_idx])
         recomputed = float(np.mean(preds == small_bundle.train_y[val_idx]))
         assert recomputed == max(e["val_acc"] for e in result.history)
+
+    def test_non_finite_loss_stops_before_writing(self, small_config, small_bundle, tmp_path):
+        config = small_config.with_overrides({"train.lr": "1e300", "train.epochs": "3"})
+        out = tmp_path / "diverged"
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"loss nan at epoch 1 batch 2 "):
+            train(config, out_dir=str(out), bundle=small_bundle)
+        assert not out.exists()
 
     def test_early_stopping_needs_articles(self, tmp_path):
         spec = SynthSpec(n_real=1, n_fake=0, n_users=4, vocab_size=10,
@@ -822,6 +876,18 @@ class TestEvaluate:
 
 
 class TestExperiments:
+    def test_ablation_checks_every_variant_before_preparing_data(self, small_config,
+                                                                 monkeypatch):
+        # k = 4 suits the text-only variant but not the widened integrator rows
+        config = small_config.with_overrides({"model.filters": "4", "model.variant": "slcnn"})
+
+        def no_prepare(_):
+            raise AssertionError("data prepared before the variants were validated")
+
+        monkeypatch.setattr(pipeline, "prepare_data", no_prepare)
+        with pytest.raises(ConfigError, match="model.filters = 4 with variant slcnn_c"):
+            pipeline.ablate(config)
+
     def test_ablation_grid(self, small_config, tmp_path):
         config = small_config.with_overrides({"train.epochs": "1"})
         out = str(tmp_path / "ablate")

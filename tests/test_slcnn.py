@@ -1,9 +1,11 @@
-"""Sentence-level CNN: block-count law, width traces, shapes, and the
-row-independence of the convolutional stack."""
+"""Sentence-level CNN: block-count law, width traces, shapes, the
+row-independence of the convolutional stack, and the token-id forward
+against the dense-input oracle."""
 
 import numpy as np
 import pytest
 
+from fakereal import nncore
 from fakereal.nncore import Tensor
 from fakereal.seeds import rng_for
 from fakereal.slcnn import (
@@ -16,7 +18,6 @@ from fakereal.slcnn import (
     init_slcnn,
     required_hcbs,
     slcnn_apply,
-    slcnn_forward,
     stack_apply,
     width_trace,
 )
@@ -130,34 +131,38 @@ class TestForward:
         assert plain.shape == (5, 4, 4)
         assert np.allclose(plain, np.transpose(graph.data[0], (1, 2, 0)))
 
-    def test_latent_shape_politifact_sizes(self):
+    def test_latent_shape_politifact_sizes(self, dense_oracle):
         model = init_slcnn(46, 4, 8, rng_for(0, "init"))
-        latent = slcnn_forward(model, np.random.default_rng(2).normal(size=(281, 46, 4)))
-        assert latent.shape == (281, 8)
+        ids, vectors = dense_oracle.as_tokens(np.random.default_rng(2).normal(size=(1, 281, 46, 4)))
+        latent = slcnn_apply(model, ids, vectors)
+        assert latent.data.shape == (1, 281, 8)
 
-    def test_rows_processed_independently(self):
+    def test_rows_processed_independently(self, dense_oracle):
         # shared weights and no row mixing: permuting input rows permutes
         # the latent rows and changes nothing else
         model = init_slcnn(10, 3, 4, rng_for(4, "init"))
-        x = np.random.default_rng(3).normal(size=(7, 10, 3))
+        ids, vectors = dense_oracle.as_tokens(np.random.default_rng(3).normal(size=(1, 7, 10, 3)))
         perm = np.random.default_rng(4).permutation(7)
-        assert np.allclose(slcnn_forward(model, x)[perm], slcnn_forward(model, x[perm]))
+        assert np.allclose(slcnn_apply(model, ids, vectors).data[0][perm],
+                           slcnn_apply(model, ids[:, perm], vectors).data[0])
 
     def test_zero_input_zero_bias_gives_zero_latent(self):
         model = init_slcnn(10, 3, 4, rng_for(5, "init"))
         for b in model.blocks:
             b.conv1_b.data[...] = 0.0
             b.conv2_b.data[...] = 0.0
-        latent = slcnn_forward(model, np.zeros((3, 10, 3)))
-        assert np.all(latent == 0.0)
+        latent = slcnn_apply(model, np.zeros((1, 3, 10), dtype=np.int32), np.zeros((1, 3)))
+        assert np.all(latent.data == 0.0)
 
-    def test_padding_rows_give_equal_latent_rows(self):
+    def test_padding_rows_give_equal_latent_rows(self, dense_oracle):
         model = init_slcnn(10, 3, 4, rng_for(6, "init"))
-        x = np.zeros((4, 10, 3))
-        x[0] = np.random.default_rng(5).normal(size=(10, 3))
-        latent = slcnn_forward(model, x)
+        x = np.zeros((1, 4, 10, 3))
+        x[0, 0] = np.random.default_rng(5).normal(size=(10, 3))
+        latent = slcnn_apply(model, *dense_oracle.as_tokens(x)).data[0]
         assert np.array_equal(latent[1], latent[2])
         assert np.array_equal(latent[2], latent[3])
+        # the shared padding row is the latent the dense stack gives a zero row
+        assert np.allclose(latent, dense_oracle.latent(model, x).data[0], rtol=1e-12, atol=1e-12)
 
     def test_unreducible_t_s_rejected_at_init(self):
         with pytest.raises(ValueError, match="cannot reduce to 1"):
@@ -165,15 +170,88 @@ class TestForward:
 
     def test_input_must_match_model(self):
         model = init_slcnn(10, 3, 4, rng_for(0, "init"))
+        vectors = np.ones((5, 3))
         with pytest.raises(ValueError, match="does not match model"):
-            slcnn_forward(model, np.ones((3, 9, 3)))
+            slcnn_apply(model, np.ones((1, 3, 9), dtype=np.int32), vectors)
         with pytest.raises(ValueError, match="does not match model"):
-            slcnn_forward(model, np.ones((3, 10, 2)))
+            slcnn_apply(model, np.ones((1, 3, 10), dtype=np.int32), np.ones((5, 2)))
         with pytest.raises(ValueError, match="must be 3D"):
-            slcnn_forward(model, np.ones((10, 3)))
+            slcnn_apply(model, np.ones((3, 10), dtype=np.int32), vectors)
+        with pytest.raises(ValueError, match="out of range"):
+            slcnn_apply(model, np.full((1, 3, 10), 5, dtype=np.int32), vectors)
 
     def test_block_count_consistency_checked(self):
         model = init_slcnn(10, 3, 4, rng_for(0, "init"))
         model.blocks = model.blocks[:1]
         with pytest.raises(ValueError, match="block count does not match"):
-            slcnn_forward(model, np.ones((3, 10, 3)))
+            slcnn_apply(model, np.ones((1, 3, 10), dtype=np.int32), np.ones((2, 3)))
+
+
+class TestTokenForward:
+    """slcnn_apply on token ids against the dense oracle: every row, padding
+    included, through conv1x2_full on the looked-up word vectors."""
+
+    def batch(self, seed, n=3, rows=6, t_s=10, vocab=12):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(1, vocab, size=(n, rows, t_s)).astype(np.int32)
+        lengths = rng.integers(0, t_s + 1, size=(n, rows))
+        ids[np.arange(t_s) >= lengths[:, :, None]] = 0    # ragged rows, some all padding
+        vectors = rng.normal(size=(vocab, 3))
+        vectors[0] = 0.0
+        return ids, vectors
+
+    def test_matches_dense_oracle(self, dense_oracle):
+        model = init_slcnn(10, 3, 4, rng_for(7, "init"))
+        ids, vectors = self.batch(0)
+        assert (~ids.any(axis=2)).any() and ids.any(axis=2).any()
+        got = slcnn_apply(model, ids, vectors).data
+        want = dense_oracle.latent(model, vectors[ids]).data
+        assert got.shape == want.shape == (3, 6, 4)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_latent_does_not_depend_on_batch_neighbours(self):
+        model = init_slcnn(10, 3, 4, rng_for(8, "init"))
+        ids, vectors = self.batch(1, n=4)
+        together = slcnn_apply(model, ids, vectors).data
+        for i in range(4):
+            alone = slcnn_apply(model, ids[i:i + 1], vectors).data[0]
+            assert np.array_equal(alone, together[i])
+        swapped = slcnn_apply(model, ids[[2, 0]], vectors).data
+        assert np.array_equal(swapped[1], together[0])
+
+    def test_all_padding_batch(self):
+        model = init_slcnn(10, 3, 4, rng_for(9, "init"))
+        latent = slcnn_apply(model, np.zeros((2, 3, 10), dtype=np.int32), np.zeros((4, 3))).data
+        assert np.all(latent == latent[0, 0])
+
+    def test_gradients_match_dense_oracle(self, dense_oracle):
+        ids, vectors = self.batch(2)
+        upstream = np.random.default_rng(3).normal(size=(3, 6, 4))
+        grads = []
+        for forward in (lambda m: slcnn_apply(m, ids, vectors),
+                        lambda m: dense_oracle.latent(m, vectors[ids])):
+            model = init_slcnn(10, 3, 4, rng_for(10, "init"))
+            out = forward(model)
+            loss = nncore.linear(nncore.reshape(out, (1, out.data.size)),
+                                 Tensor(upstream.reshape(-1, 1)), Tensor(np.zeros(1)))
+            nncore.reshape(loss, ()).backward()
+            grads.append([t.grad for t in model.tensors()])
+        for got, want in zip(*grads):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_grad_check_through_token_conv_and_row_gather(self):
+        model = init_slcnn(10, 3, 4, rng_for(11, "init"))
+        # conv2 starts with zero bias, so a channel fed by dead conv1 units
+        # sits exactly on its relu kink, where finite differences average
+        # the two one-sided slopes; move it off the kink
+        for blk in model.blocks:
+            blk.conv2_b.data[...] = 0.05
+        ids, vectors = self.batch(4)
+        upstream = Tensor(np.random.default_rng(5).normal(size=(3 * 6 * 4, 1)))
+
+        def loss_fn():
+            out = slcnn_apply(model, ids, vectors)
+            flat = nncore.reshape(out, (1, out.data.size))
+            return nncore.reshape(nncore.linear(flat, upstream, Tensor(np.zeros(1))), ())
+
+        assert nncore.grad_check(loss_fn, model.tensors(), n_coords=80, seed=1) < 1e-6

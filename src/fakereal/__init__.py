@@ -13,7 +13,7 @@ from .corpus import (
     token_ids,
     vocab_vectors,
 )
-from .fusion import Model, VARIANTS, classify, init_model, integrate
+from .fusion import Model, VARIANTS, init_model, predict_batch
 from .pipeline import (
     EvalReport,
     RunConfig,

@@ -80,18 +80,14 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     config = _config_from_args(args)
     results = pipeline.ablate(config, out_dir=args.out)
-    print(f"{'variant':>10}  accuracy      f1")
-    for variant, report in results.items():
-        print(f"{variant:>10}  {report.accuracy:8.4f}  {report.f1:6.4f}")
+    print("\n".join(pipeline._grid_text("variant", results)))
     return 0
 
 
 def _cmd_coldstart(args):
     config = _config_from_args(args)
     results = pipeline.coldstart_experiment(config, out_dir=args.out)
-    print(f"{'fraction':>10}  accuracy      f1")
-    for fraction, report in results.items():
-        print(f"{fraction:>10g}  {report.accuracy:8.4f}  {report.f1:6.4f}")
+    print("\n".join(pipeline._grid_text("fraction", results)))
     return 0
 
 
@@ -105,10 +101,7 @@ def _cmd_stats(args):
     graph = pipeline.load_graph(config)
     stats = pipeline.export_stats(articles, ledger, graph, mode=config.influence_mode)
     pipeline.write_stats(stats, args.out)
-    print(f"{'feature':>14}  {'real mean':>12}  {'fake mean':>12}")
-    for feat in pipeline.STAT_FEATURES:
-        print(f"{feat:>14}  {stats.means['real'][feat]:12.4f}  "
-              f"{stats.means['fake'][feat]:12.4f}")
+    print("\n".join(pipeline._stats_text(stats)))
     return 0
 
 

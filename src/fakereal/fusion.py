@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .corpus import Label
 from .nncore import Tensor
-from .slcnn import SlcnnModel, init_hcb_stack, init_slcnn, required_hcbs, slcnn_apply, stack_apply
+from .slcnn import SlcnnModel, init_hcb_stack, init_slcnn, slcnn_apply, stack_apply
 
 EXPLICIT_ORDER = ("nct", "ncf", "num_p_credit", "ni", "num_p_influence")
 
@@ -33,39 +32,9 @@ VARIANTS = {
 }
 
 
-def credit_columns(variant: str):
-    """Indices of the nct/ncf columns inside the variant's explicit row
-    (the columns the cold-start perturbation zeroes)."""
-    names = VARIANTS[variant]
-    return tuple(i for i, name in enumerate(names) if name in ("nct", "ncf"))
-
-
-def explicit_row(credit, influence, variant: str) -> np.ndarray:
-    """The explicit feature values a variant appends, in column order."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    pool = {
-        "nct": credit.nct if credit else 0.0,
-        "ncf": credit.ncf if credit else 0.0,
-        "num_p_credit": credit.num_p if credit else 0.0,
-        "ni": influence.ni if influence else 0.0,
-        "num_p_influence": influence.num_p if influence else 0.0,
-    }
-    return np.array([pool[name] for name in VARIANTS[variant]], dtype=np.float64)
-
-
-def integrate(latent, credit, influence) -> np.ndarray:
-    """Append the 5 explicit features to every latent row: (rows, k) ->
-    (rows, k+5).  The suffix is identical down the matrix by construction."""
-    lat = np.asarray(latent, dtype=np.float64)
-    if lat.ndim != 2:
-        raise ValueError(f"latent must be (rows, k), got shape {lat.shape}")
-    ex = explicit_row(credit, influence, "full")
-    return np.concatenate([lat, np.tile(ex, (lat.shape[0], 1))], axis=1)
-
-
 def integrate_batch(latent: Tensor, explicit: np.ndarray) -> Tensor:
-    """Graph form: latent (B, R, k) + explicit (B, m) -> (B, R, k+m)."""
+    """Append each article's explicit row to all of its latent rows:
+    latent (B, R, k) + explicit (B, m) -> (B, R, k+m)."""
     b, rows, _ = latent.data.shape
     if explicit.shape[0] != b:
         raise ValueError(f"explicit batch {explicit.shape[0]} != latent batch {b}")
@@ -78,15 +47,6 @@ def integrator_apply(blocks: list, x: Tensor) -> Tensor:
     The widened row is treated as depth-1 input to a fresh HCB stack."""
     b, rows, width = x.data.shape
     return stack_apply(blocks, nncore.reshape(x, (b, rows, width, 1)))
-
-
-def integrator_reduce(x, blocks: list) -> np.ndarray:
-    """Plain-array form for one article: (rows, width) -> (rows, k)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"input must be (rows, width), got shape {arr.shape}")
-    out = integrator_apply(blocks, Tensor(arr[None, :, :]))
-    return out.data[0]
 
 
 @dataclass
@@ -124,22 +84,6 @@ def head_apply(head: ClassifierHead, flat: Tensor, dropout_rate: float,
     h = nncore.relu(nncore.linear(h, head.w2, head.b2))
     h = nncore.dropout_t(h, dropout_rate, mode, rng)
     return nncore.linear(h, head.w3, head.b3)
-
-
-def classify(head: ClassifierHead, features, mode: str = "eval", rng=None,
-             dropout_rate: float = 0.5):
-    """One flattened feature vector -> (class probabilities, label).
-
-    Class order is (Real, Fake); a tie predicts Real, so a fake verdict
-    needs strictly greater probability.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"features must be a vector, got shape {x.shape}")
-    logits = head_apply(head, Tensor(x[None, :]), dropout_rate, mode, rng)
-    probs = nncore.softmax(logits.data[0])
-    label = Label.FAKE if probs[1] > probs[0] else Label.REAL
-    return probs, label
 
 
 # ---------------------------------------------------------------------------

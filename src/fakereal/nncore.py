@@ -8,8 +8,6 @@ finite-difference checker.  float64 throughout, row-major numpy storage.
 Graph ops (conv1x2_full, conv1x2_tokens, conv1x2_depthwise, maxpool_pairs,
 linear, relu, reshape, transpose, concat, gather_rows, dropout_t,
 softmax_xent_batch) build a tape of `Tensor` nodes over batched arrays.
-The module-level conv_1x2 / maxpool2 / dense / softmax_xent / dropout
-functions are their plain single-instance forms, handy for spot checks.
 """
 
 import json
@@ -40,7 +38,10 @@ class Tensor:
         return self.data.shape
 
     def backward(self):
-        """Reverse-mode gradient of this scalar wrt all reachable leaves."""
+        """Reverse-mode gradient of this scalar wrt all reachable leaves.
+
+        Runs once per graph: every reached node's closure and parent links
+        are dropped as the pass goes."""
         if self.data.shape != ():
             raise ValueError("backward requires a scalar root")
         # iterative topo sort; the graph is shallow but recursion is fragile
@@ -63,6 +64,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+            # each closure reads its own output node; dropping it and the
+            # parent links lets reference counting free the spent graph
+            node._backward = None
+            node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -343,96 +348,12 @@ def softmax_xent_batch(logits: Tensor, labels):
     return probs, out
 
 
-# ---------------------------------------------------------------------------
-# plain single-instance forms
-
-
-class ConvFilter:
-    """One 1x2xd convolution filter: weights (1, 2, d), scalar bias."""
-
-    def __init__(self, weights, bias=0.0):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        if self.weights.ndim != 3 or self.weights.shape[:2] != (1, 2):
-            raise ValueError(f"filter weights must be (1, 2, d), got {self.weights.shape}")
-        self.bias = float(bias)
-
-    @property
-    def depth(self):
-        return self.weights.shape[2]
-
-
-def conv_1x2(input, filt: ConvFilter):
-    """ReLU(w . window + b) over every 1x2 window of (rows, width, depth)."""
-    x = np.asarray(input, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"input must be (rows, width, depth), got shape {x.shape}")
-    if x.shape[1] < 2:
-        raise ValueError("window larger than input")
-    if x.shape[2] != filt.depth:
-        raise ValueError(f"filter depth {filt.depth} does not match input depth {x.shape[2]}")
-    w = filt.weights[0]
-    pre = x[:, :-1, :] @ w[0] + x[:, 1:, :] @ w[1] + filt.bias
-    assert pre.shape == (x.shape[0], x.shape[1] - 1)
-    return np.maximum(pre, 0.0)
-
-
-def maxpool2(input):
-    """Max over adjacent pairs along width; (rows, width) -> (rows, width//2)."""
-    x = np.asarray(input, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"input must be (rows, width), got shape {x.shape}")
-    width = x.shape[1]
-    if width < 2:
-        raise ValueError("window larger than input")
-    half = width // 2
-    out = np.maximum(x[:, 0:2 * half:2], x[:, 1:2 * half:2])
-    assert out.shape == (x.shape[0], width // 2)
-    return out
-
-
-def dense(input, weights, bias):
-    """ReLU(x @ W + b) for one vector; the hidden-layer form."""
-    x = np.asarray(input, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 1 or w.ndim != 2 or x.shape[0] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ValueError(f"dense shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
-    return np.maximum(x @ w + b, 0.0)
-
-
 def softmax(logits):
+    """Row-wise softmax over the last axis of a plain array."""
     z = np.asarray(logits, dtype=np.float64)
     zs = z - z.max(axis=-1, keepdims=True)
     ez = np.exp(zs)
     return ez / ez.sum(axis=-1, keepdims=True)
-
-
-def softmax_xent(logits, label: int):
-    """Probabilities and -log p[label] for one logit vector."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"logits must be a vector, got shape {z.shape}")
-    zs = z - z.max()
-    ez = np.exp(zs)
-    denom = ez.sum()
-    probs = ez / denom
-    loss = float(np.log(denom) - zs[label])
-    return probs, loss
-
-
-def dropout(input, rate: float, mode: str, rng=None):
-    """Plain-array inverted dropout; see dropout_t for the semantics."""
-    x = np.asarray(input, dtype=np.float64)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
-        return x.copy()
-    if mode != "train":
-        raise ValueError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * keep
 
 
 # ---------------------------------------------------------------------------

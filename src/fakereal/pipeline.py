@@ -684,22 +684,8 @@ ABLATION_VARIANTS = ("slcnn", "slcnn_c", "slcnn_i", "full")
 
 def ablate(config: RunConfig, out_dir=None) -> dict:
     """Train and evaluate all four variants on one prepared dataset
-    (tokenized once); returns variant -> EvalReport.  Every variant's
-    config is validated before the data is prepared."""
-    configs = {v: config.with_overrides({"model.variant": v}) for v in ABLATION_VARIANTS}
-    bundle = prepare_data(config)
-    results = {}
-    for variant, cfg in configs.items():
-        sub = os.path.join(out_dir, variant) if out_dir else None
-        res = train(cfg, out_dir=sub, bundle=bundle)
-        report = evaluate_model(res.model, bundle, cfg)
-        if sub:
-            write_report_files(sub, cfg, report)
-        results[variant] = report
-    if out_dir:
-        _write_grid_report(out_dir, config, results,
-                           ("variant", list(ABLATION_VARIANTS)))
-    return results
+    (tokenized once); returns variant -> EvalReport."""
+    return _sweep(config, "model.variant", ABLATION_VARIANTS, out_dir, "variant", "")
 
 
 COLDSTART_FRACTIONS = (0.0, 0.1, 0.2, 0.3)
@@ -708,37 +694,52 @@ COLDSTART_FRACTIONS = (0.0, 0.1, 0.2, 0.3)
 def coldstart_experiment(config: RunConfig, out_dir=None, fractions=COLDSTART_FRACTIONS) -> dict:
     """Retrain the configured variant at each perturbation level (the
     perturbation hits train and test features); returns fraction -> report."""
+    return _sweep(config, "coldstart.fraction", fractions, out_dir, "fraction", "frac_")
+
+
+def _sweep(config, key, values, out_dir, axis_name, subdir_prefix):
+    """Train and evaluate one config per value of `key`, all on one
+    prepared dataset; returns value -> EvalReport.  Every config is built
+    and validated before the data is prepared.  With out_dir, each run
+    writes to the subdirectory subdir_prefix + its grid label, and the
+    grid report goes to out_dir itself."""
+    configs = [config.with_overrides({key: value}) for value in values]
     bundle = prepare_data(config)
     results = {}
-    for fraction in fractions:
-        cfg = config.with_overrides({"coldstart.fraction": fraction})
-        sub = os.path.join(out_dir, f"frac_{fraction:g}") if out_dir else None
+    for value, cfg in zip(values, configs):
+        sub = os.path.join(out_dir, subdir_prefix + _grid_label(value)) if out_dir else None
         res = train(cfg, out_dir=sub, bundle=bundle)
         report = evaluate_model(res.model, bundle, cfg)
         if sub:
             write_report_files(sub, cfg, report)
-        results[fraction] = report
+        results[value] = report
     if out_dir:
-        _write_grid_report(out_dir, config, results,
-                           ("fraction", [f"{f:g}" for f in fractions]))
+        _write_grid_report(out_dir, config, axis_name, results)
     return results
 
 
-def _write_grid_report(out_dir, config, results, axis):
-    axis_name, axis_values = axis
-    keys = list(results)
+def _grid_label(value):
+    return value if isinstance(value, str) else f"{value:g}"
+
+
+def _grid_text(axis_name, results):
+    """The sweep table of report.txt: one row per swept value."""
+    lines = [f"{axis_name:>10}  accuracy  precision  recall      f1"]
+    for value, r in results.items():
+        lines.append(f"{_grid_label(value):>10}  {r.accuracy:8.4f}  {r.precision:9.4f}  "
+                     f"{r.recall:6.4f}  {r.f1:6.4f}")
+    return lines
+
+
+def _write_grid_report(out_dir, config, axis_name, results):
     with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
         for key, val in config.to_pairs():
             fh.write(f"config.{key}\t{val}\n")
-        for label, key in zip(axis_values, keys):
-            for row_key, val in _report_rows(results[key]):
-                fh.write(f"{axis_name}.{label}\t{row_key}\t{val}\n")
+        for value, report in results.items():
+            for row_key, val in _report_rows(report):
+                fh.write(f"{axis_name}.{_grid_label(value)}\t{row_key}\t{val}\n")
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"{axis_name:>10}  accuracy  precision  recall      f1\n")
-        for label, key in zip(axis_values, keys):
-            r = results[key]
-            fh.write(f"{label:>10}  {r.accuracy:8.4f}  {r.precision:9.4f}  "
-                     f"{r.recall:6.4f}  {r.f1:6.4f}\n")
+        fh.write("\n".join(_grid_text(axis_name, results)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +781,15 @@ def write_stats(stats: PublisherStats, out_dir):
             for feat in STAT_FEATURES:
                 fh.write(f"{cls}\t{feat}\t{repr(stats.means[cls][feat])}\n")
     with open(os.path.join(out_dir, "stats.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"{'feature':>14}  {'real mean':>12}  {'fake mean':>12}\n")
-        for feat in STAT_FEATURES:
-            fh.write(f"{feat:>14}  {stats.means['real'][feat]:12.4f}  "
-                     f"{stats.means['fake'][feat]:12.4f}\n")
+        fh.write("\n".join(_stats_text(stats)) + "\n")
+
+
+def _stats_text(stats: PublisherStats):
+    lines = [f"{'feature':>14}  {'real mean':>12}  {'fake mean':>12}"]
+    for feat in STAT_FEATURES:
+        lines.append(f"{feat:>14}  {stats.means['real'][feat]:12.4f}  "
+                     f"{stats.means['fake'][feat]:12.4f}")
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ text the full-depth conv reads token ids and the frozen word-vector table
 form (nncore.conv1x2_full).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +51,6 @@ def width_trace(width: int) -> list:
         trace.extend([w - 1, w - 2, (w - 2) // 2])
         w = (w - 2) // 2
     return trace
-
-
-@dataclass(frozen=True)
-class HcbConfig:
-    filters_k: int = 8
-    conv_height: int = 1
-    conv_width: int = 2
-
-    def __post_init__(self):
-        if self.filters_k < 1:
-            raise ValueError(f"filters_k must be >= 1, got {self.filters_k}")
-        if (self.conv_height, self.conv_width) != (1, 2):
-            raise ValueError("only 1x2 convolutions are supported")
 
 
 @dataclass
@@ -152,27 +139,12 @@ def stack_apply(blocks: list, x: Tensor) -> Tensor:
     return nncore.transpose(h, (0, 2, 1))
 
 
-def hcb_forward(input, block: HcbBlock):
-    """Plain-array form of one block: (rows, width, channels) in,
-    (rows, (width-2)//2, k) out."""
-    x = np.asarray(input, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"input must be (rows, width, channels), got shape {x.shape}")
-    if block.full_depth:
-        t = Tensor(x[None, :, :, :])
-    else:
-        t = Tensor(np.transpose(x, (2, 0, 1))[None, :, :, :])
-    out = hcb_apply(block, t)
-    return np.transpose(out.data[0], (1, 2, 0))
-
-
 @dataclass
 class SlcnnModel:
     """The text half of the classifier: an HCB stack sized for t_s."""
     blocks: list
     t_s: int
     embed_dim: int
-    config: HcbConfig = field(default_factory=HcbConfig)
 
     def tensors(self):
         return [t for blk in self.blocks for t in blk.tensors()]
@@ -180,7 +152,7 @@ class SlcnnModel:
 
 def init_slcnn(t_s: int, embed_dim: int, k: int, rng) -> SlcnnModel:
     blocks = init_hcb_stack(t_s, embed_dim, k, rng)
-    return SlcnnModel(blocks=blocks, t_s=t_s, embed_dim=embed_dim, config=HcbConfig(filters_k=k))
+    return SlcnnModel(blocks=blocks, t_s=t_s, embed_dim=embed_dim)
 
 
 def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:

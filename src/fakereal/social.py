@@ -262,19 +262,3 @@ def raw_article_influence(article, g: FollowerGraph, mode="follower_count") -> I
     else:
         scores = [follower_count_influence(g, u) for u in pubs]
     return InfluenceVector(float(sum(scores) / len(scores)), float(len(pubs)))
-
-
-def article_credit(article, ledger: CreditLedger, scaler: MinMaxScaler) -> CreditVector:
-    """Normalized credit vector; scaler must be fitted on training rows of
-    (nct, ncf, num_p)."""
-    raw = raw_article_credit(article, ledger)
-    vec = apply_minmax(scaler, np.array([raw.nct, raw.ncf, raw.num_p]))
-    return CreditVector(float(vec[0]), float(vec[1]), float(vec[2]), cold=raw.cold)
-
-
-def article_influence(article, g: FollowerGraph, scaler: MinMaxScaler,
-                      mode="follower_count") -> InfluenceVector:
-    """Normalized influence vector; scaler fitted on training (ni, num_p)."""
-    raw = raw_article_influence(article, g, mode)
-    vec = apply_minmax(scaler, np.array([raw.ni, raw.num_p]))
-    return InfluenceVector(float(vec[0]), float(vec[1]), cold=raw.cold)

@@ -42,6 +42,33 @@ def influence_oracle():
     return oracle
 
 
+@pytest.fixture(scope="session")
+def plain_oracle():
+    """Single-instance numpy forms of the graph ops, written out directly
+    from their definitions: one 1x2 convolution filter, pairwise max
+    pooling, and softmax cross-entropy for one logit vector."""
+
+    def conv_1x2(x, w, b):
+        """ReLU(w . window + b) over every 1x2 window of x (rows, width,
+        depth), for one filter w (2, depth) and a scalar bias b."""
+        x = np.asarray(x, dtype=np.float64)
+        return np.maximum(x[:, :-1, :] @ w[0] + x[:, 1:, :] @ w[1] + b, 0.0)
+
+    def maxpool2(x):
+        """Max over adjacent pairs along the last axis; an odd tail slot is dropped."""
+        half = x.shape[-1] // 2
+        return np.maximum(x[..., 0:2 * half:2], x[..., 1:2 * half:2])
+
+    def softmax_xent(z, label):
+        """(probabilities, -log p[label]) for one logit vector."""
+        zs = np.asarray(z, dtype=np.float64) - np.max(z)
+        ez = np.exp(zs)
+        return ez / ez.sum(), float(np.log(ez.sum()) - zs[label])
+
+    return types.SimpleNamespace(conv_1x2=conv_1x2, maxpool2=maxpool2,
+                                 softmax_xent=softmax_xent)
+
+
 # ---------------------------------------------------------------------------
 # dense-input oracle: articles as (t_d+1, t_s, E) word-vector tensors, and
 # the text CNN's first conv as conv1x2_full over them

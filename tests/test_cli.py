@@ -29,6 +29,11 @@ def data_flags(corpus_dir):
             "--t-s", "10"]
 
 
+def read(directory, name):
+    with open(os.path.join(str(directory), name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.fixture(scope="module")
 def cli_run(cli_corpus, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli_run"))
@@ -96,6 +101,7 @@ class TestEvalCommand:
         assert "test articles: 4" in out
         assert "accuracy:" in out
         assert os.path.exists(os.path.join(cli_run, "report.tsv"))
+        assert out == read(cli_run, "report.txt")
 
     def test_explicit_checkpoint_flag(self, cli_corpus, cli_run, tmp_path, capsys):
         code = main(["eval", *data_flags(cli_corpus), "--out", str(tmp_path),
@@ -118,6 +124,7 @@ class TestStatsCommand:
         assert code == 0
         assert "real mean" in out and "ncf_over_nct" in out
         assert os.path.exists(os.path.join(str(tmp_path), "stats.tsv"))
+        assert out == read(tmp_path, "stats.txt")
 
     def test_needs_a_training_corpus(self, tmp_path, capsys):
         code = main(["stats", "--out", str(tmp_path)])
@@ -134,6 +141,7 @@ class TestExperimentCommands:
         for variant in ("slcnn", "slcnn_c", "slcnn_i", "full"):
             assert variant in out
             assert os.path.exists(os.path.join(str(tmp_path), variant, "report.tsv"))
+        assert out == read(tmp_path, "report.txt")
 
     def test_coldstart_prints_fraction_rows(self, cli_corpus, tmp_path, capsys):
         code = main(["coldstart", *data_flags(cli_corpus), *FAST_FLAGS,
@@ -143,6 +151,7 @@ class TestExperimentCommands:
         for token in ("fraction", "0.1", "0.3"):
             assert token in out
         assert os.path.exists(os.path.join(str(tmp_path), "frac_0.2", "report.tsv"))
+        assert out == read(tmp_path, "report.txt")
 
     def test_config_file_flag(self, cli_corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,36 +1,33 @@
 """Feature fusion and the assembled classifier: explicit-feature layout,
-integrator reduction, tie-breaking, end-to-end gradients, and whole-model
-logits against the dense-input oracle."""
+integrator reduction, tie-breaking, end-to-end gradients, graph lifetime,
+and whole-model logits against the dense-input oracle."""
+
+import gc
 
 import numpy as np
 import pytest
 
-from fakereal import nncore
-from fakereal.corpus import Label
+from fakereal import nncore, pipeline, social
+from fakereal.corpus import Label, NewsArticle
 from fakereal.fusion import (
     EXPLICIT_ORDER,
     VARIANTS,
     ClassifierHead,
-    classify,
-    credit_columns,
-    explicit_row,
     forward_batch,
+    head_apply,
     init_head,
     init_model,
-    integrate,
     integrate_batch,
-    integrator_reduce,
+    integrator_apply,
     loss_batch,
     predict_batch,
 )
 from fakereal.nncore import Tensor, grad_check
 from fakereal.seeds import rng_for
 from fakereal.slcnn import init_hcb_stack
-from fakereal.social import CreditVector, InfluenceVector
 
-
-CREDIT = CreditVector(nct=0.1, ncf=0.2, num_p=0.3)
-INFLUENCE = InfluenceVector(ni=0.4, num_p=0.5)
+# one full explicit row, EXPLICIT_ORDER columns
+EXPLICIT = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
 
 
 def zero_head(in_dim, hidden=4):
@@ -48,38 +45,40 @@ class TestExplicitFeatures:
         assert VARIANTS["full"] == EXPLICIT_ORDER
 
     def test_row_layout_per_variant(self):
-        assert np.array_equal(explicit_row(CREDIT, INFLUENCE, "full"),
-                              [0.1, 0.2, 0.3, 0.4, 0.5])
-        assert np.array_equal(explicit_row(CREDIT, INFLUENCE, "slcnn_c"), [0.1, 0.2, 0.3])
-        assert np.array_equal(explicit_row(CREDIT, INFLUENCE, "slcnn_i"), [0.4, 0.5])
-        assert explicit_row(CREDIT, INFLUENCE, "slcnn").shape == (0,)
+        assert np.array_equal(pipeline._variant_explicit(EXPLICIT, "full"), EXPLICIT)
+        assert np.array_equal(pipeline._variant_explicit(EXPLICIT, "slcnn_c"), [[0.1, 0.2, 0.3]])
+        assert np.array_equal(pipeline._variant_explicit(EXPLICIT, "slcnn_i"), [[0.4, 0.5]])
+        assert pipeline._variant_explicit(EXPLICIT, "slcnn") is None
 
     def test_missing_vectors_become_zeros(self):
-        assert np.array_equal(explicit_row(None, None, "full"), np.zeros(5))
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown variant 'cnn'"):
-            explicit_row(CREDIT, INFLUENCE, "cnn")
+        cold = NewsArticle(id="a1", headline="h", body="b.", label=Label.REAL, publisher_ids=[])
+        rows, flags = pipeline._raw_explicit_rows([cold], social.CreditLedger(),
+                                                  social.FollowerGraph(), "follower_count")
+        assert np.array_equal(rows, np.zeros((1, 5)))
+        assert flags.tolist() == [True]
 
     def test_credit_columns_locate_history_features(self):
-        assert credit_columns("full") == (0, 1)
-        assert credit_columns("slcnn_c") == (0, 1)
-        assert credit_columns("slcnn_i") == ()
-        assert credit_columns("slcnn") == ()
+        # the cold-start perturbation zeroes nct and ncf, wherever a variant keeps them
+        perturbed, _ = pipeline.cold_start_perturb(["a1"], np.ones((1, 5)), 1.0, 0)
+
+        def zeroed(variant):
+            cols = pipeline._variant_explicit(perturbed, variant)
+            return () if cols is None else tuple(np.flatnonzero(cols[0] == 0.0))
+
+        assert zeroed("full") == (0, 1)
+        assert zeroed("slcnn_c") == (0, 1)
+        assert zeroed("slcnn_i") == ()
+        assert zeroed("slcnn") == ()
 
 
 class TestIntegrate:
     def test_appends_constant_suffix(self):
-        latent = np.arange(32.0).reshape(4, 8)
-        out = integrate(latent, CREDIT, INFLUENCE)
+        latent = np.arange(32.0).reshape(1, 4, 8)
+        out = integrate_batch(Tensor(latent), EXPLICIT).data[0]
         assert out.shape == (4, 13)
-        assert np.array_equal(out[:, :8], latent)
+        assert np.array_equal(out[:, :8], latent[0])
         for row in out:
             assert np.array_equal(row[8:], [0.1, 0.2, 0.3, 0.4, 0.5])
-
-    def test_latent_must_be_matrix(self):
-        with pytest.raises(ValueError, match="latent must be"):
-            integrate(np.zeros(8), CREDIT, INFLUENCE)
 
     def test_batch_form(self):
         latent = Tensor(np.ones((2, 3, 8)))
@@ -100,38 +99,40 @@ class TestIntegratorReduce:
         k = 8
         blocks = init_hcb_stack(k + m, 1, k, rng_for(0, "init"))
         assert len(blocks) == 2
-        out = integrator_reduce(np.random.default_rng(1).random((6, k + m)), blocks)
-        assert out.shape == (6, k)
-
-    def test_input_must_be_matrix(self):
-        blocks = init_hcb_stack(13, 1, 8, rng_for(0, "init"))
-        with pytest.raises(ValueError, match="must be \\(rows, width\\)"):
-            integrator_reduce(np.zeros((2, 13, 1)), blocks)
+        rows = np.random.default_rng(1).random((1, 6, k + m))
+        assert integrator_apply(blocks, Tensor(rows)).data.shape == (1, 6, k)
 
 
 class TestClassify:
+    """The eval-mode head through predict_batch, one article at a time."""
+
+    def predict(self, head):
+        model = init_model("slcnn", 10, 2, 4, rng_for(0, "init"), k=2, dense_width=4)
+        model.head = head
+        ids = np.random.default_rng(0).integers(0, 5, size=(1, 3, 10)).astype(np.int32)
+        probs, preds = predict_batch(model, ids, np.random.default_rng(1).normal(size=(5, 4)), None)
+        return probs[0], Label(int(preds[0]))
+
     def test_probabilities_sum_to_one(self):
-        head = init_head(6, 4, rng_for(0, "init"))
-        probs, _ = classify(head, np.random.default_rng(0).random(6))
+        probs, _ = self.predict(init_head(6, 4, rng_for(0, "init")))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tie_predicts_real(self):
-        probs, label = classify(zero_head(6), np.ones(6))
+        probs, label = self.predict(zero_head(6))
         assert np.allclose(probs, [0.5, 0.5])
         assert label is Label.REAL
 
     def test_fake_needs_strictly_greater_probability(self):
         head = zero_head(6)
         head.b3.data[:] = [0.0, 0.3]
-        _, label = classify(head, np.zeros(6))
-        assert label is Label.FAKE
+        assert self.predict(head)[1] is Label.FAKE
         head.b3.data[:] = [0.3, 0.0]
-        _, label = classify(head, np.zeros(6))
-        assert label is Label.REAL
+        assert self.predict(head)[1] is Label.REAL
 
     def test_features_must_be_vector(self):
-        with pytest.raises(ValueError, match="must be a vector"):
-            classify(zero_head(6), np.ones((2, 3)))
+        # each article's flattened features must be one in_dim-wide row
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            head_apply(zero_head(6), Tensor(np.ones((2, 3))), 0.0, "eval")
 
 
 class TestModelAssembly:
@@ -241,6 +242,38 @@ class TestEndToEndGradients:
 
     def test_with_influence_features(self, dense_oracle):
         assert self.check(dense_oracle, "slcnn_i", data_seed=0, m_cols=2) < 1e-6
+
+
+class TestGraphLifetime:
+    def test_backward_frees_the_training_graph_without_the_cycle_collector(self):
+        # every op's backward closure reads its own output node; unless
+        # backward drops those links, each step's graph waits for gc
+        model = init_model("full", 10, 2, 4, rng_for(0, "init"))
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 20, size=(4, 3, 10)).astype(np.int32)
+        vectors = rng.normal(size=(20, 4))
+        explicit = rng.random((4, 5))
+        dropout_rng = np.random.default_rng(1)
+
+        def step():
+            nncore.zero_grads(model.param_tensors())
+            _, loss = loss_batch(model, ids, vectors, explicit, [0, 1, 0, 1], "train", dropout_rng)
+            loss.backward()
+
+        def live_tensors():
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, Tensor))
+
+        gc.collect()
+        gc.disable()
+        try:
+            start = live_tensors()
+            counts = []
+            for _ in range(3):
+                step()
+                counts.append(live_tensors())
+        finally:
+            gc.enable()
+        assert counts == [start] * 3
 
 
 class TestDenseOracle:

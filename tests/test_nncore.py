@@ -1,5 +1,5 @@
-"""Numeric core: op semantics, gradients vs finite differences, Adam,
-dropout, and checkpoint round-trips."""
+"""Numeric core: op semantics at batch size 1, gradients vs finite
+differences, Adam, dropout, and checkpoint round-trips."""
 
 import numpy as np
 import pytest
@@ -7,28 +7,22 @@ import pytest
 from fakereal import nncore
 from fakereal.nncore import (
     AdamState,
-    ConvFilter,
     Tensor,
     adam_step,
     concat,
     conv1x2_depthwise,
     conv1x2_full,
     conv1x2_tokens,
-    conv_1x2,
-    dense,
-    dropout,
     dropout_t,
     gather_rows,
     grad_check,
     linear,
     load_checkpoint,
-    maxpool2,
     maxpool_pairs,
     relu,
     reshape,
     save_checkpoint,
     softmax,
-    softmax_xent,
     softmax_xent_batch,
     transpose,
     zero_grads,
@@ -44,54 +38,63 @@ def tsum(t):
     return reshape(linear(flat, w, b), ())
 
 
+def conv(x, w, b=None):
+    """conv1x2_full on one article's (rows, width, depth) input; (k, rows, width-1) out."""
+    w = np.asarray(w, dtype=np.float64)
+    b = np.zeros(w.shape[0]) if b is None else np.asarray(b, dtype=np.float64)
+    return conv1x2_full(Tensor(np.asarray(x, dtype=np.float64)[None]), Tensor(w), Tensor(b)).data[0]
+
+
+def pool(row):
+    return maxpool_pairs(Tensor(np.asarray([[[row]]], dtype=np.float64))).data.ravel()
+
+
 class TestPlainOps:
+    """The graph ops on a single instance (batch size 1)."""
+
     def test_conv_1x2_sliding_sum(self):
         x = np.array([[[1.0], [2.0], [3.0]]])          # (rows 1, width 3, depth 1)
-        filt = ConvFilter(np.ones((1, 2, 1)))
-        assert np.array_equal(conv_1x2(x, filt), [[3.0, 5.0]])
+        assert np.array_equal(conv(x, np.ones((1, 2, 1))), [[[3.0, 5.0]]])
 
     def test_conv_1x2_bias_then_relu(self):
         x = np.array([[[1.0], [2.0], [3.0]]])
-        filt = ConvFilter(np.ones((1, 2, 1)), bias=-4.0)
-        assert np.array_equal(conv_1x2(x, filt), [[0.0, 1.0]])
+        assert np.array_equal(conv(x, np.ones((1, 2, 1)), [-4.0]), [[[0.0, 1.0]]])
 
     def test_conv_1x2_depth_two(self):
         # window ((1,2),(3,4)) with taps (1,0) and (0,1) picks 1 + 4
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        filt = ConvFilter(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
-        assert np.array_equal(conv_1x2(x, filt), [[5.0]])
+        assert np.array_equal(conv(x, [[[1.0, 0.0], [0.0, 1.0]]]), [[[5.0]]])
 
     def test_conv_1x2_errors(self):
-        filt = ConvFilter(np.ones((1, 2, 1)))
         with pytest.raises(ValueError, match="window larger than input"):
-            conv_1x2(np.ones((1, 1, 1)), filt)
-        with pytest.raises(ValueError, match="depth"):
-            conv_1x2(np.ones((1, 3, 2)), filt)
-        with pytest.raises(ValueError, match="must be \\(rows, width, depth\\)"):
-            conv_1x2(np.ones((3, 2)), filt)
-        with pytest.raises(ValueError, match="must be \\(1, 2, d\\)"):
-            ConvFilter(np.ones((1, 3, 1)))
+            conv(np.ones((1, 1, 1)), np.ones((1, 2, 1)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            conv(np.ones((1, 3, 2)), np.ones((1, 2, 1)))       # depth
+        with pytest.raises(ValueError, match="shape mismatch"):
+            conv(np.ones((3, 2)), np.ones((1, 2, 1)))          # not (rows, width, depth)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            conv(np.ones((1, 3, 1)), np.ones((1, 3, 1)))       # not a 1x2 filter
 
     def test_maxpool2_pairs(self):
-        assert np.array_equal(maxpool2([[1.0, 3.0, 2.0, 0.0]]), [[3.0, 2.0]])
-        assert np.array_equal(maxpool2([[1.0, 2.0, 3.0, 4.0]]), [[2.0, 4.0]])
+        assert np.array_equal(pool([1.0, 3.0, 2.0, 0.0]), [3.0, 2.0])
+        assert np.array_equal(pool([1.0, 2.0, 3.0, 4.0]), [2.0, 4.0])
 
     def test_maxpool2_drops_trailing_odd_slot(self):
-        assert np.array_equal(maxpool2([[5.0, 1.0, 4.0]]), [[5.0]])
+        assert np.array_equal(pool([5.0, 1.0, 4.0]), [5.0])
 
     def test_maxpool2_width_one(self):
         with pytest.raises(ValueError, match="window larger than input"):
-            maxpool2([[7.0]])
+            pool([7.0])
 
     def test_dense_relu_affine(self):
-        out = dense([2.0, -3.0], np.eye(2), np.zeros(2))
-        assert np.array_equal(out, [2.0, 0.0])
-        out = dense([1.0, 2.0], np.eye(2), [-1.0, 3.0])
-        assert np.array_equal(out, [0.0, 5.0])
+        def dense(x, w, b):
+            return relu(linear(Tensor(np.array([x])), Tensor(w), Tensor(np.asarray(b)))).data[0]
+        assert np.array_equal(dense([2.0, -3.0], np.eye(2), np.zeros(2)), [2.0, 0.0])
+        assert np.array_equal(dense([1.0, 2.0], np.eye(2), [-1.0, 3.0]), [0.0, 5.0])
 
     def test_dense_shape_mismatch(self):
-        with pytest.raises(ValueError, match="dense shape mismatch"):
-            dense([1.0, 2.0, 3.0], np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            linear(Tensor(np.ones((1, 3))), Tensor(np.eye(2)), Tensor(np.zeros(2)))
 
     def test_softmax_uniform_and_shift_invariance(self):
         assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5])
@@ -100,52 +103,55 @@ class TestPlainOps:
         assert softmax(z).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_softmax_xent_frozen_values(self):
-        probs, loss = softmax_xent([0.0, 0.0], 1)
-        assert np.allclose(probs, [0.5, 0.5])
-        assert loss == pytest.approx(0.6931471805599453, abs=1e-12)
-        probs, loss = softmax_xent([2.0, 0.0], 0)
-        assert probs[0] == pytest.approx(0.8807970779778824, abs=1e-12)
-        assert loss == pytest.approx(0.1269280110429726, abs=1e-12)
+        probs, loss = softmax_xent_batch(Tensor(np.array([[0.0, 0.0]])), [1])
+        assert np.allclose(probs, [[0.5, 0.5]])
+        assert float(loss.data) == pytest.approx(0.6931471805599453, abs=1e-12)
+        probs, loss = softmax_xent_batch(Tensor(np.array([[2.0, 0.0]])), [0])
+        assert probs[0, 0] == pytest.approx(0.8807970779778824, abs=1e-12)
+        assert float(loss.data) == pytest.approx(0.1269280110429726, abs=1e-12)
 
     def test_softmax_xent_extreme_logits_stay_finite(self):
-        _, loss = softmax_xent([1000.0, -1000.0], 1)
-        assert np.isfinite(loss) and loss == pytest.approx(2000.0)
+        _, loss = softmax_xent_batch(Tensor(np.array([[1000.0, -1000.0]])), [1])
+        assert np.isfinite(loss.data) and float(loss.data) == pytest.approx(2000.0)
 
 
 class TestDropout:
+    def drop(self, x, rate, mode, rng=None):
+        return dropout_t(Tensor(np.asarray(x, dtype=np.float64)), rate, mode, rng).data
+
     def test_eval_mode_is_identity(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(dropout(x, 0.5, "eval"), x)
+        assert np.array_equal(self.drop(x, 0.5, "eval"), x)
 
     def test_rate_zero_is_identity(self):
         x = np.array([1.0, -2.0])
-        assert np.array_equal(dropout(x, 0.0, "train", np.random.default_rng(0)), x)
+        assert np.array_equal(self.drop(x, 0.0, "train", np.random.default_rng(0)), x)
 
     def test_train_mode_zeroes_or_rescales(self):
         x = np.full(1000, 3.0)
-        out = dropout(x, 0.25, "train", np.random.default_rng(1))
+        out = self.drop(x, 0.25, "train", np.random.default_rng(1))
         assert set(np.round(np.unique(out), 12)) == {0.0, 4.0}  # 3 / (1 - 0.25)
 
     def test_train_mode_reproducible(self):
         x = np.arange(64, dtype=np.float64)
-        a = dropout(x, 0.5, "train", np.random.default_rng(9))
-        b = dropout(x, 0.5, "train", np.random.default_rng(9))
+        a = self.drop(x, 0.5, "train", np.random.default_rng(9))
+        b = self.drop(x, 0.5, "train", np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones(100_000)
-        out = dropout(x, 0.5, "train", np.random.default_rng(5))
+        out = self.drop(x, 0.5, "train", np.random.default_rng(5))
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="rate must be in"):
-            dropout(np.ones(3), 1.0, "train", np.random.default_rng(0))
+            self.drop(np.ones(3), 1.0, "train", np.random.default_rng(0))
         with pytest.raises(ValueError, match="rate must be in"):
-            dropout(np.ones(3), -0.1, "eval")
+            self.drop(np.ones(3), -0.1, "eval")
         with pytest.raises(ValueError, match="mode must be"):
-            dropout(np.ones(3), 0.5, "test", np.random.default_rng(0))
+            self.drop(np.ones(3), 0.5, "test", np.random.default_rng(0))
         with pytest.raises(ValueError, match="needs an rng"):
-            dropout(np.ones(3), 0.5, "train")
+            self.drop(np.ones(3), 0.5, "train")
 
     def test_tensor_form_eval_returns_same_node(self):
         x = Tensor(np.ones(4), requires_grad=True)
@@ -231,22 +237,21 @@ class TestGraphOps:
         tsum(out).backward()
         assert np.array_equal(x.grad.ravel(), [1.0, 0.0, 0.0])
 
-    def test_conv1x2_full_matches_plain_form(self):
+    def test_conv1x2_full_matches_plain_form(self, plain_oracle):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 3, 5, 4))
         w = rng.normal(size=(2, 2, 4))
         b = rng.normal(size=2)
         out = conv1x2_full(Tensor(x), Tensor(w), Tensor(b))
         for f in range(2):
-            plain = conv_1x2(x[0], ConvFilter(w[f][None, :, :], bias=b[f]))
-            assert np.allclose(out.data[0, f], plain)
+            assert np.allclose(out.data[0, f], plain_oracle.conv_1x2(x[0], w[f], b[f]))
 
-    def test_softmax_xent_batch_matches_plain_mean(self):
+    def test_softmax_xent_batch_matches_plain_mean(self, plain_oracle):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(5, 2))
         labels = np.array([0, 1, 1, 0, 1])
         probs, loss = softmax_xent_batch(Tensor(z), labels)
-        per = [softmax_xent(z[i], int(labels[i])) for i in range(5)]
+        per = [plain_oracle.softmax_xent(z[i], int(labels[i])) for i in range(5)]
         assert np.allclose(probs, np.stack([p for p, _ in per]))
         assert float(loss.data) == pytest.approx(np.mean([l for _, l in per]), abs=1e-12)
 

@@ -888,6 +888,15 @@ class TestExperiments:
         with pytest.raises(ConfigError, match="model.filters = 4 with variant slcnn_c"):
             pipeline.ablate(config)
 
+    def test_coldstart_checks_every_fraction_before_preparing_data(self, small_config,
+                                                                   monkeypatch):
+        def no_prepare(_):
+            raise AssertionError("data prepared before the fractions were validated")
+
+        monkeypatch.setattr(pipeline, "prepare_data", no_prepare)
+        with pytest.raises(ConfigError, match="coldstart.fraction must be in"):
+            coldstart_experiment(small_config, fractions=(0.0, 1.5))
+
     def test_ablation_grid(self, small_config, tmp_path):
         config = small_config.with_overrides({"train.epochs": "1"})
         out = str(tmp_path / "ablate")

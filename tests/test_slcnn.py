@@ -11,9 +11,7 @@ from fakereal.seeds import rng_for
 from fakereal.slcnn import (
     CONV_BIAS_INIT,
     HcbBlock,
-    HcbConfig,
     hcb_apply,
-    hcb_forward,
     init_hcb_stack,
     init_slcnn,
     required_hcbs,
@@ -62,14 +60,12 @@ class TestRequiredHcbs:
 
 class TestBlockConfig:
     def test_only_1x2_convolutions(self):
-        with pytest.raises(ValueError, match="only 1x2 convolutions"):
-            HcbConfig(conv_width=3)
-        with pytest.raises(ValueError, match="only 1x2 convolutions"):
-            HcbConfig(conv_height=2)
-
-    def test_filter_count_positive(self):
-        with pytest.raises(ValueError, match="filters_k must be >= 1"):
-            HcbConfig(filters_k=0)
+        # both block convs take exactly two taps along the width
+        x = Tensor(np.ones((1, 2, 3, 5)))
+        with pytest.raises(ValueError, match="conv1x2_full shape mismatch"):
+            nncore.conv1x2_full(x, Tensor(np.ones((4, 3, 5))), Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match="conv1x2_depthwise shape mismatch"):
+            nncore.conv1x2_depthwise(x, Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
 
 
 class TestInitStack:
@@ -122,14 +118,17 @@ class TestForward:
         out = stack_apply(blocks, Tensor(np.ones((2, 6, 10, 3))))
         assert out.data.shape == (2, 6, 4)
 
-    def test_plain_block_form_matches_graph_form(self):
-        rng = rng_for(3, "init")
-        blocks = init_hcb_stack(10, 3, 4, rng)
+    def test_plain_block_form_matches_graph_form(self, plain_oracle):
+        # one article through the full-depth block, one filter and channel at a time
+        blk = init_hcb_stack(10, 3, 4, rng_for(3, "init"))[0]
         x = np.random.default_rng(1).normal(size=(5, 10, 3))
-        plain = hcb_forward(x, blocks[0])
-        graph = hcb_apply(blocks[0], Tensor(x[None]))
-        assert plain.shape == (5, 4, 4)
-        assert np.allclose(plain, np.transpose(graph.data[0], (1, 2, 0)))
+        graph = hcb_apply(blk, Tensor(x[None])).data[0]
+        assert graph.shape == (4, 5, 4)
+        for f in range(4):
+            h = plain_oracle.conv_1x2(x, blk.conv1_w.data[f], blk.conv1_b.data[f])
+            h = plain_oracle.conv_1x2(h[:, :, None], blk.conv2_w.data[f][:, None],
+                                      blk.conv2_b.data[f])
+            assert np.allclose(graph[f], plain_oracle.maxpool2(h))
 
     def test_latent_shape_politifact_sizes(self, dense_oracle):
         model = init_slcnn(46, 4, 8, rng_for(0, "init"))

@@ -9,8 +9,6 @@ from fakereal.social import (
     CreditLedger,
     FollowerGraph,
     apply_minmax,
-    article_credit,
-    article_influence,
     fit_minmax,
     follower_count_influence,
     graph_from_edges,
@@ -347,13 +345,13 @@ class TestArticleVectors:
 
     def test_normalized_credit(self):
         scaler = fit_minmax(np.array([[0.0, 0.0, 1.0], [10.0, 4.0, 3.0]]))
-        vec = article_credit(art(["u1", "u2"]), self.ledger(), scaler)
-        assert vec.nct == pytest.approx(0.7)
-        assert vec.ncf == pytest.approx(0.5)
-        assert vec.num_p == pytest.approx(0.5)
+        raw = raw_article_credit(art(["u1", "u2"]), self.ledger())
+        vec = apply_minmax(scaler, [raw.nct, raw.ncf, raw.num_p])
+        assert vec == pytest.approx([0.7, 0.5, 0.5])
 
     def test_normalized_influence_keeps_cold_flag(self):
         scaler = fit_minmax(np.array([[0.0, 0.0], [2.0, 4.0]]))
         g = graph_from_edges([("a", "u1")])
-        vec = article_influence(art([]), g, scaler)
-        assert vec.cold and vec.ni == 0.0
+        raw = raw_article_influence(art([]), g)
+        assert raw.cold
+        assert np.array_equal(apply_minmax(scaler, [raw.ni, raw.num_p]), [0.0, 0.0])

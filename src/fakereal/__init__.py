@@ -34,6 +34,7 @@ from .social import (
     CreditLedger,
     FollowerGraph,
     follower_count_influence,
+    influence_table,
     level_followers,
     tally_credit,
     user_influence,

@@ -169,6 +169,7 @@ def loss_batch(model: Model, ids, vectors, explicit, labels, mode: str, rng=None
 def predict_batch(model: Model, ids, vectors, explicit):
     """Eval-mode predictions: (probs (B, 2), int labels (B,)); ties go Real."""
     logits = forward_batch(model, ids, vectors, explicit, "eval")
+    logits.free_graph()
     probs = nncore.softmax(logits.data)
     preds = (probs[:, 1] > probs[:, 0]).astype(np.int64)
     return probs, preds

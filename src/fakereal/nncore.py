@@ -10,9 +10,36 @@ linear, relu, reshape, transpose, concat, gather_rows, dropout_t,
 softmax_xent_batch) build a tape of `Tensor` nodes over batched arrays.
 """
 
+import ctypes
 import json
+import platform
 
 import numpy as np
+
+from .fileio import atomic_write
+
+
+def _hold_freed_memory():
+    """Keep glibc from handing freed array memory back to the OS.
+
+    A training step allocates and frees tens of MB of activations and
+    gradients; each graph is freed by reference counting as soon as its
+    step ends.  By default glibc then trims the freed top of the heap (and
+    returns large blocks to the OS with munmap), so the next step faults
+    the same pages in again, and how often that happens depends on the
+    process's allocation history.  Fixed thresholds (the dynamic mmap
+    threshold is off once one is set) keep blocks up to 32 MB on the heap
+    and the freed heap mapped, so every step reuses the same memory.
+    """
+    if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    m_trim_threshold, m_mmap_threshold = -1, -3   # <malloc.h>
+    mallopt(m_mmap_threshold, 32 << 20)   # glibc's upper limit on 64-bit
+    mallopt(m_trim_threshold, 256 << 20)
+
+
+_hold_freed_memory()
 
 
 class Tensor:
@@ -44,6 +71,27 @@ class Tensor:
         are dropped as the pass goes."""
         if self.data.shape != ():
             raise ValueError("backward requires a scalar root")
+        topo = self._topo_order()
+        self.grad = np.ones_like(self.data)
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward()
+            # each closure reads its own output node; dropping it and the
+            # parent links lets reference counting free the spent graph
+            node._backward = None
+            node._parents = ()
+
+    def free_graph(self):
+        """Drop the graph below this node without computing gradients, for
+        a forward pass that never runs backward (evaluation).  Every op's
+        closure reads its own output node, so until the links go the graph
+        is a reference cycle that only the cycle collector frees."""
+        for node in self._topo_order():
+            node._backward = None
+            node._parents = ()
+
+    def _topo_order(self):
+        """Every node reachable from this one, each after its parents."""
         # iterative topo sort; the graph is shallow but recursion is fragile
         topo = []
         visited = set()
@@ -60,14 +108,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
-            # each closure reads its own output node; dropping it and the
-            # parent links lets reference counting free the spent graph
-            node._backward = None
-            node._parents = ()
+        return topo
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -449,12 +490,13 @@ def save_checkpoint(path, arrays: dict, meta: dict):
     """Write named parameter arrays plus a JSON metadata blob.
 
     Bit-exact: float64 arrays round-trip unchanged.  Written through an
-    open handle so the target name is used verbatim.
+    open handle so the target name is used verbatim, and replaced whole
+    (fileio.atomic_write), so a failed save leaves the old file.
     """
     if _META_KEY in arrays:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
     blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, **{_META_KEY: blob, **arrays})
 
 

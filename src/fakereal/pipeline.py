@@ -22,6 +22,7 @@ import numpy as np
 
 from . import corpus, fusion, nncore, social
 from .corpus import DATASET_PRESETS, Label
+from .fileio import atomic_write
 from .fusion import EXPLICIT_ORDER, VARIANTS
 from .seeds import rng_for
 from .slcnn import required_hcbs
@@ -200,7 +201,7 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
 
 
 def write_config_snapshot(config: RunConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for key, val in config.to_pairs():
             fh.write(f"{key} = {val}\n")
 
@@ -298,12 +299,18 @@ def _variant_columns(variant):
     return [EXPLICIT_ORDER.index(name) for name in VARIANTS[variant]]
 
 
-def _raw_explicit_rows(articles, ledger, graph, mode):
+def _publishers(articles):
+    return [u for art in articles for u in art.publisher_ids]
+
+
+def _raw_explicit_rows(articles, ledger, influence):
+    """Pre-normalization explicit rows (EXPLICIT_ORDER columns) and cold
+    flags; `influence` maps every publisher to its score."""
     rows = np.zeros((len(articles), 5))
     cold = np.zeros(len(articles), dtype=bool)
     for i, art in enumerate(articles):
         cv = social.raw_article_credit(art, ledger)
-        iv = social.raw_article_influence(art, graph, mode)
+        iv = social.raw_article_influence(art, influence)
         rows[i] = (cv.nct, cv.ncf, cv.num_p, iv.ni, iv.num_p)
         cold[i] = cv.cold
     return rows, cold
@@ -354,10 +361,11 @@ def prepare_data(config: RunConfig) -> DataBundle:
 
     ledger = social.tally_credit(train_articles)
     graph = load_graph(config)
-    raw_train, cold_train = _raw_explicit_rows(train_articles, ledger, graph,
-                                               config.influence_mode)
-    raw_test, cold_test = _raw_explicit_rows(test_articles, ledger, graph,
-                                             config.influence_mode)
+    # each distinct publisher is scored once, for both splits
+    influence = social.influence_scores(graph, _publishers(train_articles + test_articles),
+                                        config.influence_mode)
+    raw_train, cold_train = _raw_explicit_rows(train_articles, ledger, influence)
+    raw_test, cold_test = _raw_explicit_rows(test_articles, ledger, influence)
     scaler = social.fit_minmax(raw_train)
 
     return DataBundle(
@@ -547,7 +555,7 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_config_snapshot(config, os.path.join(out_dir, "config.snapshot"))
-        with open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "train.log")) as fh:
             fh.write("\n".join(log_lines) + "\n")
         result.checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
         save_model(result.checkpoint_path, model, bundle, config)
@@ -666,12 +674,12 @@ def _report_text(report: EvalReport):
 
 
 def write_report_files(out_dir, config: RunConfig, report: EvalReport):
-    with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "report.tsv")) as fh:
         for key, val in config.to_pairs():
             fh.write(f"config.{key}\t{val}\n")
         for key, val in _report_rows(report):
             fh.write(f"{key}\t{val}\n")
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "report.txt")) as fh:
         fh.write("\n".join(_report_text(report)) + "\n")
 
 
@@ -732,13 +740,13 @@ def _grid_text(axis_name, results):
 
 
 def _write_grid_report(out_dir, config, axis_name, results):
-    with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "report.tsv")) as fh:
         for key, val in config.to_pairs():
             fh.write(f"config.{key}\t{val}\n")
         for value, report in results.items():
             for row_key, val in _report_rows(report):
                 fh.write(f"{axis_name}.{_grid_label(value)}\t{row_key}\t{val}\n")
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "report.txt")) as fh:
         fh.write("\n".join(_grid_text(axis_name, results)) + "\n")
 
 
@@ -757,30 +765,27 @@ class PublisherStats:
 
 def export_stats(articles, ledger: social.CreditLedger, graph: social.FollowerGraph,
                  mode="follower_count") -> PublisherStats:
-    per_class = {"real": [], "fake": []}
-    for art in articles:
-        cv = social.raw_article_credit(art, ledger)
-        iv = social.raw_article_influence(art, graph, mode)
-        ratio = cv.ncf / cv.nct if cv.nct > 0 else 0.0
-        per_class["fake" if art.label is Label.FAKE else "real"].append(
-            (cv.nct, cv.ncf, ratio, iv.ni, cv.num_p))
+    influence = social.influence_scores(graph, _publishers(articles), mode)
+    rows, _ = _raw_explicit_rows(articles, ledger, influence)
+    nct, ncf = rows[:, 0], rows[:, 1]
+    ratio = np.divide(ncf, nct, out=np.zeros_like(nct), where=nct > 0)
+    table = np.column_stack([nct, ncf, ratio, rows[:, 3], rows[:, 2]])   # STAT_FEATURES
+    fake = np.array([art.label is Label.FAKE for art in articles], dtype=bool)
     means = {}
-    for cls, rows in per_class.items():
-        if rows:
-            arr = np.array(rows)
-            means[cls] = {feat: float(arr[:, i].mean()) for i, feat in enumerate(STAT_FEATURES)}
-        else:
-            means[cls] = {feat: 0.0 for feat in STAT_FEATURES}
+    for cls, mask in (("real", ~fake), ("fake", fake)):
+        arr = table[mask]
+        means[cls] = {feat: float(arr[:, i].mean()) if len(arr) else 0.0
+                      for i, feat in enumerate(STAT_FEATURES)}
     return PublisherStats(means=means)
 
 
 def write_stats(stats: PublisherStats, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "stats.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "stats.tsv")) as fh:
         for cls in ("real", "fake"):
             for feat in STAT_FEATURES:
                 fh.write(f"{cls}\t{feat}\t{repr(stats.means[cls][feat])}\n")
-    with open(os.path.join(out_dir, "stats.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "stats.txt")) as fh:
         fh.write("\n".join(_stats_text(stats)) + "\n")
 
 

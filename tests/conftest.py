@@ -43,6 +43,41 @@ def influence_oracle():
 
 
 @pytest.fixture(scope="session")
+def influence_walk():
+    """The breadth-first walk over Python sets that scored one publisher
+    at a time before social.influence_table: frontier by frontier, each
+    level adds p^(level-1) per user it reaches first, down to g.d_max."""
+
+    def walk(g, u):
+        n = g.n_users
+        if n < 2:
+            raise ValueError(f"influence needs at least 2 users, got N={n}")
+        if g.counts is not None and not g.followers:
+            raise ValueError("graph holds only follower counts; use follower_count_influence")
+        frontier = g.followers.get(u, set()) - {u}
+        reached = set(frontier)
+        total = float(len(frontier))
+        level = 1
+        weight = 1.0
+        while frontier:
+            level += 1
+            if g.d_max is not None and level > g.d_max:
+                break
+            weight *= g.p
+            nxt = set()
+            for x in frontier:
+                nxt |= g.followers.get(x, set())
+            nxt -= reached
+            nxt.discard(u)
+            total += weight * len(nxt)
+            reached |= nxt
+            frontier = nxt
+        return total / (n - 1)
+
+    return walk
+
+
+@pytest.fixture(scope="session")
 def plain_oracle():
     """Single-instance numpy forms of the graph ops, written out directly
     from their definitions: one 1x2 convolution filter, pairwise max

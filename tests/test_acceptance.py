@@ -158,8 +158,9 @@ def test_end_to_end_gradient_check(dense_oracle):
 
 
 class TestInfluenceMatchesBruteforce:
-    """The frontier-walk influence must agree with naive level-set
-    enumeration on every graph, not just friendly ones."""
+    """The bitmask-sweep influence, one user or a whole table at once, must
+    agree with naive level-set enumeration on every graph, not just
+    friendly ones."""
 
     P_CYCLE = (0.0, 0.3, 0.5, 1.0)
 
@@ -169,11 +170,13 @@ class TestInfluenceMatchesBruteforce:
         for follower, followed in edges:
             followers.setdefault(followed, set()).add(follower)
         worst = 0.0
-        for i in range(n):
-            u = f"u{i}"
+        users = [f"u{i}" for i in range(n)]
+        table = social.influence_table(g, users)   # every user in one sweep
+        for u in users:
             got = social.user_influence(g, u)
             want = oracle(followers, n, u, p)
             worst = max(worst, abs(got - want))
+            assert table[u] == got
         assert worst <= 1e-12
         return n
 

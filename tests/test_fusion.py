@@ -52,8 +52,7 @@ class TestExplicitFeatures:
 
     def test_missing_vectors_become_zeros(self):
         cold = NewsArticle(id="a1", headline="h", body="b.", label=Label.REAL, publisher_ids=[])
-        rows, flags = pipeline._raw_explicit_rows([cold], social.CreditLedger(),
-                                                  social.FollowerGraph(), "follower_count")
+        rows, flags = pipeline._raw_explicit_rows([cold], social.CreditLedger(), {})
         assert np.array_equal(rows, np.zeros((1, 5)))
         assert flags.tolist() == [True]
 
@@ -245,21 +244,18 @@ class TestEndToEndGradients:
 
 
 class TestGraphLifetime:
-    def test_backward_frees_the_training_graph_without_the_cycle_collector(self):
-        # every op's backward closure reads its own output node; unless
-        # backward drops those links, each step's graph waits for gc
-        model = init_model("full", 10, 2, 4, rng_for(0, "init"))
+    """Every op's backward closure reads its own output node, so a graph
+    whose links are never dropped waits for the cycle collector."""
+
+    def setup_method(self):
+        self.model = init_model("full", 10, 2, 4, rng_for(0, "init"))
         rng = np.random.default_rng(0)
-        ids = rng.integers(0, 20, size=(4, 3, 10)).astype(np.int32)
-        vectors = rng.normal(size=(20, 4))
-        explicit = rng.random((4, 5))
-        dropout_rng = np.random.default_rng(1)
+        self.ids = rng.integers(0, 20, size=(4, 3, 10)).astype(np.int32)
+        self.vectors = rng.normal(size=(20, 4))
+        self.explicit = rng.random((4, 5))
 
-        def step():
-            nncore.zero_grads(model.param_tensors())
-            _, loss = loss_batch(model, ids, vectors, explicit, [0, 1, 0, 1], "train", dropout_rng)
-            loss.backward()
-
+    @staticmethod
+    def live_tensors_after(step, times=3):
         def live_tensors():
             return sum(1 for obj in gc.get_objects() if isinstance(obj, Tensor))
 
@@ -268,12 +264,40 @@ class TestGraphLifetime:
         try:
             start = live_tensors()
             counts = []
-            for _ in range(3):
+            for _ in range(times):
                 step()
                 counts.append(live_tensors())
         finally:
             gc.enable()
+        return start, counts
+
+    def test_backward_frees_the_training_graph_without_the_cycle_collector(self):
+        dropout_rng = np.random.default_rng(1)
+
+        def step():
+            nncore.zero_grads(self.model.param_tensors())
+            _, loss = loss_batch(self.model, self.ids, self.vectors, self.explicit, [0, 1, 0, 1],
+                                 "train", dropout_rng)
+            loss.backward()
+
+        start, counts = self.live_tensors_after(step)
         assert counts == [start] * 3
+
+    def test_predict_frees_the_eval_graph_without_the_cycle_collector(self):
+        # eval never runs backward, yet the parameters require grad, so
+        # every op still builds its closure
+        start, counts = self.live_tensors_after(
+            lambda: predict_batch(self.model, self.ids, self.vectors, self.explicit))
+        assert counts == [start] * 3
+
+    def test_free_graph_keeps_the_values(self):
+        logits = forward_batch(self.model, self.ids, self.vectors, self.explicit, "eval")
+        before = logits.data.copy()
+        logits.free_graph()
+        assert logits._parents == () and logits._backward is None
+        assert np.array_equal(logits.data, before)
+        probs, _ = predict_batch(self.model, self.ids, self.vectors, self.explicit)
+        assert np.array_equal(probs, nncore.softmax(before))
 
 
 class TestDenseOracle:

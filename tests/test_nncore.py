@@ -1,6 +1,9 @@
 """Numeric core: op semantics at batch size 1, gradients vs finite
 differences, Adam, dropout, and checkpoint round-trips."""
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -452,3 +455,19 @@ class TestCheckpoint:
     def test_reserved_array_name(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):
             save_checkpoint(tmp_path / "c.bin", {"__meta__": np.zeros(1)}, {})
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's")
+class TestFreedMemory:
+    def test_freed_arrays_are_reused_without_page_faults(self):
+        # one round is 64 MB of activations freed at once, as at the end of
+        # a training step; glibc's default trims it and faults it in again
+        def round_faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            arrays = [np.ones(1 << 20) for _ in range(8)]
+            del arrays
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults = [round_faults() for _ in range(4)]
+        assert max(faults[2:]) < 200, faults

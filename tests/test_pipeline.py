@@ -10,6 +10,8 @@ import pytest
 from fakereal import corpus, fusion, nncore, social
 from fakereal import pipeline
 from fakereal.corpus import Label, NewsArticle
+from fakereal.fileio import atomic_write
+from fakereal.fusion import EXPLICIT_ORDER
 from fakereal.pipeline import (
     ABLATION_VARIANTS,
     CONFIG_SCHEMA,
@@ -612,6 +614,30 @@ class TestPrepareData:
                                                  small_bundle.thresholds, table).data
                 assert np.array_equal(small_bundle.vectors[art_ids], want)
 
+    @pytest.mark.parametrize("overrides", [{}, {"influence.p": "0.25", "influence.d_max": "2"}])
+    def test_exact_influence_equals_the_walk(self, synth_paths, influence_walk, overrides):
+        # the ni column, scored once per publisher, against the per-article
+        # mean of the one-publisher walk, compared with ==
+        config = synth_config(synth_paths, overrides={"data.edges": synth_paths["edges"],
+                                                      "influence.mode": "exact", **overrides})
+        bundle = prepare_data(config)
+        graph = load_graph(config)
+
+        def walk_mean(art):
+            scores = [influence_walk(graph, u) if graph.known(u) else 0.0
+                      for u in art.publisher_ids]
+            return sum(scores) / len(scores)
+
+        col = EXPLICIT_ORDER.index("ni")
+        want_train = np.array([walk_mean(a) for a in bundle.train_articles])
+        want_test = np.array([walk_mean(a) for a in bundle.test_articles])
+        scaler = social.fit_minmax(want_train)
+        assert (bundle.scaler.mins[col], bundle.scaler.maxs[col]) == (scaler.mins[0],
+                                                                      scaler.maxs[0])
+        for got, want in ((bundle.explicit_train, want_train), (bundle.explicit_test, want_test)):
+            assert np.array_equal(got[:, col], social.apply_minmax(scaler, want))
+        assert want_train.max() > want_train.min() > 0.0
+
     def test_fixed_depth_override(self, synth_paths):
         config = synth_config(synth_paths, overrides={"model.t_d": "9"})
         bundle = prepare_data(config)
@@ -741,6 +767,59 @@ class TestTraining:
         reloaded = load_config(path=os.path.join(out, "config.snapshot"))
         assert reloaded.to_pairs() == small_config.to_pairs()
         assert result.checkpoint_path == os.path.join(out, "checkpoint.bin")
+
+
+class TestAtomicWrites:
+    """Output files are replaced whole: a write that fails part-way keeps
+    the previous file and leaves no temporary file behind."""
+
+    def test_failed_block_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_write(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError("interrupted")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["report.tsv"]
+
+    def test_new_file_replaces_the_old_one(self, tmp_path):
+        path = tmp_path / "stats.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert os.listdir(tmp_path) == ["stats.tsv"]
+
+    def test_report_writer_failing_part_way(self, small_config, tmp_path, monkeypatch):
+        out = str(tmp_path)
+        write_report_files(out, small_config, eval_report([0, 1, 1, 0], [0, 1, 0, 0]))
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(out)}
+
+        def broken(report):
+            raise RuntimeError("interrupted")
+
+        # report.tsv has its config lines written when the metric rows fail
+        monkeypatch.setattr(pipeline, "_report_rows", broken)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_report_files(out, small_config, eval_report([1, 1], [1, 1]))
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(out)} == before
+        assert sorted(before) == ["report.tsv", "report.txt"]
+
+    def test_checkpoint_save_failing_part_way(self, tmp_path):
+        path = str(tmp_path / "checkpoint.bin")
+        nncore.save_checkpoint(path, {"w": np.ones(3)}, {"format_version": 1})
+        before = open(path, "rb").read()
+
+        class Unsaveable:
+            def __array__(self, dtype=None, copy=None):
+                raise RuntimeError("interrupted")
+
+        # the metadata and "w" go into the archive before "x" fails
+        with pytest.raises(RuntimeError, match="interrupted"):
+            nncore.save_checkpoint(path, {"w": np.zeros(3), "x": Unsaveable()}, {})
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]
 
 
 class TestCheckpoints:
@@ -984,6 +1063,16 @@ class TestPublisherStats:
         assert len(tsv) == 10
         txt = open(tmp_path / "stats.txt", encoding="utf-8").read()
         assert txt.splitlines()[0].split() == ["feature", "real", "mean", "fake", "mean"]
+
+    def test_exact_mode_means_follow_the_walk(self, influence_walk):
+        data = gen_synthetic(SMALL_SPEC, seed=7)
+        ledger = social.tally_credit(data.articles)
+        graph = social.graph_from_edges(data.edges, p=0.5)
+        stats = export_stats(data.articles, ledger, graph, mode="exact")
+        for label, cls in ((Label.REAL, "real"), (Label.FAKE, "fake")):
+            per_article = [np.mean([influence_walk(graph, u) for u in a.publisher_ids])
+                           for a in data.articles if a.label is label]
+            assert stats.means[cls]["ni"] == pytest.approx(np.mean(per_article), abs=1e-12)
 
     def test_stats_on_generated_corpus_separate_classes(self):
         data = gen_synthetic(SMALL_SPEC, seed=7)

@@ -3,6 +3,8 @@ feature scaling."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fakereal.corpus import Label, NewsArticle
 from fakereal.social import (
@@ -12,6 +14,8 @@ from fakereal.social import (
     fit_minmax,
     follower_count_influence,
     graph_from_edges,
+    influence_scores,
+    influence_table,
     level_followers,
     load_edge_list,
     load_follower_counts,
@@ -257,6 +261,89 @@ class TestUserInfluence:
                 assert user_influence(g, x) == pytest.approx(want, abs=1e-12)
 
 
+@st.composite
+def influence_cases(draw, min_users=2, max_users=12, min_edges_per_user=0):
+    """A random follower graph (self-loops and repeated edges allowed), its
+    p and depth bound, and a user list that also names unknown users."""
+    n = draw(st.integers(min_users, max_users))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=min_edges_per_user * n, max_size=4 * n))
+    p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    d_max = draw(st.sampled_from([1, 2, 3, None]))
+    override = draw(st.one_of(st.none(), st.integers(2, 2 * n + 2)))
+    g = graph_from_edges([(f"u{a}", f"u{b}") for a, b in edges], p=p, d_max=d_max,
+                         n_users=override)
+    for i in range(n):
+        g.add_user(f"u{i}")
+    users = [f"u{i}" for i in draw(st.permutations(range(n)))] + ["ghost", "u-1"]
+    return g, users
+
+
+class TestInfluenceTable:
+    """The 64-publisher bitmask sweep against the one-publisher set walk
+    it replaced (tests/conftest.py), compared with ==: the sweep folds
+    integer level counts with the walk's own float recurrence."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(influence_cases())
+    def test_equals_walk(self, influence_walk, case):
+        g, users = case
+        assert influence_table(g, users) == {u: influence_walk(g, u) for u in users}
+
+    @settings(max_examples=40, deadline=None)
+    @given(influence_cases(min_users=70, max_users=160, min_edges_per_user=3))
+    def test_equals_walk_across_sweeps(self, influence_walk, case):
+        # more than 64 publishers with edges: the later ones land in a second sweep
+        g, users = case
+        assume(len(set(g.followers).union(*g.followers.values())) > 64)
+        assert influence_table(g, users) == {u: influence_walk(g, u) for u in users}
+
+    def test_sweep_boundary_on_a_long_chain(self, influence_walk):
+        # u{i+1} follows u{i}: every level reaches one new user, 130 deep
+        g = graph_from_edges([(f"u{i + 1}", f"u{i}") for i in range(130)], p=0.9)
+        users = [f"u{i}" for i in range(131)]
+        table = influence_table(g, users)
+        assert table == {u: influence_walk(g, u) for u in users}
+        assert influence_table(g, users[64:70]) == {u: table[u] for u in users[64:70]}
+
+    def test_one_call_equals_one_user_at_a_time(self):
+        rng = np.random.default_rng(5)
+        edges = [(f"u{a}", f"u{b}") for a, b in rng.integers(0, 80, size=(300, 2))]
+        g = graph_from_edges(edges, p=0.7, d_max=4)
+        users = [f"u{i}" for i in range(80)]
+        table = influence_table(g, users + users[:10])
+        assert list(table) == users
+        assert table == {u: user_influence(g, u) for u in users}
+
+    def test_self_loops_and_unknown_users(self):
+        g = graph_from_edges([("u", "u"), ("a", "u"), ("a", "a")])
+        assert influence_table(g, ["u", "a", "ghost"]) == {"u": 1.0, "a": 0.0, "ghost": 0.0}
+
+    def test_graph_without_edges(self):
+        g = FollowerGraph()
+        g.add_user("a")
+        g.add_user("b")
+        assert influence_table(g, ["a", "b", "c"]) == {"a": 0.0, "b": 0.0, "c": 0.0}
+
+    def test_checks_run_in_order(self, tmp_path):
+        with pytest.raises(ValueError, match="at least 2 users"):
+            influence_table(FollowerGraph(n_users=1), ["u"])
+        path = tmp_path / "p.tsv"
+        path.write_text("u\t5\n")
+        with pytest.raises(ValueError, match="at least 2 users"):
+            influence_table(load_follower_counts(path), ["u"])
+        path.write_text("u\t5\nv\t1\n")
+        with pytest.raises(ValueError, match="only follower counts"):
+            influence_table(load_follower_counts(path), ["u"])
+
+    def test_exact_scores_skip_unknown_publishers(self):
+        # no graph at all: unknown publishers score 0 and nothing is walked
+        assert influence_scores(FollowerGraph(), ["a", "b"], mode="exact") == {"a": 0.0, "b": 0.0}
+        g = graph_from_edges([("a", "u1"), ("b", "a")], p=0.5, n_users=4)
+        assert influence_scores(g, ["u1", "ghost", "u1"], mode="exact") == {
+            "u1": (1 + 0.5) / 3, "ghost": 0.0}
+
+
 class TestFollowerCountInfluence:
     def test_adjacency_graph_counts_direct_followers(self):
         g = graph_from_edges([("a", "u"), ("b", "u"), ("c", "u")])
@@ -331,17 +418,18 @@ class TestArticleVectors:
 
     def test_raw_influence_count_mode(self):
         g = graph_from_edges([("a", "u1"), ("b", "u1"), ("c", "u2")])
-        vec = raw_article_influence(art(["u1", "u2"]), g)
+        vec = raw_article_influence(art(["u1", "u2"]), influence_scores(g, ["u1", "u2"]))
         assert (vec.ni, vec.num_p) == (1.5, 2.0)
 
     def test_raw_influence_exact_mode_unknown_publisher_scores_zero(self):
         g = graph_from_edges([("a", "u1"), ("b", "a")], p=0.5, n_users=4)
-        vec = raw_article_influence(art(["u1", "ghost"]), g, mode="exact")
+        scores = influence_scores(g, ["u1", "ghost"], mode="exact")
+        vec = raw_article_influence(art(["u1", "ghost"]), scores)
         assert vec.ni == pytest.approx(((1 + 0.5) / 3) / 2)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown influence mode"):
-            raw_article_influence(art(["u1"]), FollowerGraph(), mode="bfs")
+            influence_scores(FollowerGraph(), ["u1"], mode="bfs")
 
     def test_normalized_credit(self):
         scaler = fit_minmax(np.array([[0.0, 0.0, 1.0], [10.0, 4.0, 3.0]]))
@@ -352,6 +440,6 @@ class TestArticleVectors:
     def test_normalized_influence_keeps_cold_flag(self):
         scaler = fit_minmax(np.array([[0.0, 0.0], [2.0, 4.0]]))
         g = graph_from_edges([("a", "u1")])
-        raw = raw_article_influence(art([]), g)
+        raw = raw_article_influence(art([]), influence_scores(g, []))
         assert raw.cold
         assert np.array_equal(apply_minmax(scaler, [raw.ni, raw.num_p]), [0.0, 0.0])

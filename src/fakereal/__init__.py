@@ -29,13 +29,12 @@ from .pipeline import (
     prepare_data,
     train,
 )
-from .slcnn import SlcnnModel, required_hcbs, slcnn_apply, width_trace
+from .slcnn import SlcnnModel, required_hcbs, slcnn_apply
 from .social import (
     CreditLedger,
     FollowerGraph,
     follower_count_influence,
     influence_table,
-    level_followers,
     tally_credit,
     user_influence,
 )

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -124,42 +125,61 @@ def compute_thresholds(train_bodies, t_s_fixed: int = DEFAULT_T_S) -> Thresholds
 class EmbeddingTable:
     """Word -> vector map with stable out-of-vocabulary handling.
 
-    OOV words get a vector drawn uniformly from ``oov_range``, seeded by
-    (oov_seed, word) so the same word always maps to the same vector, in
-    this process or any other.  The padding token maps to all zeros.
+    Stored vectors are the rows of one (n, E) float64 matrix, and
+    ``rows[word]`` is the row of a word.  OOV words get a vector drawn
+    uniformly from ``oov_range``, seeded by (oov_seed, word) so the same
+    word always maps to the same vector, in this process or any other.
+    The padding token maps to all zeros.
     """
 
     def __init__(self, dimension, vectors=None, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
         if dimension < 1:
             raise ValueError("embedding dimension must be >= 1")
         self.dimension = int(dimension)
-        self.vectors = {}
         self.oov_seed = int(oov_seed)
         self.oov_range = (float(oov_range[0]), float(oov_range[1]))
         self._oov_cache = {}
         self._zero = np.zeros(self.dimension)
-        if vectors:
-            for word, vec in vectors.items():
-                self.add(word, vec)
+        vectors = vectors or {}
+        self.rows = dict(zip(vectors, range(len(vectors))))
+        self.matrix = np.zeros((len(vectors), self.dimension))
+        for row, (word, vec) in enumerate(vectors.items()):
+            self.matrix[row] = self._checked(word, vec)
 
-    def add(self, word, vec):
+    @classmethod
+    def from_rows(cls, rows, matrix, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
+        """Table over an (n, E) matrix: the vector of word w is
+        matrix[rows[w]]."""
+        table = cls(matrix.shape[1], oov_seed=oov_seed, oov_range=oov_range)
+        table.rows, table.matrix = rows, matrix
+        return table
+
+    def _checked(self, word, vec):
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.dimension,):
             raise ValueError(f"vector for {word!r} has shape {vec.shape}, expected ({self.dimension},)")
-        self.vectors[word] = vec
+        return vec
+
+    def add(self, word, vec):
+        vec = self._checked(word, vec)
+        row = self.rows.setdefault(word, self.matrix.shape[0])
+        if row == self.matrix.shape[0]:
+            self.matrix = np.vstack([self.matrix, vec])
+        else:
+            self.matrix[row] = vec
 
     def __contains__(self, word):
-        return word in self.vectors
+        return word in self.rows
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.rows)
 
     def lookup(self, word):
         if word == PADDING_TOKEN:
             return self._zero
-        hit = self.vectors.get(word)
-        if hit is not None:
-            return hit
+        row = self.rows.get(word)
+        if row is not None:
+            return self.matrix[row]
         hit = self._oov_cache.get(word)
         if hit is None:
             hit = self._draw_oov(word)
@@ -175,30 +195,47 @@ class EmbeddingTable:
         return rng.uniform(lo, hi, self.dimension)
 
 
-def token_ids(tok: TokenizedArticle, th: Thresholds, vocab: dict) -> np.ndarray:
-    """Fixed-shape (t_d+1, t_s) int32 id matrix for one article.
+def token_ids(toks, th: Thresholds, vocab: dict) -> np.ndarray:
+    """Fixed-shape (n, t_d+1, t_s) int32 id array for the articles `toks`.
 
-    Row 0 is the headline, rows 1..t_d the first t_d body sentences; each
-    row holds the ids of its first t_s words.  Slots past the available
-    words or sentences stay 0, the padding id.  `vocab` maps word -> id
-    and is extended in place: a word not in it yet gets the next id
-    (len(vocab) + 1), so ids follow first occurrence.
+    Row 0 of an article is its headline, rows 1..t_d its first t_d body
+    sentences; each row holds the ids of its first t_s words.  Slots past
+    the available words or sentences stay 0, the padding id.  `vocab`
+    maps word -> id and is extended in place: words not in it yet get the
+    next ids (len(vocab) + 1, ...) in order of first occurrence, article
+    by article, each article's rows top to bottom and left to right.
     """
-    ids = np.zeros((th.t_d + 1, th.t_s), dtype=np.int32)
-    rows = [tok.headline_tokens] + tok.body_sentences[: th.t_d]
-    for r, words in enumerate(rows):
-        for c, word in enumerate(words[: th.t_s]):
-            ids[r, c] = vocab.setdefault(word, len(vocab) + 1)
+    lengths = np.zeros((len(toks), th.t_d + 1), dtype=np.int64)
+    words = []
+    for i, tok in enumerate(toks):
+        rows = [row[: th.t_s] for row in [tok.headline_tokens] + tok.body_sentences[: th.t_d]]
+        lengths[i, : len(rows)] = [len(row) for row in rows]
+        words.extend(chain.from_iterable(rows))
+    new = [word for word in dict.fromkeys(words) if word not in vocab]
+    vocab.update(zip(new, range(len(vocab) + 1, len(vocab) + 1 + len(new))))
+    ids = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
+    # the filled slots of each row are its first `length` ones, and a
+    # boolean mask visits them in the order `words` lists them
+    ids[np.arange(th.t_s) < lengths[..., None]] = np.fromiter(
+        map(vocab.__getitem__, words), dtype=np.int32, count=len(words))
     return ids
 
 
 def vocab_vectors(vocab: dict, table: EmbeddingTable) -> np.ndarray:
     """(len(vocab)+1, E) vector table for the ids `vocab` assigned: row 0
     is zeros (padding), row i is table.lookup() of the word with id i,
-    stable-random vectors for OOV words included."""
-    vectors = np.zeros((len(vocab) + 1, table.dimension))
-    for word, i in vocab.items():
-        vectors[i] = table.lookup(word)
+    stable-random vectors for OOV words included.  Stored vectors are
+    gathered from the table's matrix in one step."""
+    words = list(vocab)
+    ids = np.fromiter(vocab.values(), dtype=np.int64, count=len(words))
+    rows = np.fromiter(map(table.rows.get, words, repeat(-1)), dtype=np.int64, count=len(words))
+    if PADDING_TOKEN in vocab:
+        rows[words.index(PADDING_TOKEN)] = -1
+    stored = rows >= 0
+    vectors = np.zeros((len(words) + 1, table.dimension))
+    vectors[ids[stored]] = table.matrix[rows[stored]]
+    for j in np.flatnonzero(~stored):
+        vectors[ids[j]] = table.lookup(words[j])
     return vectors
 
 
@@ -264,31 +301,93 @@ def write_corpus(articles, path):
             )
 
 
-def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE) -> EmbeddingTable:
-    """Read whitespace-separated text embeddings (``word v1 ... vE``)."""
-    table = None
+# kept embedding lines handed to one np.loadtxt call; bounds the text
+# held at once
+_PARSE_CHUNK = 4096
+
+
+def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE, words=None) -> EmbeddingTable:
+    """Read whitespace-separated text embeddings (``word v1 ... vE``).
+
+    The first non-blank line sets E.  With `words` (a set of words, or a
+    dict such as a vocabulary), only the lines of those words are parsed
+    and checked, plus that first line; every other line is skipped
+    unparsed, whatever it holds.  A word listed twice keeps its last
+    line.  Components are parsed in C by np.loadtxt, a chunk of lines per
+    call, which gives the same float64 as float() but rejects what
+    float() alone accepts, such as ``1_0``.  The vectors go straight into
+    one matrix with a row for each word that can be kept: len(words) + 1,
+    or one per line of the file.
+    """
+    capacity = _line_count(path) if words is None else len(words) + 1
+    rows, pending, matrix = {}, [], None    # pending: (word, lineno, text) not yet parsed
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split()
-            if not parts:
+            parts = line.split(None, 1)
+            if not parts or (words is not None and matrix is not None and parts[0] not in words):
                 continue
-            word, values = parts[0], parts[1:]
-            if not values:
+            if len(parts) == 1:
+                if pending:   # an earlier bad line raises first
+                    _parse_components(path, pending, matrix.shape[1])
                 raise CorpusError(f"{path}: line {lineno}: no vector components")
-            if table is None:
-                table = EmbeddingTable(len(values), oov_seed=oov_seed, oov_range=oov_range)
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError:
-                raise CorpusError(f"{path}: line {lineno}: non-numeric vector component") from None
-            if vec.shape != (table.dimension,):
-                raise CorpusError(
-                    f"{path}: line {lineno}: expected {table.dimension} components, got {vec.shape[0]}"
-                )
-            table.add(word, vec)
-    if table is None:
+            pending.append((parts[0], lineno, parts[1]))
+            if matrix is None or len(pending) == _PARSE_CHUNK:
+                matrix = _store_rows(path, pending, rows, matrix, capacity)
+                pending = []
+    if matrix is None:
         raise CorpusError(f"{path}: empty embeddings file")
-    return table
+    if pending:
+        matrix = _store_rows(path, pending, rows, matrix, capacity)
+    return EmbeddingTable.from_rows(rows, matrix[: len(rows)], oov_seed=oov_seed,
+                                    oov_range=oov_range)
+
+
+def _line_count(path):
+    """An upper bound on the lines of a text file, whatever its line ends."""
+    count = 1
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            count += chunk.count(b"\n") + chunk.count(b"\r")
+    return count
+
+
+def _store_rows(path, lines, rows, matrix, capacity):
+    """Parse `lines`, (word, lineno, text) triples, and write each vector
+    to its word's row of `matrix`, which the first call allocates with
+    `capacity` rows; a word seen again overwrites its row."""
+    block = _parse_components(path, lines, None if matrix is None else matrix.shape[1])
+    if matrix is None:
+        matrix = np.empty((capacity, block.shape[1]))
+    for (word, _, _), vec in zip(lines, block):
+        matrix[rows.setdefault(word, len(rows))] = vec
+    return matrix
+
+
+def _parse_components(path, lines, dim):
+    """(len(lines), E) float64 rows from the component text of (word,
+    lineno, text) triples; `dim` is E, or None when lines[0] sets it.
+    Raises the CorpusError of the first bad line."""
+    try:
+        block = np.loadtxt([text for _, _, text in lines], dtype=np.float64, comments=None,
+                           ndmin=2)
+    except ValueError:
+        block = None
+    if block is not None and block.shape[0] == len(lines) and dim in (None, block.shape[1]):
+        return block
+    # find the first bad line, checked as the per-component float() loop did
+    for _, lineno, text in lines:
+        values = text.split()
+        try:
+            for v in values:
+                float(v)
+            np.loadtxt([text], dtype=np.float64, comments=None)
+        except ValueError:
+            raise CorpusError(f"{path}: line {lineno}: non-numeric vector component") from None
+        dim = dim or len(values)
+        if len(values) != dim:
+            raise CorpusError(f"{path}: line {lineno}: expected {dim} components, "
+                              f"got {len(values)}")
+    raise CorpusError(f"{path}: lines {lines[0][1]}-{lines[-1][1]}: unparseable vector components")
 
 
 def write_embeddings(vectors, path):

@@ -2,8 +2,8 @@
 
 Exactly the operations the classifier needs: 1x2 convolutions (full-depth
 and per-channel), pairwise max pooling, dense layers, inverted dropout,
-softmax cross-entropy, and Adam, with reverse-mode gradients and a
-finite-difference checker.  float64 throughout, row-major numpy storage.
+softmax cross-entropy, and Adam, with reverse-mode gradients.  float64
+throughout, row-major numpy storage.
 
 Graph ops (conv1x2_full, conv1x2_tokens, conv1x2_depthwise, maxpool_pairs,
 linear, relu, reshape, transpose, concat, gather_rows, dropout_t,
@@ -434,49 +434,6 @@ def adam_step(params, grads, state: AdamState):
         mhat = state.m[i] / c1
         vhat = state.v[i] / c2
         p[...] = p - state.lr * mhat / (np.sqrt(vhat) + state.eps)
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def grad_check(loss_fn, params, n_coords=200, h=1e-4, seed=0):
-    """Max relative error between backprop and central finite differences.
-
-    loss_fn() must rebuild the graph from the current parameter values and
-    return a scalar Tensor; params is the list of leaf Tensors to probe.
-    Up to n_coords coordinates are sampled without replacement.  Relative
-    error is |g_an - g_fd| / max(1e-8, |g_an| + |g_fd|).
-    """
-    zero_grads(params)
-    loss = loss_fn()
-    if not np.isfinite(loss.data):
-        raise ValueError("non-finite loss")
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
-    if not coords:
-        return 0.0
-    if len(coords) > n_coords:
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[int(i)] for i in picked]
-
-    worst = 0.0
-    for i, j in coords:
-        flat = params[i].data.flat
-        orig = flat[j]
-        flat[j] = orig + h
-        up = float(loss_fn().data)
-        flat[j] = orig - h
-        down = float(loss_fn().data)
-        flat[j] = orig
-        fd = (up - down) / (2.0 * h)
-        an = analytic[i].flat[j]
-        rel = abs(an - fd) / max(1e-8, abs(an) + abs(fd))
-        worst = max(worst, rel)
-    return worst
 
 
 # ---------------------------------------------------------------------------

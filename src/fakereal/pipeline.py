@@ -269,7 +269,8 @@ class DataBundle:
     """Everything a training or evaluation pass needs, fully materialized.
 
     train_x and test_x hold token ids (n, t_d+1, t_s) into `vectors`, the
-    (V, E) word-vector table whose row 0 is padding."""
+    (V, E) word-vector table whose row 0 is padding; train_x is None when
+    the training text was not tokenized (prepare_data's train_text)."""
     thresholds: corpus.Thresholds
     embed_dim: int
     vectors: np.ndarray
@@ -326,10 +327,16 @@ def load_graph(config) -> social.FollowerGraph:
     return social.FollowerGraph(p=config.influence_p, d_max=d_max)
 
 
-def prepare_data(config: RunConfig) -> DataBundle:
+def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     """Load corpora and side files, turn the text into token ids over one
     vector table, and build normalized explicit features (min-max fitted
-    on the training split only)."""
+    on the training split only).
+
+    The text is tokenized first, so the embeddings file is parsed only on
+    the lines of words the splits use.  With train_text=False the training
+    split gives only its publishers and labels (ledger, influence and
+    scaler) and, when model.t_d is 0, its sentence counts: train_x is
+    None, and the vocabulary and `vectors` cover the test split alone."""
     if not config.train_path or not config.test_path:
         raise ConfigError("data.train and data.test must be set")
     if not config.embeddings_path:
@@ -339,9 +346,9 @@ def prepare_data(config: RunConfig) -> DataBundle:
     test_articles = corpus.load_corpus(config.test_path)
     if not train_articles:
         raise ValueError("empty corpus")
-    table = corpus.load_embeddings(config.embeddings_path, oov_seed=config.seed)
 
-    train_tok = [corpus.split_article(a) for a in train_articles]
+    train_tok = ([corpus.split_article(a) for a in train_articles]
+                 if train_text or config.t_d == 0 else None)
     test_tok = [corpus.split_article(a) for a in test_articles]
     if config.t_d > 0:
         th = corpus.Thresholds(t_s=config.t_s, t_d=config.t_d)
@@ -349,15 +356,9 @@ def prepare_data(config: RunConfig) -> DataBundle:
         th = corpus.compute_thresholds(train_tok, t_s_fixed=config.t_s)
 
     vocab = {}
-
-    def tokenize(toks):
-        ids = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
-        for i, tok in enumerate(toks):
-            ids[i] = corpus.token_ids(tok, th, vocab)
-        return ids
-
-    train_x = tokenize(train_tok)
-    test_x = tokenize(test_tok)
+    train_x = corpus.token_ids(train_tok, th, vocab) if train_text else None
+    test_x = corpus.token_ids(test_tok, th, vocab)
+    table = corpus.load_embeddings(config.embeddings_path, oov_seed=config.seed, words=vocab)
 
     ledger = social.tally_credit(train_articles)
     graph = load_graph(config)
@@ -618,8 +619,9 @@ def evaluate_model(model: fusion.Model, bundle: DataBundle, config: RunConfig) -
 
 
 def evaluate(config: RunConfig, checkpoint_path, out_dir=None) -> EvalReport:
-    """Evaluate a stored checkpoint against the configured test data."""
-    bundle = prepare_data(config)
+    """Evaluate a stored checkpoint against the configured test data.
+    Only the test split's text is tokenized and embedded."""
+    bundle = prepare_data(config, train_text=False)
     model, meta = load_model(checkpoint_path)
     if meta["variant"] != config.variant:
         raise ValueError(f"checkpoint is for variant {meta['variant']!r}, "

@@ -42,17 +42,6 @@ def required_hcbs(width: int) -> int:
     return n
 
 
-def width_trace(width: int) -> list:
-    """Every intermediate width (after each conv and pool) from `width` to 1."""
-    n = required_hcbs(width)
-    trace = [width]
-    w = width
-    for _ in range(n):
-        trace.extend([w - 1, w - 2, (w - 2) // 2])
-        w = (w - 2) // 2
-    return trace
-
-
 @dataclass
 class HcbBlock:
     """Parameters of one block: conv1 may be full-depth, conv2 is always

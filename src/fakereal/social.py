@@ -54,7 +54,9 @@ class FollowerGraph:
     seen).  p is the reshare probability applied per extra level; d_max
     bounds the traversal depth (None = until exhaustion, i.e. the graph
     diameter).  A graph may instead carry only per-user follower counts,
-    which supports the follower-count influence mode alone.
+    which supports the follower-count influence mode alone.  Edges go in
+    through add_edge, which also drops the follower index that
+    influence_table keeps on the graph between calls.
     """
 
     def __init__(self, p=0.5, d_max=None, n_users=None):
@@ -66,11 +68,13 @@ class FollowerGraph:
         self.counts = None
         self._users = set()
         self._n_override = n_users
+        self._follower_index = None   # _followed_by_follower(self), built on first use
 
     def add_edge(self, follower: str, followed: str):
         self.followers.setdefault(followed, set()).add(follower)
         self._users.add(follower)
         self._users.add(followed)
+        self._follower_index = None
 
     def add_user(self, user: str):
         self._users.add(user)
@@ -133,24 +137,6 @@ def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph
     return g
 
 
-def level_followers(g: FollowerGraph, u: str, i: int) -> set:
-    """Level-i follower set: followers of followers, i deep, minus u itself.
-
-    This is the raw recurrence (level i = followers of everyone at level
-    i-1), so on cyclic graphs a user can appear at several levels."""
-    if i < 1:
-        raise ValueError(f"level must be >= 1, got {i}")
-    if not g.known(u):
-        raise ValueError(f"unknown user {u!r}")
-    level = g.followers.get(u, set()) - {u}
-    for _ in range(i - 1):
-        nxt = set()
-        for x in level:
-            nxt |= g.followers.get(x, set())
-        level = nxt - {u}
-    return set(level)
-
-
 def user_influence(g: FollowerGraph, u: str) -> float:
     """Expected reached fraction of the network for one publisher; see
     influence_table, which scores many publishers in one pass."""
@@ -169,7 +155,8 @@ def influence_table(g: FollowerGraph, users) -> dict:
     excludes the publisher), so a score lies in [0, 1].  Users without
     followers in the graph, unknown ones included, score 0.0.
 
-    One call indexes the follower sets once as int32 arrays, then walks
+    The follower sets are indexed once as int32 arrays, kept on the graph
+    for later calls until add_edge changes it; each call then walks
     the levels of up to 64 publishers at a time (multi-source BFS, Then
     et al., VLDB 2014): bit j of a user's uint64 `reached` and `frontier`
     words says whether publisher j has reached that user, in total and at
@@ -183,7 +170,9 @@ def influence_table(g: FollowerGraph, users) -> dict:
     if g.counts is not None and not g.followers:
         raise ValueError("graph holds only follower counts; use follower_count_influence")
     users = list(dict.fromkeys(users))
-    ids, followed, starts, follower = _followed_by_follower(g)
+    if g._follower_index is None:
+        g._follower_index = _followed_by_follower(g)
+    ids, followed, starts, follower = g._follower_index
     scores = {u: 0.0 for u in users}
     sources = [u for u in users if u in ids]
     for first in range(0, len(sources), SWEEP_WIDTH):

@@ -1,5 +1,6 @@
 """Shared fixtures: independent reference implementations used by the unit
-and acceptance suites."""
+and acceptance suites, and test-only helpers that test modules import from
+here (`from conftest import grad_check`)."""
 
 import types
 from dataclasses import dataclass
@@ -8,7 +9,116 @@ import numpy as np
 import pytest
 
 from fakereal import fusion, nncore, slcnn
+from fakereal.corpus import DEFAULT_OOV_RANGE, CorpusError, EmbeddingTable
 from fakereal.nncore import Tensor
+
+
+def grad_check(loss_fn, params, n_coords=200, h=1e-4, seed=0):
+    """Max relative error between backprop and central finite differences.
+
+    loss_fn() must rebuild the graph from the current parameter values and
+    return a scalar Tensor; params is the list of leaf Tensors to probe.
+    Up to n_coords coordinates are sampled without replacement.  Relative
+    error is |g_an - g_fd| / max(1e-8, |g_an| + |g_fd|).
+    """
+    nncore.zero_grads(params)
+    loss = loss_fn()
+    if not np.isfinite(loss.data):
+        raise ValueError("non-finite loss")
+    loss.backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
+    if not coords:
+        return 0.0
+    if len(coords) > n_coords:
+        rng = np.random.default_rng(seed)
+        picked = rng.choice(len(coords), size=n_coords, replace=False)
+        coords = [coords[int(i)] for i in picked]
+
+    worst = 0.0
+    for i, j in coords:
+        flat = params[i].data.flat
+        orig = flat[j]
+        flat[j] = orig + h
+        up = float(loss_fn().data)
+        flat[j] = orig - h
+        down = float(loss_fn().data)
+        flat[j] = orig
+        fd = (up - down) / (2.0 * h)
+        an = analytic[i].flat[j]
+        rel = abs(an - fd) / max(1e-8, abs(an) + abs(fd))
+        worst = max(worst, rel)
+    return worst
+
+
+def width_trace(width: int) -> list:
+    """Every intermediate width (after each conv and pool) from `width` to 1."""
+    n = slcnn.required_hcbs(width)
+    trace = [width]
+    w = width
+    for _ in range(n):
+        trace.extend([w - 1, w - 2, (w - 2) // 2])
+        w = (w - 2) // 2
+    return trace
+
+
+def level_followers(g, u: str, i: int) -> set:
+    """Level-i follower set: followers of followers, i deep, minus u itself.
+
+    This is the raw recurrence (level i = followers of everyone at level
+    i-1), so on cyclic graphs a user can appear at several levels."""
+    if i < 1:
+        raise ValueError(f"level must be >= 1, got {i}")
+    if not g.known(u):
+        raise ValueError(f"unknown user {u!r}")
+    level = g.followers.get(u, set()) - {u}
+    for _ in range(i - 1):
+        nxt = set()
+        for x in level:
+            nxt |= g.followers.get(x, set())
+        level = nxt - {u}
+    return set(level)
+
+
+def article_token_ids(tok, th, vocab):
+    """The per-article loop corpus.token_ids replaced: the (t_d+1, t_s)
+    int32 ids of one article, extending `vocab` word by word with
+    setdefault."""
+    ids = np.zeros((th.t_d + 1, th.t_s), dtype=np.int32)
+    rows = [tok.headline_tokens] + tok.body_sentences[: th.t_d]
+    for r, words in enumerate(rows):
+        for c, word in enumerate(words[: th.t_s]):
+            ids[r, c] = vocab.setdefault(word, len(vocab) + 1)
+    return ids
+
+
+def float_load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
+    """The reader corpus.load_embeddings replaced: every line split into
+    components and parsed with a Python float() loop, and checked."""
+    table = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.rstrip("\n").split()
+            if not parts:
+                continue
+            word, values = parts[0], parts[1:]
+            if not values:
+                raise CorpusError(f"{path}: line {lineno}: no vector components")
+            if table is None:
+                table = EmbeddingTable(len(values), oov_seed=oov_seed, oov_range=oov_range)
+            try:
+                vec = np.array([float(v) for v in values])
+            except ValueError:
+                raise CorpusError(f"{path}: line {lineno}: non-numeric vector component") from None
+            if vec.shape != (table.dimension,):
+                raise CorpusError(
+                    f"{path}: line {lineno}: expected {table.dimension} components, got {vec.shape[0]}"
+                )
+            table.add(word, vec)
+    if table is None:
+        raise CorpusError(f"{path}: empty embeddings file")
+    return table
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from fakereal import fusion, nncore, social
+from fakereal import fusion, social
 from fakereal.corpus import DATASET_PRESETS
 from fakereal.pipeline import (
     SynthSpec,
@@ -25,7 +25,9 @@ from fakereal.pipeline import (
     write_synthetic,
 )
 from fakereal.seeds import rng_for
-from fakereal.slcnn import required_hcbs, width_trace
+from fakereal.slcnn import required_hcbs
+
+from conftest import grad_check, width_trace
 
 TRAIN_SEEDS = (0, 1, 2, 3, 4)
 
@@ -139,7 +141,7 @@ def test_end_to_end_gradient_check(dense_oracle):
             _, loss = fusion.loss_batch(model, ids, vectors, explicit, labels, "eval")
             return loss
 
-        return nncore.grad_check(loss_fn, model.param_tensors(),
+        return grad_check(loss_fn, model.param_tensors(),
                                  n_coords=n_coords, seed=sample_seed)
 
     for variant, k, data_seed, m_cols, n_coords, sample_seed in (

@@ -3,6 +3,8 @@ file round-trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fakereal.corpus import (
     DATASET_PRESETS,
@@ -23,6 +25,8 @@ from fakereal.corpus import (
     write_corpus,
     write_embeddings,
 )
+
+from conftest import article_token_ids, float_load_embeddings
 
 
 def art(body, headline="Breaking News", label=Label.REAL, art_id="a1", pubs=None):
@@ -147,7 +151,7 @@ class TestBuildTensor:
     def build(self, tok, th, dense_oracle, table=None):
         table = table or self.table()
         vocab = {}
-        ids = token_ids(tok, th, vocab)
+        ids = token_ids([tok], th, vocab)[0]
         vectors = vocab_vectors(vocab, table)
         assert ids.dtype == np.int32 and ids.shape == (th.t_d + 1, th.t_s)
         assert np.array_equal(vectors[ids], dense_oracle.build_tensor(tok, th, table).data)
@@ -180,8 +184,8 @@ class TestBuildTensor:
         table = self.table()
         th = Thresholds(t_s=3, t_d=1)
         vocab = {}
-        first = token_ids(TokenizedArticle(["b", "zed"], []), th, vocab)
-        second = token_ids(TokenizedArticle(["zed", "a", "b"], []), th, vocab)
+        first = token_ids([TokenizedArticle(["b", "zed"], [])], th, vocab)[0]
+        second = token_ids([TokenizedArticle(["zed", "a", "b"], [])], th, vocab)[0]
         assert first[0].tolist() == [1, 2, 0] and second[0].tolist() == [2, 3, 1]
         vectors = vocab_vectors(vocab, table)
         assert np.all(vectors[0] == 0.0)
@@ -283,6 +287,183 @@ class TestEmbeddingFiles:
         path.write_text("")
         with pytest.raises(CorpusError, match="empty embeddings file"):
             load_embeddings(path)
+
+
+# embeddings-file pieces the parser must read exactly as float() does
+EMBED_WORDS = ("cat", "dog", "emu", "gnu", "yak")
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6e}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:E}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "0.0", "-0", "nan", "-nan", "NaN", "inf", "-inf", "+inf",
+                     "Infinity", "1e400", "-1e400", "1e-400", "4.9e-324", ".5", "5.",
+                     "+1.5", "00012", "1E5", "0.30000000000000004"]),
+)
+SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
+LINE_END = st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"])
+
+
+@st.composite
+def embedding_files(draw):
+    """Text of a well-formed embeddings file: E components per line, words
+    drawn from a few (so some repeat), mixed separators, CRLF endings and
+    blank lines."""
+    dim = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])) + draw(LINE_END))
+        fields = [draw(st.sampled_from(EMBED_WORDS))] + draw(
+            st.lists(NUMBER_TEXT, min_size=dim, max_size=dim))
+        text = "".join(field + draw(SEPARATOR) for field in fields[:-1]) + fields[-1]
+        lines.append(draw(st.sampled_from(["", " "])) + text + draw(LINE_END))
+    return "".join(lines)
+
+
+def bits(vec):
+    return np.asarray(vec, dtype=np.float64).view(np.uint64)
+
+
+class TestEmbeddingParser:
+    """load_embeddings against the per-component float() reader it
+    replaced (tests/conftest.py): the same words in the same order, and
+    bit-identical vectors."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=embedding_files(), words=st.one_of(st.none(), st.sets(st.sampled_from(
+        EMBED_WORDS + ("owl",)))))
+    def test_equals_the_float_reader(self, tmp_path_factory, text, words):
+        path = self.write(tmp_path_factory.mktemp("emb"), text)
+        want = float_load_embeddings(path, oov_seed=3)
+        got = load_embeddings(path, oov_seed=3, words=words)
+        assert got.dimension == want.dimension
+        first = text.split(None, 1)[0]
+        if words is None:
+            assert list(got.rows) == list(want.rows)
+        else:
+            # only the first line's word may come along outside `words`
+            assert set(got.rows) <= set(words) | {first}
+            assert [w for w in got.rows if w in words] == [w for w in want.rows if w in words]
+        for word in want.rows:
+            if words is None or word in words:
+                assert np.array_equal(bits(got.lookup(word)), bits(want.lookup(word)))
+        assert np.array_equal(got.lookup("owl"), want.lookup("owl"))   # OOV draw
+
+    def test_repeated_word_keeps_its_last_line(self, tmp_path):
+        path = self.write(tmp_path, "a 1 2\nb 3 4\na 5 6\n")
+        table = load_embeddings(path)
+        assert list(table.rows) == ["a", "b"]
+        assert table.lookup("a").tolist() == [5.0, 6.0]
+        assert load_embeddings(path, words={"a"}).lookup("a").tolist() == [5.0, 6.0]
+
+    def test_more_lines_than_one_parse_chunk(self, tmp_path):
+        vectors = {f"w{i}": np.array([i, -0.5 * i]) for i in range(5000)}
+        path = tmp_path / "emb.txt"
+        write_embeddings(vectors, path)
+        table = load_embeddings(path)
+        assert len(table) == 5000
+        for word in ("w0", "w4095", "w4096", "w4999"):
+            assert np.array_equal(table.lookup(word), vectors[word])
+
+    def test_bad_line_found_past_the_first_chunk(self, tmp_path):
+        lines = [f"w{i} 1.0 2.0\n" for i in range(5000)]
+        lines[4500] = "w4500 1.0\n"
+        path = self.write(tmp_path, "".join(lines))
+        with pytest.raises(CorpusError, match="line 4501: expected 2 components, got 1"):
+            load_embeddings(path)
+
+    def test_earlier_bad_line_reported_before_a_word_only_line(self, tmp_path):
+        path = self.write(tmp_path, "a 1.0 2.0\nb 1.0 oops\nlonely\n")
+        with pytest.raises(CorpusError, match="line 2: non-numeric vector component"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("b 1.0", "line 2: expected 2 components, got 1"),
+        ("c 1.0 oops", "line 2: non-numeric vector component"),
+        ("d", "line 2: no vector components"),
+    ])
+    def test_lines_of_other_words_are_not_checked(self, tmp_path, bad, error):
+        # a deliberate difference from the float() reader: with `words`, a
+        # line whose word is not wanted is skipped unparsed
+        path = self.write(tmp_path, f"a 1.0 2.0\n{bad}\ne 3.0 4.0\n")
+        with pytest.raises(CorpusError, match=error):
+            float_load_embeddings(path)
+        with pytest.raises(CorpusError, match=error):
+            load_embeddings(path)
+        table = load_embeddings(path, words={"e"})
+        assert table.lookup("e").tolist() == [3.0, 4.0]
+        assert list(table.rows) == ["a", "e"]
+
+    def test_first_line_is_always_checked(self, tmp_path):
+        path = self.write(tmp_path, "a 1.0 oops\nb 1.0 2.0\n")
+        with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
+            load_embeddings(path, words={"b"})
+        path = self.write(tmp_path, "a 1.0 2.0 3.0\nb 1.0 2.0\n")
+        with pytest.raises(CorpusError, match="line 2: expected 3 components, got 2"):
+            load_embeddings(path, words={"b"})
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # the other deliberate difference: float("1_0") is 10.0, but the C
+        # parser takes no digit separators
+        path = self.write(tmp_path, "a 1_0 2.0\n")
+        assert float_load_embeddings(path).lookup("a").tolist() == [10.0, 2.0]
+        with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
+            load_embeddings(path)
+
+
+class TestTokenIds:
+    """The batched token_ids against the per-article loop it replaced
+    (tests/conftest.py): the same ids and the same vocabulary order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_article_loop(self, data):
+        word = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"])
+        sentence = st.lists(word, max_size=7)
+        toks = data.draw(st.lists(st.builds(TokenizedArticle, sentence,
+                                            st.lists(sentence, max_size=6)), max_size=6))
+        th = Thresholds(t_s=data.draw(st.integers(1, 6)), t_d=data.draw(st.integers(1, 5)))
+        seed = data.draw(st.dictionaries(word, st.integers(1, 3), max_size=2))
+        vocab = {w: i + 1 for i, w in enumerate(seed)}
+        want_vocab = dict(vocab)
+        want = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
+        for i, tok in enumerate(toks):
+            want[i] = article_token_ids(tok, th, want_vocab)
+        got = token_ids(toks, th, vocab)
+        assert got.dtype == np.int32 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert list(vocab.items()) == list(want_vocab.items())
+
+    def test_no_articles(self):
+        vocab = {"a": 1}
+        assert token_ids([], Thresholds(t_s=3, t_d=2), vocab).shape == (0, 3, 3)
+        assert vocab == {"a": 1}
+
+
+class TestVocabVectors:
+    def test_gathers_stored_rows_and_draws_the_rest(self):
+        table = EmbeddingTable(2, vectors={"a": [1.0, 2.0], "b": [3.0, 4.0],
+                                           PADDING_TOKEN: [9.0, 9.0]}, oov_seed=5)
+        vocab = {"b": 1, "zed": 2, "a": 3, PADDING_TOKEN: 4}
+        vectors = vocab_vectors(vocab, table)
+        assert vectors.shape == (5, 2)
+        assert vectors[0].tolist() == [0.0, 0.0]
+        assert vectors[1].tolist() == [3.0, 4.0] and vectors[3].tolist() == [1.0, 2.0]
+        assert np.array_equal(vectors[2], table.lookup("zed"))
+        assert vectors[4].tolist() == [0.0, 0.0]
+
+    def test_added_word_replaces_or_appends_a_row(self):
+        table = EmbeddingTable(2, vectors={"a": [1.0, 2.0]})
+        table.add("a", [5.0, 6.0])
+        table.add("b", [7.0, 8.0])
+        assert len(table) == 2 and table.matrix.shape == (2, 2)
+        assert vocab_vectors({"a": 1, "b": 2}, table).tolist() == [[0, 0], [5, 6], [7, 8]]
 
 
 def test_dataset_presets_pin_published_sizes():

@@ -22,9 +22,11 @@ from fakereal.fusion import (
     loss_batch,
     predict_batch,
 )
-from fakereal.nncore import Tensor, grad_check
+from fakereal.nncore import Tensor
 from fakereal.seeds import rng_for
 from fakereal.slcnn import init_hcb_stack
+
+from conftest import grad_check
 
 # one full explicit row, EXPLICIT_ORDER columns
 EXPLICIT = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])

@@ -6,6 +6,9 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fakereal import nncore
 from fakereal.nncore import (
@@ -18,7 +21,6 @@ from fakereal.nncore import (
     conv1x2_tokens,
     dropout_t,
     gather_rows,
-    grad_check,
     linear,
     load_checkpoint,
     maxpool_pairs,
@@ -30,6 +32,8 @@ from fakereal.nncore import (
     transpose,
     zero_grads,
 )
+
+from conftest import grad_check
 
 
 def tsum(t):
@@ -445,6 +449,28 @@ class TestCheckpoint:
         for name, arr in arrays.items():
             assert back[name].dtype == arr.dtype
             assert np.array_equal(back[name], arr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays=st.dictionaries(
+               st.from_regex(r"[a-z][a-z0-9_.]{0,15}", fullmatch=True),
+               hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                       max_side=4)),
+               max_size=6),
+           meta=st.dictionaries(st.text(max_size=8), st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.text(max_size=8),
+               lambda inner: st.lists(inner, max_size=4)
+               | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+               max_leaves=12), max_size=6))
+    def test_any_arrays_and_meta_round_trip(self, tmp_path_factory, arrays, meta):
+        path = tmp_path_factory.mktemp("ckpt") / "checkpoint.bin"
+        save_checkpoint(path, arrays, meta)
+        back, meta_back = load_checkpoint(path)
+        assert meta_back == meta
+        assert list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert back[name].dtype == arr.dtype and back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()   # bit for bit, NaN payloads too
 
     def test_exact_filename_is_used(self, tmp_path):
         path = tmp_path / "checkpoint.bin"

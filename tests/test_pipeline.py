@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fakereal import corpus, fusion, nncore, social
 from fakereal import pipeline
@@ -39,6 +41,7 @@ from fakereal.pipeline import (
     write_synthetic,
 )
 from fakereal.seeds import rng_for
+from fakereal.slcnn import required_hcbs
 
 # desk-scale corpus shared by the data/training tests below
 SMALL_SPEC = SynthSpec(
@@ -81,6 +84,53 @@ def trained_run(small_config, small_bundle, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("run"))
     result = train(small_config, out_dir=out, bundle=small_bundle)
     return result, out
+
+
+def _reducible(width):
+    try:
+        required_hcbs(width)
+    except ValueError:
+        return False
+    return True
+
+
+REDUCIBLE = [w for w in range(1, 100) if _reducible(w)]
+# a config value the flat file format keeps: one line, no surrounding
+# whitespace, and no '#' that opens the value or follows whitespace
+FILE_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")) | st.just(" "),
+                    max_size=20).filter(
+    lambda v: v == v.strip() and not re.search(r"(?:^|\s)#", v))
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfig values for every key."""
+    variant = draw(st.sampled_from(sorted(fusion.VARIANTS)))
+    width = len(fusion.VARIANTS[variant])
+    values = {
+        "model.variant": variant,
+        "model.t_s": draw(st.sampled_from(REDUCIBLE)),
+        "model.filters": draw(st.sampled_from([k for k in range(1, 70)
+                                               if not width or _reducible(k + width)])),
+        "data.preset": draw(st.sampled_from(["", *corpus.DATASET_PRESETS])),
+        "influence.mode": draw(st.sampled_from(["exact", "follower_count"])),
+        "model.dropout": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "coldstart.fraction": draw(st.floats(0.0, 1.0)),
+        "train.val_fraction": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "influence.p": draw(st.floats(0.0, 1.0)),
+        "train.lr": draw(st.floats(0.0, exclude_min=True)),
+        "train.epochs": draw(st.integers(-1, 10**6)),
+    }
+    for key, (_, typ, _) in CONFIG_SCHEMA.items():
+        if key in values:
+            continue
+        if typ is str:
+            values[key] = draw(FILE_TEXT)
+        elif typ is int:
+            values[key] = draw(st.integers(1, 10**9))
+        else:
+            values[key] = draw(st.floats())
+    return values
 
 
 class TestRunConfig:
@@ -266,6 +316,17 @@ class TestConfigFile:
         path = str(tmp_path / "config.snapshot")
         write_config_snapshot(config, path)
         assert load_config(path=path).to_pairs() == config.to_pairs()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=run_configs())
+    def test_any_snapshot_round_trips(self, tmp_path_factory, values):
+        config = RunConfig(values)
+        path = str(tmp_path_factory.mktemp("snap") / "config.snapshot")
+        write_config_snapshot(config, path)
+        back = load_config(path=path)
+        assert back.to_pairs() == config.to_pairs()
+        for attr, _, _ in CONFIG_SCHEMA.values():
+            assert type(getattr(back, attr)) is type(getattr(config, attr))
 
 
 class TestEvalReport:
@@ -952,6 +1013,66 @@ class TestEvaluate:
                 log = fh.read()
             outputs.append((report, log))
         assert outputs[0] == outputs[1]
+
+
+class TestEvaluateTestSplitOnly:
+    """evaluate prepares only the test split's text: its report equals the
+    one train and evaluate_model give on the full bundle."""
+
+    def check(self, config, tmp_path):
+        full = prepare_data(config)
+        result = train(config, out_dir=str(tmp_path / "direct"), bundle=full)
+        write_report_files(str(tmp_path / "direct"), config,
+                           evaluate_model(result.model, full, config))
+        evaluate(config, result.checkpoint_path, out_dir=str(tmp_path / "eval"))
+        for name in ("report.tsv", "report.txt"):
+            direct, evaluated = tmp_path / "direct" / name, tmp_path / "eval" / name
+            assert direct.read_bytes() == evaluated.read_bytes()
+
+        test_only = prepare_data(config, train_text=False)
+        assert test_only.train_x is None
+        assert test_only.thresholds == full.thresholds
+        assert np.array_equal(test_only.vectors[test_only.test_x], full.vectors[full.test_x])
+        # the vocabulary is the test split's: every table row but padding is used
+        used = np.unique(test_only.test_x[test_only.test_x > 0])
+        assert test_only.vectors.shape[0] == len(used) + 1
+        assert test_only.vectors.shape[0] < full.vectors.shape[0]
+        for name in ("test_ids", "train_ids"):
+            assert getattr(test_only, name) == getattr(full, name)
+        for name in ("test_y", "train_y", "explicit_test", "explicit_train", "cold_test"):
+            assert np.array_equal(getattr(test_only, name), getattr(full, name))
+        assert np.array_equal(test_only.scaler.mins, full.scaler.mins)
+        assert np.array_equal(test_only.scaler.maxs, full.scaler.maxs)
+        return full
+
+    def test_fixed_body_depth(self, synth_paths, tmp_path):
+        self.check(synth_config(synth_paths, overrides={**FAST_TRAIN, "model.t_d": "2"}),
+                   tmp_path)
+
+    def test_body_depth_from_training_sentence_counts(self, synth_paths, tmp_path):
+        # test bodies three times as long: their own counts would give another t_d
+        articles = corpus.load_corpus(synth_paths["test"])
+        for art in articles:
+            art.body = " ".join([art.body] * 3)
+        path = str(tmp_path / "long_test.jsonl")
+        corpus.write_corpus(articles, path)
+        config = synth_config(dict(synth_paths, test=path), overrides=FAST_TRAIN)
+        assert config.t_d == 0
+        full = self.check(config, tmp_path)
+        test_tok = [corpus.split_article(a) for a in articles]
+        assert corpus.compute_thresholds(test_tok, t_s_fixed=10).t_d > full.thresholds.t_d
+
+    def test_test_split_without_words(self, synth_paths, tmp_path):
+        articles = [NewsArticle(id=f"t{i}", headline="?!", body="... --- !!!",
+                                label=Label.FAKE if i % 2 else Label.REAL, publisher_ids=pubs)
+                    for i, pubs in enumerate([["u0000"], ["u0009"], [], ["u0001", "u0008"]])]
+        path = str(tmp_path / "wordless.jsonl")
+        corpus.write_corpus(articles, path)
+        config = synth_config(dict(synth_paths, test=path), overrides=FAST_TRAIN)
+        self.check(config, tmp_path)
+        test_only = prepare_data(config, train_text=False)
+        assert test_only.vectors.shape == (1, SMALL_SPEC.embed_dim)
+        assert not test_only.test_x.any() and not test_only.vectors.any()
 
 
 class TestExperiments:

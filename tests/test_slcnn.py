@@ -17,8 +17,9 @@ from fakereal.slcnn import (
     required_hcbs,
     slcnn_apply,
     stack_apply,
-    width_trace,
 )
+
+from conftest import grad_check, width_trace
 
 
 class TestRequiredHcbs:
@@ -253,4 +254,4 @@ class TestTokenForward:
             flat = nncore.reshape(out, (1, out.data.size))
             return nncore.reshape(nncore.linear(flat, upstream, Tensor(np.zeros(1))), ())
 
-        assert nncore.grad_check(loss_fn, model.tensors(), n_coords=80, seed=1) < 1e-6
+        assert grad_check(loss_fn, model.tensors(), n_coords=80, seed=1) < 1e-6

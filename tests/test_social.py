@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fakereal import social
 from fakereal.corpus import Label, NewsArticle
 from fakereal.social import (
     CreditLedger,
@@ -16,7 +17,6 @@ from fakereal.social import (
     graph_from_edges,
     influence_scores,
     influence_table,
-    level_followers,
     load_edge_list,
     load_follower_counts,
     raw_article_credit,
@@ -24,6 +24,8 @@ from fakereal.social import (
     tally_credit,
     user_influence,
 )
+
+from conftest import level_followers
 
 
 def art(pubs, label=Label.REAL, art_id="a1"):
@@ -335,6 +337,27 @@ class TestInfluenceTable:
         path.write_text("u\t5\nv\t1\n")
         with pytest.raises(ValueError, match="only follower counts"):
             influence_table(load_follower_counts(path), ["u"])
+
+    def test_follower_index_built_once_per_graph(self, monkeypatch):
+        builds = []
+        build = social._followed_by_follower
+        monkeypatch.setattr(social, "_followed_by_follower",
+                            lambda g: builds.append(g) or build(g))
+        rng = np.random.default_rng(8)
+        g = graph_from_edges([(f"u{a}", f"u{b}") for a, b in rng.integers(0, 30, size=(90, 2))])
+        scores = [user_influence(g, f"u{i}") for i in range(12)]
+        assert len(builds) == 1
+        assert influence_table(g, [f"u{i}" for i in range(12)]) == {
+            f"u{i}": score for i, score in enumerate(scores)}
+        assert len(builds) == 1
+
+    def test_add_edge_drops_the_follower_index(self, influence_walk):
+        g = graph_from_edges([("a", "u"), ("b", "a")], p=0.5, n_users=5)
+        assert user_influence(g, "u") == 1.5 / 4
+        g.add_edge("c", "b")
+        assert user_influence(g, "u") == influence_walk(g, "u") == 1.75 / 4
+        g.add_edge("d", "u")
+        assert user_influence(g, "u") == influence_walk(g, "u") == 2.75 / 4
 
     def test_exact_scores_skip_unknown_publishers(self):
         # no graph at all: unknown publishers score 0 and nothing is walked

@@ -33,6 +33,7 @@ from .slcnn import SlcnnModel, required_hcbs, slcnn_apply
 from .social import (
     CreditLedger,
     FollowerGraph,
+    explicit_rows,
     follower_count_influence,
     influence_table,
     tally_credit,

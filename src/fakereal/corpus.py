@@ -9,10 +9,12 @@ File formats:
 
 An article becomes a fixed-shape (t_d+1, t_s) matrix of token ids: row 0
 is the headline, rows 1..t_d are body sentences, each row holds up to t_s
-words.  Longer texts are cropped, shorter ones padded with id 0.  A
-prepared dataset keeps one vector table whose row i is the embedding of
-the word with id i (row 0, padding, is all zeros), so each word vector is
-stored once rather than once per occurrence.
+words.  Longer texts are cropped, shorter ones padded with id 0.  Padding
+is that id alone: no word gets id 0, and there is no ``<pad>`` token (the
+tokenizer's words are runs of ``[a-z0-9']``).  A prepared dataset keeps
+one vector table whose row i is the embedding of the word with id i (row
+0, padding, is all zeros), so each word vector is stored once rather than
+once per occurrence.
 """
 
 import json
@@ -24,8 +26,6 @@ from hashlib import blake2b
 from itertools import chain, repeat
 
 import numpy as np
-
-PADDING_TOKEN = "<pad>"
 
 # Reference statistics for the two FakeNewsNet benchmarks.  The corpora are
 # not shipped, so their sentence-count thresholds are provided as presets
@@ -129,44 +129,14 @@ class EmbeddingTable:
     ``rows[word]`` is the row of a word.  OOV words get a vector drawn
     uniformly from ``oov_range``, seeded by (oov_seed, word) so the same
     word always maps to the same vector, in this process or any other.
-    The padding token maps to all zeros.
     """
 
-    def __init__(self, dimension, vectors=None, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
-        if dimension < 1:
-            raise ValueError("embedding dimension must be >= 1")
-        self.dimension = int(dimension)
+    def __init__(self, rows, matrix, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
+        self.rows = rows
+        self.matrix = matrix
+        self.dimension = matrix.shape[1]
         self.oov_seed = int(oov_seed)
         self.oov_range = (float(oov_range[0]), float(oov_range[1]))
-        self._oov_cache = {}
-        self._zero = np.zeros(self.dimension)
-        vectors = vectors or {}
-        self.rows = dict(zip(vectors, range(len(vectors))))
-        self.matrix = np.zeros((len(vectors), self.dimension))
-        for row, (word, vec) in enumerate(vectors.items()):
-            self.matrix[row] = self._checked(word, vec)
-
-    @classmethod
-    def from_rows(cls, rows, matrix, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
-        """Table over an (n, E) matrix: the vector of word w is
-        matrix[rows[w]]."""
-        table = cls(matrix.shape[1], oov_seed=oov_seed, oov_range=oov_range)
-        table.rows, table.matrix = rows, matrix
-        return table
-
-    def _checked(self, word, vec):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.dimension,):
-            raise ValueError(f"vector for {word!r} has shape {vec.shape}, expected ({self.dimension},)")
-        return vec
-
-    def add(self, word, vec):
-        vec = self._checked(word, vec)
-        row = self.rows.setdefault(word, self.matrix.shape[0])
-        if row == self.matrix.shape[0]:
-            self.matrix = np.vstack([self.matrix, vec])
-        else:
-            self.matrix[row] = vec
 
     def __contains__(self, word):
         return word in self.rows
@@ -175,18 +145,9 @@ class EmbeddingTable:
         return len(self.rows)
 
     def lookup(self, word):
-        if word == PADDING_TOKEN:
-            return self._zero
         row = self.rows.get(word)
         if row is not None:
             return self.matrix[row]
-        hit = self._oov_cache.get(word)
-        if hit is None:
-            hit = self._draw_oov(word)
-            self._oov_cache[word] = hit
-        return hit
-
-    def _draw_oov(self, word):
         digest = blake2b(word.encode("utf-8"), digest_size=8).digest()
         word_key = int.from_bytes(digest, "big")
         seq = np.random.SeedSequence([self.oov_seed & 0xFFFFFFFFFFFFFFFF, word_key])
@@ -229,8 +190,6 @@ def vocab_vectors(vocab: dict, table: EmbeddingTable) -> np.ndarray:
     words = list(vocab)
     ids = np.fromiter(vocab.values(), dtype=np.int64, count=len(words))
     rows = np.fromiter(map(table.rows.get, words, repeat(-1)), dtype=np.int64, count=len(words))
-    if PADDING_TOKEN in vocab:
-        rows[words.index(PADDING_TOKEN)] = -1
     stored = rows >= 0
     vectors = np.zeros((len(words) + 1, table.dimension))
     vectors[ids[stored]] = table.matrix[rows[stored]]
@@ -338,8 +297,7 @@ def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE, words=None) -
         raise CorpusError(f"{path}: empty embeddings file")
     if pending:
         matrix = _store_rows(path, pending, rows, matrix, capacity)
-    return EmbeddingTable.from_rows(rows, matrix[: len(rows)], oov_seed=oov_seed,
-                                    oov_range=oov_range)
+    return EmbeddingTable(rows, matrix[: len(rows)], oov_seed=oov_seed, oov_range=oov_range)
 
 
 def _line_count(path):

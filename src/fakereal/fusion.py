@@ -21,8 +21,7 @@ import numpy as np
 from . import nncore
 from .nncore import Tensor
 from .slcnn import SlcnnModel, init_hcb_stack, init_slcnn, slcnn_apply, stack_apply
-
-EXPLICIT_ORDER = ("nct", "ncf", "num_p_credit", "ni", "num_p_influence")
+from .social import EXPLICIT_ORDER
 
 VARIANTS = {
     "slcnn": (),

@@ -14,6 +14,7 @@ statistics, and a synthetic corpus generator with controllable publisher
 and text signal for desk-scale experiments.
 """
 
+import io
 import os
 import re
 from dataclasses import dataclass, field
@@ -23,9 +24,10 @@ import numpy as np
 from . import corpus, fusion, nncore, social
 from .corpus import DATASET_PRESETS, Label
 from .fileio import atomic_write
-from .fusion import EXPLICIT_ORDER, VARIANTS
+from .fusion import VARIANTS
 from .seeds import rng_for
 from .slcnn import required_hcbs
+from .social import EXPLICIT_ORDER
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -144,14 +146,11 @@ class RunConfig:
             raise ConfigError("train.epochs must be >= -1 (-1 selects early stopping)")
         if v["train.lr"] <= 0.0:
             raise ConfigError("train.lr must be > 0")
+        for key, text in self.to_pairs():
+            _check_reloads(key, text)
 
     def with_overrides(self, overrides) -> "RunConfig":
-        merged = dict(self._values)
-        for key, val in overrides.items():
-            if key not in CONFIG_SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _parse_value(key, val)
-        return RunConfig(merged)
+        return RunConfig({**self._values, **overrides})
 
     def to_pairs(self):
         """Sorted (key, formatted value) pairs; the snapshot/report form."""
@@ -168,27 +167,54 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _read_config_file(path):
-    pairs = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = _COMMENT.split(line, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_SCHEMA:
-                raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
-            pairs[key] = raw.strip()
+        return _config_pairs(fh, path)
+
+
+def _config_pairs(lines, path):
+    """key -> raw value text of config-file lines; `path` names them in
+    errors."""
+    pairs = {}
+    for lineno, line in enumerate(lines, 1):
+        line = _COMMENT.split(line, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
+        pairs[key] = raw.strip()
     return pairs
 
 
-def load_config(path=None, preset=None, overrides=None) -> RunConfig:
-    """Assemble a RunConfig with precedence preset < file < overrides."""
+def _snapshot_line(key, text):
+    return f"{key} = {text}\n"
+
+
+def _check_reloads(key, text):
+    """Raise ConfigError unless the config.snapshot line of `key` reads back
+    as `text`, parsed as a UTF-8 file of that one line would be."""
+    line = _snapshot_line(key, text)
+    try:
+        line.encode("utf-8")
+        reread = _config_pairs(io.StringIO(line, newline=None), "config.snapshot")
+    except (UnicodeEncodeError, ConfigError):
+        reread = None
+    if reread != {key: text}:
+        raise ConfigError(f"config key {key}: {text!r} would not reload from a config file "
+                          "unchanged (leading or trailing whitespace, a '#' that opens the "
+                          "value or follows whitespace, a line break, or text UTF-8 cannot "
+                          "encode)")
+
+
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Assemble a RunConfig with precedence preset < file < overrides; the
+    preset is named by data.preset, in the file or the overrides."""
     overrides = dict(overrides or {})
     file_pairs = _read_config_file(path) if path else {}
-    preset_name = overrides.get("data.preset") or file_pairs.get("data.preset") or preset or ""
+    preset_name = overrides.get("data.preset") or file_pairs.get("data.preset") or ""
     merged = {}
     if preset_name:
         if preset_name not in PRESET_CONFIG:
@@ -202,8 +228,8 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
 
 def write_config_snapshot(config: RunConfig, path):
     with atomic_write(path) as fh:
-        for key, val in config.to_pairs():
-            fh.write(f"{key} = {val}\n")
+        for key, text in config.to_pairs():
+            fh.write(_snapshot_line(key, text))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +311,6 @@ class DataBundle:
     cold_train: np.ndarray       # bool: article had no publishers
     cold_test: np.ndarray
     scaler: social.MinMaxScaler
-    ledger: social.CreditLedger
-    graph: social.FollowerGraph
     train_articles: list = field(default_factory=list)
     test_articles: list = field(default_factory=list)
 
@@ -294,6 +318,7 @@ class DataBundle:
 # credit columns inside the full explicit row; the cold-start experiment
 # zeroes exactly these
 _CREDIT_COLS = (EXPLICIT_ORDER.index("nct"), EXPLICIT_ORDER.index("ncf"))
+_NUM_P = EXPLICIT_ORDER.index("num_p_credit")
 
 
 def _variant_columns(variant):
@@ -302,19 +327,6 @@ def _variant_columns(variant):
 
 def _publishers(articles):
     return [u for art in articles for u in art.publisher_ids]
-
-
-def _raw_explicit_rows(articles, ledger, influence):
-    """Pre-normalization explicit rows (EXPLICIT_ORDER columns) and cold
-    flags; `influence` maps every publisher to its score."""
-    rows = np.zeros((len(articles), 5))
-    cold = np.zeros(len(articles), dtype=bool)
-    for i, art in enumerate(articles):
-        cv = social.raw_article_credit(art, ledger)
-        iv = social.raw_article_influence(art, influence)
-        rows[i] = (cv.nct, cv.ncf, cv.num_p, iv.ni, iv.num_p)
-        cold[i] = cv.cold
-    return rows, cold
 
 
 def load_graph(config) -> social.FollowerGraph:
@@ -365,8 +377,8 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     # each distinct publisher is scored once, for both splits
     influence = social.influence_scores(graph, _publishers(train_articles + test_articles),
                                         config.influence_mode)
-    raw_train, cold_train = _raw_explicit_rows(train_articles, ledger, influence)
-    raw_test, cold_test = _raw_explicit_rows(test_articles, ledger, influence)
+    raw_train = social.explicit_rows(train_articles, ledger, influence)
+    raw_test = social.explicit_rows(test_articles, ledger, influence)
     scaler = social.fit_minmax(raw_train)
 
     return DataBundle(
@@ -381,11 +393,9 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
         test_y=np.array([a.label.value for a in test_articles], dtype=np.int64),
         explicit_train=social.apply_minmax(scaler, raw_train),
         explicit_test=social.apply_minmax(scaler, raw_test),
-        cold_train=cold_train,
-        cold_test=cold_test,
+        cold_train=raw_train[:, _NUM_P] == 0,
+        cold_test=raw_test[:, _NUM_P] == 0,
         scaler=scaler,
-        ledger=ledger,
-        graph=graph,
         train_articles=train_articles,
         test_articles=test_articles,
     )
@@ -768,10 +778,10 @@ class PublisherStats:
 def export_stats(articles, ledger: social.CreditLedger, graph: social.FollowerGraph,
                  mode="follower_count") -> PublisherStats:
     influence = social.influence_scores(graph, _publishers(articles), mode)
-    rows, _ = _raw_explicit_rows(articles, ledger, influence)
-    nct, ncf = rows[:, 0], rows[:, 1]
+    col = dict(zip(EXPLICIT_ORDER, social.explicit_rows(articles, ledger, influence).T))
+    nct, ncf = col["nct"], col["ncf"]
     ratio = np.divide(ncf, nct, out=np.zeros_like(nct), where=nct > 0)
-    table = np.column_stack([nct, ncf, ratio, rows[:, 3], rows[:, 2]])   # STAT_FEATURES
+    table = np.column_stack([nct, ncf, ratio, col["ni"], col["num_p_credit"]])   # STAT_FEATURES
     fake = np.array([art.label is Label.FAKE for art in articles], dtype=bool)
     means = {}
     for cls, mask in (("real", ~fake), ("fake", fake)):

@@ -246,22 +246,7 @@ def follower_count_influence(g: FollowerGraph, u: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-article vectors
-
-
-@dataclass
-class CreditVector:
-    nct: float
-    ncf: float
-    num_p: float
-    cold: bool = False
-
-
-@dataclass
-class InfluenceVector:
-    ni: float
-    num_p: float
-    cold: bool = False
+# explicit feature rows
 
 
 @dataclass
@@ -289,18 +274,6 @@ def apply_minmax(scaler: MinMaxScaler, x) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def raw_article_credit(article, ledger: CreditLedger) -> CreditVector:
-    """Pre-normalization credit vector: mean (uct, ucf) over the article's
-    publishers plus the publisher count.  No publishers -> zeros, cold."""
-    pubs = article.publisher_ids
-    if not pubs:
-        return CreditVector(0.0, 0.0, 0.0, cold=True)
-    pairs = [ledger.credit(u) for u in pubs]
-    nct = sum(p[0] for p in pairs) / len(pairs)
-    ncf = sum(p[1] for p in pairs) / len(pairs)
-    return CreditVector(float(nct), float(ncf), float(len(pubs)))
-
-
 def influence_scores(g: FollowerGraph, users, mode="follower_count") -> dict:
     """Influence of each of `users` under `mode`: the exact level-walk
     score (influence_table) or the plain follower count.  In exact mode a
@@ -316,12 +289,26 @@ def influence_scores(g: FollowerGraph, users, mode="follower_count") -> dict:
     return {u: table.get(u, 0.0) for u in users}
 
 
-def raw_article_influence(article, scores: dict) -> InfluenceVector:
-    """Pre-normalization influence vector: mean publisher influence, from
-    a {user: score} table such as influence_scores gives, plus the
-    publisher count.  No publishers -> zeros, cold."""
-    pubs = article.publisher_ids
-    if not pubs:
-        return InfluenceVector(0.0, 0.0, cold=True)
-    values = [scores[u] for u in pubs]
-    return InfluenceVector(float(sum(values) / len(values)), float(len(pubs)))
+# the columns of an explicit row; num_p, the publisher count, rides along
+# with both the credit and the influence features
+EXPLICIT_ORDER = ("nct", "ncf", "num_p_credit", "ni", "num_p_influence")
+
+
+def explicit_rows(articles, ledger: CreditLedger, scores: dict) -> np.ndarray:
+    """Pre-normalization explicit rows, (len(articles), 5) in EXPLICIT_ORDER
+    columns: the mean (uct, ucf) of each article's publishers, their
+    count, their mean influence from `scores` (a {user: score} table such
+    as influence_scores gives), and the count again.  An article without
+    publishers gets a row of zeros.  Each mean is a Python sum in
+    publisher order: a numpy reduction adds in another order, which can
+    change the last bit of a mean influence."""
+    rows = np.zeros((len(articles), len(EXPLICIT_ORDER)))
+    for i, art in enumerate(articles):
+        pubs = art.publisher_ids
+        if not pubs:
+            continue
+        n = len(pubs)
+        pairs = [ledger.credit(u) for u in pubs]
+        rows[i] = (sum(p[0] for p in pairs) / n, sum(p[1] for p in pairs) / n, n,
+                   sum(scores[u] for u in pubs) / n, n)
+    return rows

@@ -95,8 +95,9 @@ def article_token_ids(tok, th, vocab):
 
 def float_load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
     """The reader corpus.load_embeddings replaced: every line split into
-    components and parsed with a Python float() loop, and checked."""
-    table = None
+    components and parsed with a Python float() loop, and checked.  A word
+    seen again keeps its first position and takes its last vector."""
+    vectors, dim = {}, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split()
@@ -105,20 +106,56 @@ def float_load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
             word, values = parts[0], parts[1:]
             if not values:
                 raise CorpusError(f"{path}: line {lineno}: no vector components")
-            if table is None:
-                table = EmbeddingTable(len(values), oov_seed=oov_seed, oov_range=oov_range)
+            dim = dim or len(values)
             try:
                 vec = np.array([float(v) for v in values])
             except ValueError:
                 raise CorpusError(f"{path}: line {lineno}: non-numeric vector component") from None
-            if vec.shape != (table.dimension,):
+            if vec.shape != (dim,):
                 raise CorpusError(
-                    f"{path}: line {lineno}: expected {table.dimension} components, got {vec.shape[0]}"
+                    f"{path}: line {lineno}: expected {dim} components, got {vec.shape[0]}"
                 )
-            table.add(word, vec)
-    if table is None:
+            vectors[word] = vec
+    if not vectors:
         raise CorpusError(f"{path}: empty embeddings file")
-    return table
+    return EmbeddingTable(dict(zip(vectors, range(len(vectors)))), np.array(list(vectors.values())),
+                          oov_seed=oov_seed, oov_range=oov_range)
+
+
+def raw_article_credit(article, ledger):
+    """The per-article credit vector social.explicit_rows replaced: (nct,
+    ncf, num_p, cold), the mean (uct, ucf) over the article's publishers
+    plus the publisher count.  No publishers -> zeros, cold."""
+    pubs = article.publisher_ids
+    if not pubs:
+        return 0.0, 0.0, 0.0, True
+    pairs = [ledger.credit(u) for u in pubs]
+    nct = sum(p[0] for p in pairs) / len(pairs)
+    ncf = sum(p[1] for p in pairs) / len(pairs)
+    return float(nct), float(ncf), float(len(pubs)), False
+
+
+def raw_article_influence(article, scores):
+    """The per-article influence vector social.explicit_rows replaced: (ni,
+    num_p, cold), the mean publisher score from a {user: score} table
+    plus the publisher count.  No publishers -> zeros, cold."""
+    pubs = article.publisher_ids
+    if not pubs:
+        return 0.0, 0.0, True
+    values = [scores[u] for u in pubs]
+    return float(sum(values) / len(values)), float(len(pubs)), False
+
+
+def article_explicit_rows(articles, ledger, scores):
+    """The per-article loop social.explicit_rows replaced: (rows, cold),
+    the (n, 5) EXPLICIT_ORDER rows and the cold flags."""
+    rows = np.zeros((len(articles), 5))
+    cold = np.zeros(len(articles), dtype=bool)
+    for i, art in enumerate(articles):
+        nct, ncf, num_p, cold[i] = raw_article_credit(art, ledger)
+        ni, num_p_influence, _ = raw_article_influence(art, scores)
+        rows[i] = (nct, ncf, num_p, ni, num_p_influence)
+    return rows, cold
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fakereal.corpus import (
     DATASET_PRESETS,
     FAKENEWSNET_PUBLISHER_COUNT,
-    PADDING_TOKEN,
     CorpusError,
     EmbeddingTable,
     Label,
@@ -101,40 +100,27 @@ class TestComputeThresholds:
 class TestEmbeddingTable:
     def test_known_word_returned_verbatim(self):
         vec = np.array([1.0, -2.0, 0.5])
-        table = EmbeddingTable(3, vectors={"cat": vec})
+        table = EmbeddingTable({"cat": 0}, vec[None, :])
         assert np.array_equal(table.lookup("cat"), vec)
 
-    def test_padding_token_is_zero(self):
-        table = EmbeddingTable(4)
-        assert np.array_equal(table.lookup(PADDING_TOKEN), np.zeros(4))
-
     def test_oov_is_stable_within_and_across_tables(self):
-        a = EmbeddingTable(8, oov_seed=3)
-        b = EmbeddingTable(8, oov_seed=3)
+        a = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=3)
+        b = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=3)
         first = a.lookup("zyxxy")
         assert np.array_equal(first, a.lookup("zyxxy"))
         assert np.array_equal(first, b.lookup("zyxxy"))
 
     def test_oov_depends_on_seed_and_word(self):
-        table = EmbeddingTable(8, oov_seed=0)
-        other_seed = EmbeddingTable(8, oov_seed=1)
+        table = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=0)
+        other_seed = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=1)
         assert not np.array_equal(table.lookup("aard"), other_seed.lookup("aard"))
         assert not np.array_equal(table.lookup("aard"), table.lookup("vark"))
 
     def test_oov_within_range(self):
-        table = EmbeddingTable(16, oov_range=(-0.01, 0.01))
+        table = EmbeddingTable({}, np.zeros((0, 16)), oov_range=(-0.01, 0.01))
         for word in ("one", "two", "three"):
             vec = table.lookup(word)
             assert np.all(vec >= -0.01) and np.all(vec <= 0.01)
-
-    def test_wrong_dimension_rejected(self):
-        table = EmbeddingTable(3)
-        with pytest.raises(ValueError, match="expected"):
-            table.add("cat", [1.0, 2.0])
-
-    def test_dimension_must_be_positive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            EmbeddingTable(0)
 
 
 class TestBuildTensor:
@@ -142,11 +128,8 @@ class TestBuildTensor:
     the dense oracle's word-vector tensor."""
 
     def table(self):
-        return EmbeddingTable(2, vectors={
-            "a": np.array([1.0, 0.0]),
-            "b": np.array([0.0, 1.0]),
-            "c": np.array([1.0, 1.0]),
-        })
+        return EmbeddingTable({"a": 0, "b": 1, "c": 2},
+                              np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 
     def build(self, tok, th, dense_oracle, table=None):
         table = table or self.table()
@@ -448,22 +431,13 @@ class TestTokenIds:
 
 class TestVocabVectors:
     def test_gathers_stored_rows_and_draws_the_rest(self):
-        table = EmbeddingTable(2, vectors={"a": [1.0, 2.0], "b": [3.0, 4.0],
-                                           PADDING_TOKEN: [9.0, 9.0]}, oov_seed=5)
-        vocab = {"b": 1, "zed": 2, "a": 3, PADDING_TOKEN: 4}
+        table = EmbeddingTable({"a": 0, "b": 1}, np.array([[1.0, 2.0], [3.0, 4.0]]), oov_seed=5)
+        vocab = {"b": 1, "zed": 2, "a": 3}
         vectors = vocab_vectors(vocab, table)
-        assert vectors.shape == (5, 2)
+        assert vectors.shape == (4, 2)
         assert vectors[0].tolist() == [0.0, 0.0]
         assert vectors[1].tolist() == [3.0, 4.0] and vectors[3].tolist() == [1.0, 2.0]
         assert np.array_equal(vectors[2], table.lookup("zed"))
-        assert vectors[4].tolist() == [0.0, 0.0]
-
-    def test_added_word_replaces_or_appends_a_row(self):
-        table = EmbeddingTable(2, vectors={"a": [1.0, 2.0]})
-        table.add("a", [5.0, 6.0])
-        table.add("b", [7.0, 8.0])
-        assert len(table) == 2 and table.matrix.shape == (2, 2)
-        assert vocab_vectors({"a": 1, "b": 2}, table).tolist() == [[0, 0], [5, 6], [7, 8]]
 
 
 def test_dataset_presets_pin_published_sizes():

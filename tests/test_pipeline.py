@@ -287,7 +287,7 @@ class TestConfigFile:
             load_config(path=str(tmp_path / "absent.cfg"))
 
     def test_preset_fills_shape_keys(self):
-        config = load_config(preset="gossipcop")
+        config = load_config(overrides={"data.preset": "gossipcop"})
         assert (config.t_s, config.t_d) == (46, 85)
         assert config.preset == "gossipcop"
 
@@ -327,6 +327,36 @@ class TestConfigFile:
         assert back.to_pairs() == config.to_pairs()
         for attr, _, _ in CONFIG_SCHEMA.values():
             assert type(getattr(back, attr)) is type(getattr(config, attr))
+
+    @pytest.mark.parametrize("text", [
+        " lead.jsonl", "trail.jsonl ", "runs/a #1.jsonl", "#x", "a\rb", "a\nb",
+        "a\ndata.test = b", "a\u2028#b", "bad\udc80.jsonl",
+    ])
+    def test_values_that_would_not_reload_are_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"config key data\.edges: .* would not reload"):
+            RunConfig({"data.edges": text})
+
+    @pytest.mark.parametrize("text", ["runs/a#1.jsonl", "my data/x y.jsonl", "a=b", "",
+                                      "caf\u00e9\u2028x.jsonl"])
+    def test_values_that_reload_are_kept(self, text):
+        assert RunConfig({"data.edges": text}).edges_path == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(["data.train", "data.test", "data.embeddings",
+                                "data.publishers", "data.edges"]),
+           text=st.text(st.sampled_from(" \t\r\n\x0b\x1c\x85\u2028#=\udc80")
+                        | st.characters(exclude_categories=()), max_size=12))
+    def test_any_path_value_reloads_or_is_rejected(self, tmp_path_factory, key, text):
+        try:
+            config = RunConfig({key: text})
+        except ConfigError as exc:
+            assert key in str(exc)
+            return
+        path = str(tmp_path_factory.mktemp("snap") / "config.snapshot")
+        write_config_snapshot(config, path)
+        back = load_config(path=path)
+        assert getattr(back, CONFIG_SCHEMA[key][0]) == text
+        assert back.to_pairs() == config.to_pairs()
 
 
 class TestEvalReport:
@@ -571,9 +601,11 @@ class TestGenSynthetic:
                                  followers_real=(3, 6), followers_fake=(0, 2))
                 data = gen_synthetic(spec, seed)
                 ledger = social.tally_credit(data.articles)
+                scores = dict.fromkeys(pipeline._publishers(data.articles), 0.0)
+                rows = social.explicit_rows(data.articles, ledger, scores)
                 ncf = {Label.REAL: [], Label.FAKE: []}
-                for art in data.articles:
-                    ncf[art.label].append(social.raw_article_credit(art, ledger).ncf)
+                for art, value in zip(data.articles, rows[:, EXPLICIT_ORDER.index("ncf")]):
+                    ncf[art.label].append(value)
                 gaps.append(float(np.mean(ncf[Label.FAKE]) - np.mean(ncf[Label.REAL])))
             return float(np.mean(gaps))
 

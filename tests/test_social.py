@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from fakereal import social
 from fakereal.corpus import Label, NewsArticle
 from fakereal.social import (
+    EXPLICIT_ORDER,
     CreditLedger,
     FollowerGraph,
     apply_minmax,
+    explicit_rows,
     fit_minmax,
     follower_count_influence,
     graph_from_edges,
@@ -19,13 +21,11 @@ from fakereal.social import (
     influence_table,
     load_edge_list,
     load_follower_counts,
-    raw_article_credit,
-    raw_article_influence,
     tally_credit,
     user_influence,
 )
 
-from conftest import level_followers
+from conftest import article_explicit_rows, level_followers
 
 
 def art(pubs, label=Label.REAL, art_id="a1"):
@@ -424,31 +424,37 @@ class TestArticleVectors:
         # u1: (5, 1), u2: (9, 3)
         return ledger
 
+    def row(self, pubs, scores=None):
+        """The explicit row of one article, by column name; influence
+        scores default to 0.0."""
+        scores = dict.fromkeys(pubs, 0.0) if scores is None else scores
+        return dict(zip(EXPLICIT_ORDER, explicit_rows([art(pubs)], self.ledger(), scores)[0]))
+
     def test_raw_credit_averages_publishers(self):
-        vec = raw_article_credit(art(["u1", "u2"]), self.ledger())
-        assert (vec.nct, vec.ncf, vec.num_p) == (7.0, 2.0, 2.0)
-        assert not vec.cold
+        vec = self.row(["u1", "u2"])
+        assert (vec["nct"], vec["ncf"], vec["num_p_credit"]) == (7.0, 2.0, 2.0)
+        assert vec["num_p_credit"] != 0   # not cold
 
     def test_raw_credit_publisher_order_irrelevant(self):
-        a = raw_article_credit(art(["u1", "u2"]), self.ledger())
-        b = raw_article_credit(art(["u2", "u1"]), self.ledger())
-        assert (a.nct, a.ncf, a.num_p) == (b.nct, b.ncf, b.num_p)
+        a = self.row(["u1", "u2"])
+        b = self.row(["u2", "u1"])
+        assert (a["nct"], a["ncf"], a["num_p_credit"]) == (b["nct"], b["ncf"], b["num_p_credit"])
 
     def test_no_publishers_is_cold_zeros(self):
-        vec = raw_article_credit(art([]), self.ledger())
-        assert (vec.nct, vec.ncf, vec.num_p) == (0.0, 0.0, 0.0)
-        assert vec.cold
+        vec = self.row([])
+        assert (vec["nct"], vec["ncf"], vec["num_p_credit"]) == (0.0, 0.0, 0.0)
+        assert vec["num_p_credit"] == 0   # cold
 
     def test_raw_influence_count_mode(self):
         g = graph_from_edges([("a", "u1"), ("b", "u1"), ("c", "u2")])
-        vec = raw_article_influence(art(["u1", "u2"]), influence_scores(g, ["u1", "u2"]))
-        assert (vec.ni, vec.num_p) == (1.5, 2.0)
+        vec = self.row(["u1", "u2"], influence_scores(g, ["u1", "u2"]))
+        assert (vec["ni"], vec["num_p_influence"]) == (1.5, 2.0)
 
     def test_raw_influence_exact_mode_unknown_publisher_scores_zero(self):
         g = graph_from_edges([("a", "u1"), ("b", "a")], p=0.5, n_users=4)
         scores = influence_scores(g, ["u1", "ghost"], mode="exact")
-        vec = raw_article_influence(art(["u1", "ghost"]), scores)
-        assert vec.ni == pytest.approx(((1 + 0.5) / 3) / 2)
+        vec = self.row(["u1", "ghost"], scores)
+        assert vec["ni"] == pytest.approx(((1 + 0.5) / 3) / 2)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown influence mode"):
@@ -456,13 +462,43 @@ class TestArticleVectors:
 
     def test_normalized_credit(self):
         scaler = fit_minmax(np.array([[0.0, 0.0, 1.0], [10.0, 4.0, 3.0]]))
-        raw = raw_article_credit(art(["u1", "u2"]), self.ledger())
-        vec = apply_minmax(scaler, [raw.nct, raw.ncf, raw.num_p])
+        raw = self.row(["u1", "u2"])
+        vec = apply_minmax(scaler, [raw["nct"], raw["ncf"], raw["num_p_credit"]])
         assert vec == pytest.approx([0.7, 0.5, 0.5])
 
     def test_normalized_influence_keeps_cold_flag(self):
         scaler = fit_minmax(np.array([[0.0, 0.0], [2.0, 4.0]]))
         g = graph_from_edges([("a", "u1")])
-        raw = raw_article_influence(art([]), influence_scores(g, []))
-        assert raw.cold
-        assert np.array_equal(apply_minmax(scaler, [raw.ni, raw.num_p]), [0.0, 0.0])
+        raw = self.row([], influence_scores(g, []))
+        assert raw["num_p_influence"] == 0   # cold
+        assert np.array_equal(apply_minmax(scaler, [raw["ni"], raw["num_p_influence"]]),
+                              [0.0, 0.0])
+
+
+USERS = [f"u{i}" for i in range(8)]
+
+
+class TestExplicitRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_article_oracle(self, data):
+        """Articles with 0-6 publishers, repeats allowed, over users that
+        the ledger or the graph may not know, in both influence modes."""
+        user = st.sampled_from(USERS)
+        articles = [art(pubs, art_id=f"a{i}") for i, pubs in
+                    enumerate(data.draw(st.lists(st.lists(user, max_size=6), max_size=8)))]
+        ledger = CreditLedger()
+        for u, fake in data.draw(st.lists(st.tuples(user, st.booleans()), max_size=20)):
+            ledger.record(u, fake)
+        edges = data.draw(st.lists(st.tuples(user, user).filter(lambda e: e[0] != e[1]),
+                                   min_size=1, max_size=20))
+        g = graph_from_edges(edges, p=data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                             d_max=data.draw(st.sampled_from([None, 1, 2])))
+        pubs = [u for a in articles for u in a.publisher_ids]
+        for mode in ("follower_count", "exact"):
+            scores = influence_scores(g, pubs, mode)
+            want, cold = article_explicit_rows(articles, ledger, scores)
+            got = explicit_rows(articles, ledger, scores)
+            assert got.shape == (len(articles), len(EXPLICIT_ORDER))
+            assert np.array_equal(got, want)
+            assert np.array_equal(got[:, EXPLICIT_ORDER.index("num_p_credit")] == 0, cold)

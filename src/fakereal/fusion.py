@@ -14,7 +14,7 @@ Variants select which explicit features exist:
 num_p rides along in both source vectors, so the full row width is k+5.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +98,12 @@ class Model:
     rows: int
     k: int
     dropout_rate: float
+    flat: np.ndarray = field(init=False, repr=False)   # every parameter's values
+
+    def __post_init__(self):
+        # one buffer for the optimizer, snapshots and restores; each
+        # parameter Tensor's data is a view of its slice
+        self.flat = nncore.pack_parameters(self.param_tensors())
 
     @property
     def explicit_width(self):
@@ -166,9 +172,19 @@ def loss_batch(model: Model, ids, vectors, explicit, labels, mode: str, rng=None
 
 
 def predict_batch(model: Model, ids, vectors, explicit):
-    """Eval-mode predictions: (probs (B, 2), int labels (B,)); ties go Real."""
-    logits = forward_batch(model, ids, vectors, explicit, "eval")
-    logits.free_graph()
+    """Eval-mode predictions: (probs (B, 2), int labels (B,)); ties go Real.
+
+    The forward runs with the parameters not requiring grad, so it builds
+    no graph: each activation is freed once the next layer has read it."""
+    params = model.param_tensors()
+    trainable = [t.requires_grad for t in params]
+    for t in params:
+        t.requires_grad = False
+    try:
+        logits = forward_batch(model, ids, vectors, explicit, "eval")
+    finally:
+        for t, flag in zip(params, trainable):
+            t.requires_grad = flag
     probs = nncore.softmax(logits.data)
     preds = (probs[:, 1] > probs[:, 0]).astype(np.int64)
     return probs, preds

@@ -5,9 +5,17 @@ and per-channel), pairwise max pooling, dense layers, inverted dropout,
 softmax cross-entropy, and Adam, with reverse-mode gradients.  float64
 throughout, row-major numpy storage.
 
-Graph ops (conv1x2_full, conv1x2_tokens, conv1x2_depthwise, maxpool_pairs,
-linear, relu, reshape, transpose, concat, gather_rows, dropout_t,
-softmax_xent_batch) build a tape of `Tensor` nodes over batched arrays.
+Graph ops (conv1x2_full, conv1x2_tokens, depthwise_pool, linear, relu,
+reshape, transpose, concat, gather_rows, dropout_t, softmax_xent_batch)
+build a tape of `Tensor` nodes over batched arrays.  depthwise_pool is the
+per-channel tail of a conv block (per-channel 1x2 convs with ReLU, then
+pairwise max pooling) as one node.  A result that needs no gradient
+(no input requires grad) records no parents and no backward closure, so
+an evaluation forward builds no tape.
+
+pack_parameters moves a parameter list into one flat buffer, and
+adam_step updates such a buffer from the flat gradient that gather_grads
+collects.
 """
 
 import ctypes
@@ -45,10 +53,10 @@ _hold_freed_memory()
 class Tensor:
     """A value in the computation graph.
 
-    Holds a float64 ndarray, an optional gradient of the same shape, the
-    parent nodes it was computed from, and a backprop closure that routes
-    this node's gradient to the parents.  Leaves with requires_grad=True
-    are the trainable parameters.
+    Holds a float64 ndarray, an optional gradient of the same shape and,
+    when it requires grad, the parent nodes it was computed from and a
+    backprop closure that routes this node's gradient to the parents.
+    Leaves with requires_grad=True are the trainable parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -56,9 +64,11 @@ class Tensor:
     def __init__(self, data, parents=(), requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = tuple(parents)
         self._backward = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        # without a gradient to route there is no tape: the inputs are not
+        # kept alive, and are freed as soon as the caller drops them
+        self._parents = tuple(parents) if self.requires_grad else ()
 
     @property
     def shape(self):
@@ -78,15 +88,6 @@ class Tensor:
                 node._backward()
             # each closure reads its own output node; dropping it and the
             # parent links lets reference counting free the spent graph
-            node._backward = None
-            node._parents = ()
-
-    def free_graph(self):
-        """Drop the graph below this node without computing gradients, for
-        a forward pass that never runs backward (evaluation).  Every op's
-        closure reads its own output node, so until the links go the graph
-        is a reference cycle that only the cycle collector frees."""
-        for node in self._topo_order():
             node._backward = None
             node._parents = ()
 
@@ -123,6 +124,31 @@ def _accum(t, g):
 def zero_grads(tensors):
     for t in tensors:
         t.grad = None
+
+
+def pack_parameters(tensors):
+    """Move the values of `tensors` into one float64 buffer, in order, and
+    make each Tensor's data a view of its slice; returns the buffer.
+
+    Writing into the buffer (an optimizer step, a restore) updates every
+    Tensor at once.  Keep the views: write values with `[...] =`, never
+    rebind a Tensor's data."""
+    flat = np.concatenate([t.data.ravel() for t in tensors])
+    start = 0
+    for t in tensors:
+        stop = start + t.data.size
+        t.data = flat[start:stop].reshape(t.data.shape)
+        start = stop
+    return flat
+
+
+def gather_grads(tensors, out):
+    """Write the gradients of `tensors` into the flat array `out`, laid
+    out as pack_parameters lays out their values; a tensor the last
+    backward pass did not reach contributes zeros."""
+    np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
+                    for t in tensors], out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +281,13 @@ def conv1x2_tokens(ids, vectors, w: Tensor, b: Tensor) -> Tensor:
             gm = out.grad * (out.data > 0.0)
             _accum(b, gm.sum(axis=(0, 2, 3)))
             per_filter = np.moveaxis(gm, 1, 0).reshape(k, -1)
-            dproj = np.stack([np.bincount(taps.ravel(), weights=per_filter[f], minlength=vocab)
-                              for taps in (i0, i1) for f in range(k)])
+            # one bincount over bins (tap*k + f)*V + id; each bin still sums
+            # its weights in (B, R, T) order, as one bincount per filter did
+            bins = np.arange(2 * k).reshape(2, k, 1) * vocab
+            keys = bins + np.stack([i0.reshape(-1), i1.reshape(-1)])[:, None, :]
+            weights = np.broadcast_to(per_filter, (2,) + per_filter.shape)
+            dproj = np.bincount(keys.reshape(-1), weights=weights.reshape(-1),
+                                minlength=2 * k * vocab).reshape(2 * k, vocab)
             _accum(w, (dproj @ vb).reshape(2, k, -1).transpose(1, 0, 2))
         out._backward = bp
     return out
@@ -282,62 +313,72 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return out
 
 
-def conv1x2_depthwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-channel 1x2 convolution with fused ReLU.
+def depthwise_pool(x: Tensor, convs) -> Tensor:
+    """The per-channel tail of a conv block as one graph node.
 
-    x: (B, C, R, W); w: (C, 2) one independent kernel per channel; b: (C,).
-    Returns (B, C, R, W-1); channels never mix.
-    """
-    xb, wb, bb = x.data, w.data, b.data
-    if xb.ndim != 4 or wb.shape != (xb.shape[1], 2) or bb.shape != (xb.shape[1],):
-        raise ValueError(f"conv1x2_depthwise shape mismatch: x{xb.shape} w{wb.shape}")
-    if xb.shape[3] < 2:
-        raise ValueError("window larger than input")
-    x0 = xb[:, :, :, :-1]
-    x1 = xb[:, :, :, 1:]
-    w0 = wb[:, 0].reshape(1, -1, 1, 1)
-    w1 = wb[:, 1].reshape(1, -1, 1, 1)
-    pre = x0 * w0 + x1 * w1 + bb.reshape(1, -1, 1, 1)
-    out = Tensor(np.maximum(pre, 0.0), (x, w, b))
-    assert out.data.shape[3] == xb.shape[3] - 1
-    if out.requires_grad:
-        def bp():
-            gm = out.grad * (out.data > 0.0)
-            _accum(b, gm.sum(axis=(0, 2, 3)))
-            gw = np.stack([np.einsum("bcrt,bcrt->c", gm, x0),
-                           np.einsum("bcrt,bcrt->c", gm, x1)], axis=1)
-            _accum(w, gw)
-            if x.requires_grad:
-                gx = np.zeros_like(xb)
-                gx[:, :, :, :-1] += gm * w0
-                gx[:, :, :, 1:] += gm * w1
-                _accum(x, gx)
-        out._backward = bp
-    return out
-
-
-def maxpool_pairs(x: Tensor) -> Tensor:
-    """Stride-2 max over adjacent width slots; x (B, C, R, W) -> (B, C, R, W//2).
-
-    A trailing slot at odd width is dropped.  Ties route the gradient to
-    the left element only.
+    x: (B, C, R, W); convs: one or more (w, b) pairs, w (C, 2) one
+    independent 1x2 kernel per channel and b (C,).  Each conv is followed
+    by ReLU, then stride-2 max pooling over adjacent width slots:
+    (B, C, R, (W - len(convs)) // 2).  A trailing slot at odd width is
+    dropped, and a tie routes the gradient to the left element only.
+    Channels never mix.
     """
     xb = x.data
-    width = xb.shape[3]
-    if width < 2:
+    convs = list(convs)
+    if not convs:
+        raise ValueError("depthwise_pool needs at least one convolution")
+    for w, b in convs:
+        if xb.ndim != 4 or w.data.shape != (xb.shape[1], 2) or b.data.shape != (xb.shape[1],):
+            raise ValueError(f"depthwise_pool shape mismatch: x{xb.shape} w{w.data.shape} "
+                             f"b{b.data.shape}")
+    if xb.shape[3] - len(convs) < 2:
         raise ValueError("window larger than input")
+    taps = [(w.data[:, 0].reshape(1, -1, 1, 1), w.data[:, 1].reshape(1, -1, 1, 1))
+            for w, _ in convs]
+    inputs = []          # what each conv reads; the later ones are ReLU outputs
+    h = xb
+    for (w0, w1), (_, b) in zip(taps, convs):
+        inputs.append(h)
+        pre = h[:, :, :, :-1] * w0
+        pre += h[:, :, :, 1:] * w1
+        pre += b.data.reshape(1, -1, 1, 1)
+        h = np.maximum(pre, 0.0, out=pre)
+    width = h.shape[3]
     half = width // 2
-    a = xb[:, :, :, 0:2 * half:2]
-    c = xb[:, :, :, 1:2 * half:2]
-    out = Tensor(np.maximum(a, c), (x,))
-    assert out.data.shape[3] == width // 2
+    a = h[:, :, :, 0:2 * half:2]
+    c = h[:, :, :, 1:2 * half:2]
+    out = Tensor(np.maximum(a, c), (x,) + tuple(t for wb in convs for t in wb))
     if out.requires_grad:
         left = a >= c
+        last_shape = h.shape
+        del h, a, c
+
         def bp():
-            gx = np.zeros_like(xb)
-            gx[:, :, :, 0:2 * half:2] += out.grad * left
-            gx[:, :, :, 1:2 * half:2] += out.grad * ~left
-            _accum(x, gx)
+            # the pool's winner mask routes the gradient straight into the
+            # last conv's masked gradient; a winner passed its ReLU iff the
+            # pooled value is positive
+            routed = out.grad * (out.data > 0.0)
+            gm = np.empty(last_shape)
+            np.multiply(routed, left, out=gm[:, :, :, 0:2 * half:2])
+            np.multiply(routed, ~left, out=gm[:, :, :, 1:2 * half:2])
+            if width % 2:
+                gm[:, :, :, -1] = 0.0
+            for i in range(len(convs) - 1, -1, -1):
+                (w, b), (w0, w1), xi = convs[i], taps[i], inputs[i]
+                _accum(b, gm.sum(axis=(0, 2, 3)))
+                _accum(w, np.stack([np.einsum("bcrt,bcrt->c", gm, xi[:, :, :, :-1]),
+                                    np.einsum("bcrt,bcrt->c", gm, xi[:, :, :, 1:])], axis=1))
+                if i == 0 and not x.requires_grad:
+                    break
+                gx = np.empty_like(xi)
+                np.multiply(gm, w0, out=gx[:, :, :, :-1])
+                np.multiply(gm[:, :, :, -1:], w1, out=gx[:, :, :, -1:])
+                gx[:, :, :, 1:-1] += gm[:, :, :, :-1] * w1
+                if i == 0:
+                    _accum(x, gx)
+                else:
+                    gx *= xi > 0.0       # xi is the previous conv's ReLU output
+                    gm = gx
         out._backward = bp
     return out
 
@@ -402,7 +443,7 @@ def softmax(logits):
 
 
 class AdamState:
-    """Adam accumulators for an ordered parameter list."""
+    """Adam accumulators for a flat parameter buffer."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = float(lr)
@@ -410,30 +451,38 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step = 0
-        self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
-        self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+        self.m = np.zeros(np.shape(params))
+        self.v = np.zeros(np.shape(params))
 
 
 def adam_step(params, grads, state: AdamState):
     """One in-place Adam update with bias correction.
 
-    params are ndarrays updated through `[...]` so any Tensor holding the
-    same buffer sees the new values.
+    params is a float64 buffer updated in place (pack_parameters' buffer,
+    so every Tensor viewing it sees the new values); grads has its shape.
+    Each element takes exactly the arithmetic of the textbook update, so
+    the result does not depend on how the parameters are grouped.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if np.shape(params) != state.m.shape:
         raise ValueError("params, grads, and state must align")
+    if np.shape(grads) != np.shape(params):
+        raise ValueError(f"grad shape {np.shape(grads)} does not match param shape "
+                         f"{np.shape(params)}")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"grad shape {g.shape} does not match param shape {p.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        mhat = state.m[i] / c1
-        vhat = state.v[i] / c2
-        p[...] = p - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    denom = np.sqrt(v / c2)
+    denom += state.eps
+    step = m / c1
+    step *= state.lr
+    step /= denom
+    params -= step
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ and text signal for desk-scale experiments.
 import io
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,8 +311,6 @@ class DataBundle:
     cold_train: np.ndarray       # bool: article had no publishers
     cold_test: np.ndarray
     scaler: social.MinMaxScaler
-    train_articles: list = field(default_factory=list)
-    test_articles: list = field(default_factory=list)
 
 
 # credit columns inside the full explicit row; the cold-start experiment
@@ -396,8 +394,6 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
         cold_train=raw_train[:, _NUM_P] == 0,
         cold_test=raw_test[:, _NUM_P] == 0,
         scaler=scaler,
-        train_articles=train_articles,
-        test_articles=test_articles,
     )
 
 
@@ -436,10 +432,16 @@ class TrainResult:
     checkpoint_path: str = ""
 
 
-def _predict_all(model, x, vectors, explicit, batch_size):
+# article rows per prediction chunk: a whole toy-shape fit set at once, about
+# 29 articles at paper shape (281 rows), so the pass's memory stays bounded
+PREDICT_ROWS = 8192
+
+
+def _predict_all(model, x, vectors, explicit):
+    chunk = max(1, PREDICT_ROWS // x.shape[1])
     preds = []
-    for start in range(0, x.shape[0], batch_size):
-        sl = slice(start, start + batch_size)
+    for start in range(0, x.shape[0], chunk):
+        sl = slice(start, start + chunk)
         ex = explicit[sl] if explicit is not None else None
         _, p = fusion.predict_batch(model, x[sl], vectors, ex)
         preds.append(p)
@@ -461,9 +463,9 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
     validation slice of the training split (patience on accuracy, best
     weights restored).  Deterministic for a fixed config: init, dropout,
     shuffling, the validation split, and the cold-start perturbation each
-    draw from their own seeded stream.  A non-finite loss stops training
-    with a ValueError naming the epoch and batch, before anything is
-    written to out_dir.
+    draw from their own seeded stream.  A non-finite loss, or a finite
+    loss with a non-finite gradient, stops training with a ValueError
+    naming the epoch and batch, before anything is written to out_dir.
     """
     if bundle is None:
         bundle = prepare_data(config)
@@ -479,7 +481,8 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
                               dense_width=config.dense_width,
                               dropout_rate=config.dropout)
     tensors = model.param_tensors()
-    state = nncore.AdamState([t.data for t in tensors], lr=config.lr)
+    grad = np.empty_like(model.flat)
+    state = nncore.AdamState(model.flat, lr=config.lr)
     rng_shuffle = rng_for(config.seed, "shuffle")
     rng_dropout = rng_for(config.seed, "dropout")
 
@@ -522,26 +525,28 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
                 raise ValueError(f"training diverged: loss {float(loss.data)} at epoch "
                                  f"{epoch} batch {batch} (lr {config.lr!r})")
             loss.backward()
-            grads = [t.grad if t.grad is not None else np.zeros_like(t.data)
-                     for t in tensors]
-            nncore.adam_step([t.data for t in tensors], grads, state)
+            nncore.gather_grads(tensors, grad)
+            if not np.isfinite(grad).all():
+                raise ValueError(f"training diverged: non-finite gradient at epoch {epoch} "
+                                 f"batch {batch} (lr {config.lr!r})")
+            nncore.adam_step(model.flat, grad, state)
             loss_sum += float(loss.data) * len(idx)
         epoch_loss = loss_sum / len(order)
 
         train_acc = float(np.mean(
-            _predict_all(model, bundle.train_x[fit_idx], bundle.vectors, slice_ex(fit_idx),
-                         config.batch_size) == y[fit_idx]))
+            _predict_all(model, bundle.train_x[fit_idx], bundle.vectors, slice_ex(fit_idx))
+            == y[fit_idx]))
         entry = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc, "val_acc": None}
         line = f"epoch {epoch:4d} loss {epoch_loss:.6f} train_acc {train_acc:.4f}"
         if early_stopping:
             val_acc = float(np.mean(
-                _predict_all(model, bundle.train_x[val_idx], bundle.vectors,
-                             slice_ex(val_idx), config.batch_size) == y[val_idx]))
+                _predict_all(model, bundle.train_x[val_idx], bundle.vectors, slice_ex(val_idx))
+                == y[val_idx]))
             entry["val_acc"] = val_acc
             line += f" val_acc {val_acc:.4f}"
             if val_acc > best_val:
                 best_val, best_epoch = val_acc, epoch
-                best_params = [t.data.copy() for t in tensors]
+                best_params = model.flat.copy()
             elif epoch - best_epoch >= config.patience:
                 history.append(entry)
                 log_lines.append(line)
@@ -554,8 +559,7 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
             break
 
     if early_stopping and best_params is not None:
-        for t, saved in zip(tensors, best_params):
-            t.data[...] = saved
+        model.flat[...] = best_params
         log_lines.append(f"stopped: {stop_reason}; restored epoch {best_epoch} "
                          f"(val_acc {best_val:.4f})")
     else:
@@ -624,7 +628,7 @@ def evaluate_model(model: fusion.Model, bundle: DataBundle, config: RunConfig) -
         bundle.test_ids, bundle.explicit_test, config.coldstart_fraction,
         rng_for(config.seed, "perturb_test"))
     explicit = _variant_explicit(explicit_full, config.variant)
-    preds = _predict_all(model, bundle.test_x, bundle.vectors, explicit, config.batch_size)
+    preds = _predict_all(model, bundle.test_x, bundle.vectors, explicit)
     return eval_report(bundle.test_y, preds)
 
 

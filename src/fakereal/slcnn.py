@@ -11,7 +11,8 @@ consumes the embedding axis and fans out to k channels); every other
 convolution is per-channel with an independent 1x2 kernel.  On article
 text the full-depth conv reads token ids and the frozen word-vector table
 (nncore.conv1x2_tokens); the integrator's depth-1 stacks use the dense
-form (nncore.conv1x2_full).
+form (nncore.conv1x2_full).  A block's per-channel convolutions and its
+pooling run as one graph node (nncore.depthwise_pool).
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,11 @@ class HcbBlock:
     def tensors(self):
         return [self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b]
 
+    def depthwise_convs(self):
+        """The (w, b) pairs of the block's per-channel convs, in order."""
+        tail = [(self.conv2_w, self.conv2_b)]
+        return tail if self.full_depth else [(self.conv1_w, self.conv1_b)] + tail
+
 
 def _he_uniform(rng, shape, fan_in):
     limit = np.sqrt(6.0 / fan_in)
@@ -98,22 +104,16 @@ def hcb_apply(block: HcbBlock, x: Tensor) -> Tensor:
     """One block on a batched graph tensor.
 
     Full-depth blocks take (B, R, W, E) and emit (B, k, R, (W-2)//2);
-    per-channel blocks map (B, k, R, W) to (B, k, R, (W-2)//2).
+    per-channel blocks map (B, k, R, W) to (B, k, R, (W-2)//2).  The
+    block's per-channel convs and its pooling are one nncore.depthwise_pool
+    node.
     """
     width = x.data.shape[2] if block.full_depth else x.data.shape[3]
     if width < 4:
         raise ValueError(f"block cannot reduce input of width {width}")
     if block.full_depth:
-        h = nncore.conv1x2_full(x, block.conv1_w, block.conv1_b)
-    else:
-        h = nncore.conv1x2_depthwise(x, block.conv1_w, block.conv1_b)
-    return _hcb_tail(block, h)
-
-
-def _hcb_tail(block: HcbBlock, h: Tensor) -> Tensor:
-    """What a block does after its first conv: the per-channel conv, then pooling."""
-    h = nncore.conv1x2_depthwise(h, block.conv2_w, block.conv2_b)
-    return nncore.maxpool_pairs(h)
+        x = nncore.conv1x2_full(x, block.conv1_w, block.conv1_b)
+    return nncore.depthwise_pool(x, block.depthwise_convs())
 
 
 def stack_apply(blocks: list, x: Tensor) -> Tensor:
@@ -173,6 +173,6 @@ def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:
 
     first = model.blocks[0]
     h = nncore.conv1x2_tokens(computed[None], vectors, first.conv1_w, first.conv1_b)
-    latent = stack_apply(model.blocks[1:], _hcb_tail(first, h))
+    latent = stack_apply(model.blocks[1:], nncore.depthwise_pool(h, first.depthwise_convs()))
     latent = nncore.reshape(latent, latent.data.shape[1:])
     return nncore.gather_rows(latent, source.reshape(batch, rows))

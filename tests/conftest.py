@@ -10,7 +10,7 @@ import pytest
 
 from fakereal import fusion, nncore, slcnn
 from fakereal.corpus import DEFAULT_OOV_RANGE, CorpusError, EmbeddingTable
-from fakereal.nncore import Tensor
+from fakereal.nncore import Tensor, _accum
 
 
 def grad_check(loss_fn, params, n_coords=200, h=1e-4, seed=0):
@@ -79,6 +79,114 @@ def level_followers(g, u: str, i: int) -> set:
             nxt |= g.followers.get(x, set())
         level = nxt - {u}
     return set(level)
+
+
+# ---------------------------------------------------------------------------
+# the op chain, optimizer and scatter that nncore's fused forms replaced
+
+
+def conv1x2_depthwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Per-channel 1x2 convolution with fused ReLU, one graph node.
+
+    x: (B, C, R, W); w: (C, 2) one independent kernel per channel; b: (C,).
+    Returns (B, C, R, W-1); channels never mix.
+    """
+    xb, wb, bb = x.data, w.data, b.data
+    if xb.ndim != 4 or wb.shape != (xb.shape[1], 2) or bb.shape != (xb.shape[1],):
+        raise ValueError(f"conv1x2_depthwise shape mismatch: x{xb.shape} w{wb.shape}")
+    if xb.shape[3] < 2:
+        raise ValueError("window larger than input")
+    x0 = xb[:, :, :, :-1]
+    x1 = xb[:, :, :, 1:]
+    w0 = wb[:, 0].reshape(1, -1, 1, 1)
+    w1 = wb[:, 1].reshape(1, -1, 1, 1)
+    pre = x0 * w0 + x1 * w1 + bb.reshape(1, -1, 1, 1)
+    out = Tensor(np.maximum(pre, 0.0), (x, w, b))
+    if out.requires_grad:
+        def bp():
+            gm = out.grad * (out.data > 0.0)
+            _accum(b, gm.sum(axis=(0, 2, 3)))
+            gw = np.stack([np.einsum("bcrt,bcrt->c", gm, x0),
+                           np.einsum("bcrt,bcrt->c", gm, x1)], axis=1)
+            _accum(w, gw)
+            if x.requires_grad:
+                gx = np.zeros_like(xb)
+                gx[:, :, :, :-1] += gm * w0
+                gx[:, :, :, 1:] += gm * w1
+                _accum(x, gx)
+        out._backward = bp
+    return out
+
+
+def maxpool_pairs(x: Tensor) -> Tensor:
+    """Stride-2 max over adjacent width slots, one graph node; x (B, C, R,
+    W) -> (B, C, R, W//2).  A trailing slot at odd width is dropped.  Ties
+    route the gradient to the left element only."""
+    xb = x.data
+    width = xb.shape[3]
+    if width < 2:
+        raise ValueError("window larger than input")
+    half = width // 2
+    a = xb[:, :, :, 0:2 * half:2]
+    c = xb[:, :, :, 1:2 * half:2]
+    out = Tensor(np.maximum(a, c), (x,))
+    if out.requires_grad:
+        left = a >= c
+        def bp():
+            gx = np.zeros_like(xb)
+            gx[:, :, :, 0:2 * half:2] += out.grad * left
+            gx[:, :, :, 1:2 * half:2] += out.grad * ~left
+            _accum(x, gx)
+        out._backward = bp
+    return out
+
+
+def chain_depthwise_pool(x, convs):
+    """nncore.depthwise_pool as the chain of nodes it fused: one
+    conv1x2_depthwise per (w, b), then maxpool_pairs."""
+    for w, b in convs:
+        x = conv1x2_depthwise(x, w, b)
+    return maxpool_pairs(x)
+
+
+class ListAdamState:
+    """Adam accumulators for an ordered list of parameter arrays."""
+
+    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.step = 0
+        self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+        self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+
+
+def list_adam_step(params, grads, state: ListAdamState):
+    """The per-tensor Adam loop that nncore.adam_step replaced: one
+    in-place update per parameter array, through `[...]`."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        mhat = state.m[i] / c1
+        vhat = state.v[i] / c2
+        p[...] = p - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+
+
+def token_tap_sums(i0, i1, per_filter, vocab):
+    """The (2k, V) scatter of conv1x2_tokens' backward as one bincount per
+    tap and filter: row tap*k + f sums filter f's masked gradient over the
+    slots whose tap-`tap` id is each table row."""
+    return np.stack([np.bincount(taps.ravel(), weights=per_filter[f], minlength=vocab)
+                     for taps in (i0, i1) for f in range(per_filter.shape[0])])
+
+
+# ---------------------------------------------------------------------------
+# corpus and feature loops that batched forms replaced
 
 
 def article_token_ids(tok, th, vocab):

@@ -159,6 +159,14 @@ class TestModelAssembly:
             "head.w1", "head.b1", "head.w2", "head.b2", "head.w3", "head.b3",
         ]
 
+    def test_parameters_are_views_of_one_buffer(self):
+        model = init_model("full", 10, 2, 4, rng_for(0, "init"))
+        tensors = model.param_tensors()
+        assert np.array_equal(model.flat, np.concatenate([t.data.ravel() for t in tensors]))
+        assert all(t.data.base is model.flat for t in tensors)
+        model.flat[...] = 0.5
+        assert all((t.data == 0.5).all() for t in tensors)
+
     def test_init_is_deterministic_per_seed(self):
         a = init_model("full", 10, 2, 4, rng_for(5, "init"))
         b = init_model("full", 10, 2, 4, rng_for(5, "init"))
@@ -287,20 +295,25 @@ class TestGraphLifetime:
         assert counts == [start] * 3
 
     def test_predict_frees_the_eval_graph_without_the_cycle_collector(self):
-        # eval never runs backward, yet the parameters require grad, so
-        # every op still builds its closure
         start, counts = self.live_tensors_after(
             lambda: predict_batch(self.model, self.ids, self.vectors, self.explicit))
         assert counts == [start] * 3
 
-    def test_free_graph_keeps_the_values(self):
+    def test_eval_forward_without_gradients_builds_no_graph(self):
+        want = forward_batch(self.model, self.ids, self.vectors, self.explicit, "eval")
+        assert want._parents and want._backward is not None
+        params = self.model.param_tensors()
+        for t in params:
+            t.requires_grad = False
         logits = forward_batch(self.model, self.ids, self.vectors, self.explicit, "eval")
-        before = logits.data.copy()
-        logits.free_graph()
+        for t in params:
+            t.requires_grad = True
         assert logits._parents == () and logits._backward is None
-        assert np.array_equal(logits.data, before)
+        assert np.array_equal(logits.data, want.data)
+        # predict_batch runs that forward and leaves the parameters trainable
         probs, _ = predict_batch(self.model, self.ids, self.vectors, self.explicit)
-        assert np.array_equal(probs, nncore.softmax(before))
+        assert np.array_equal(probs, nncore.softmax(want.data))
+        assert all(t.requires_grad for t in params)
 
 
 class TestDenseOracle:

@@ -16,14 +16,15 @@ from fakereal.nncore import (
     Tensor,
     adam_step,
     concat,
-    conv1x2_depthwise,
     conv1x2_full,
     conv1x2_tokens,
+    depthwise_pool,
     dropout_t,
+    gather_grads,
     gather_rows,
     linear,
     load_checkpoint,
-    maxpool_pairs,
+    pack_parameters,
     relu,
     reshape,
     save_checkpoint,
@@ -33,7 +34,15 @@ from fakereal.nncore import (
     zero_grads,
 )
 
-from conftest import grad_check
+from conftest import (
+    ListAdamState,
+    chain_depthwise_pool,
+    conv1x2_depthwise,
+    grad_check,
+    list_adam_step,
+    maxpool_pairs,
+    token_tap_sums,
+)
 
 
 def tsum(t):
@@ -175,40 +184,82 @@ class TestDropout:
 class TestAdam:
     def test_single_step_frozen_value(self):
         # theta=1, g=1, defaults: mhat=vhat=1 -> 1 - 0.001 / (1 + 1e-8)
-        p = np.array(1.0)
-        state = AdamState([p])
-        adam_step([p], [np.array(1.0)], state)
-        assert p == pytest.approx(0.99900000001, abs=1e-13)
+        p = np.array([1.0])
+        state = AdamState(p)
+        adam_step(p, np.array([1.0]), state)
+        assert p[0] == pytest.approx(0.99900000001, abs=1e-13)
 
     def test_zero_gradient_leaves_param_unchanged(self):
         p = np.array([2.0, -7.0])
-        state = AdamState([p])
-        adam_step([p], [np.zeros(2)], state)
+        state = AdamState(p)
+        adam_step(p, np.zeros(2), state)
         assert np.array_equal(p, [2.0, -7.0])
 
     def test_descends_a_quadratic(self):
         p = np.array([3.0])
-        state = AdamState([p], lr=0.1)
+        state = AdamState(p, lr=0.1)
         vals = []
         for _ in range(200):
-            adam_step([p], [2.0 * p.copy()], state)   # d/dp of p^2
+            adam_step(p, 2.0 * p, state)   # d/dp of p^2
             vals.append(abs(p[0]))
         assert vals[-1] < 0.5 and vals[-1] < vals[0]
 
     def test_scalar_and_nd_params_update_in_place(self):
-        p0 = np.array(1.0)
-        p1 = np.ones((2, 3))
-        state = AdamState([p0, p1])
-        adam_step([p0, p1], [np.array(1.0), np.ones((2, 3))], state)
-        assert p0 < 1.0 and np.all(p1 < 1.0)
+        p0 = Tensor(np.array(1.0))
+        p1 = Tensor(np.ones((2, 3)))
+        flat = pack_parameters([p0, p1])
+        state = AdamState(flat)
+        adam_step(flat, np.ones(7), state)
+        assert p0.data.shape == () and p1.data.shape == (2, 3)
+        assert p0.data < 1.0 and np.all(p1.data < 1.0)
 
     def test_misaligned_inputs_rejected(self):
         p = np.ones(2)
-        state = AdamState([p])
+        state = AdamState(p)
         with pytest.raises(ValueError, match="must align"):
-            adam_step([p], [np.ones(2), np.ones(2)], state)
+            adam_step(np.ones(3), np.ones(3), state)
         with pytest.raises(ValueError, match="does not match param shape"):
-            adam_step([p], [np.ones(3)], state)
+            adam_step(p, np.ones(3), state)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shapes=st.lists(hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                           min_size=1, max_size=5),
+           seed=st.integers(0, 2**16), lr=st.sampled_from([0.001, 0.1, 3.0]))
+    def test_flat_update_equals_the_per_tensor_loop(self, shapes, seed, lr):
+        rng = np.random.default_rng(seed)
+        tensors = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        separate = [t.data.copy() for t in tensors]
+        flat = pack_parameters(tensors)
+        state, list_state = AdamState(flat, lr=lr), ListAdamState(separate, lr=lr)
+        for _ in range(4):
+            grads = [rng.normal(size=shape) * rng.choice([0.0, 1e-6, 1.0, 1e3])
+                     for shape in shapes]
+            for t, g in zip(tensors, grads):
+                t.grad = g
+            adam_step(flat, gather_grads(tensors, np.empty_like(flat)), state)
+            list_adam_step(separate, grads, list_state)
+        for t, want in zip(tensors, separate):
+            assert t.data.tobytes() == want.tobytes()
+
+
+class TestFlatParameters:
+    def test_views_share_one_buffer_in_order(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = Tensor(np.array(6.0))
+        c = Tensor(np.array([7.0, 8.0]))
+        flat = pack_parameters([a, b, c])
+        assert np.array_equal(flat, np.arange(9.0))
+        assert all(t.data.base is flat for t in (a, b, c))
+        assert a.data.shape == (2, 3) and b.data.shape == () and c.data.shape == (2,)
+        flat[...] = -flat
+        assert np.array_equal(a.data, -np.arange(6.0).reshape(2, 3)) and c.data[1] == -8.0
+
+    def test_gather_grads_zero_fills_unreached_tensors(self):
+        a, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros(3))
+        flat = pack_parameters([a, b])
+        b.grad = np.array([1.0, 2.0, 3.0])
+        got = gather_grads([a, b], np.full_like(flat, np.nan))
+        assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
 
 
 class TestGraphOps:
@@ -275,7 +326,7 @@ class TestTokenConv:
     def inputs(self, seed, shape=(3, 4, 9), vocab=15, depth=6, k=5):
         rng = np.random.default_rng(seed)
         ids = rng.integers(0, vocab, size=shape).astype(np.int32)
-        ids[0, 1] = 0                                   # one all-padding row
+        ids[0, -1] = 0                                  # one all-padding row
         vectors = rng.normal(size=(vocab, depth))
         vectors[0] = 0.0
         return ids, vectors, rng.normal(size=(k, 2, depth)), rng.normal(size=k) * 0.3
@@ -300,6 +351,20 @@ class TestTokenConv:
         assert rel(grads[0][0], grads[1][0]) <= 1e-12      # dW
         assert rel(grads[0][1], grads[1][1]) <= 1e-12      # db
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), batch=st.integers(1, 3), rows=st.integers(1, 4),
+           width=st.integers(2, 9), vocab=st.integers(1, 12), k=st.integers(1, 5))
+    def test_weight_gradient_equals_per_filter_bincounts(self, seed, batch, rows, width,
+                                                         vocab, k):
+        ids, vectors, w, b = self.inputs(seed, (batch, rows, width), vocab, 3, k)
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = conv1x2_tokens(ids, vectors, wt, bt)
+        out.grad = np.random.default_rng(seed + 1).normal(size=out.data.shape)
+        out._backward()
+        per_filter = np.moveaxis(out.grad * (out.data > 0.0), 1, 0).reshape(k, -1)
+        dproj = token_tap_sums(ids[:, :, :-1], ids[:, :, 1:], per_filter, vocab)
+        assert np.array_equal(wt.grad, (dproj @ vectors).reshape(2, k, -1).transpose(1, 0, 2))
+
     def test_padding_id_gives_bias_then_relu(self):
         w = Tensor(np.ones((2, 2, 3)))
         b = Tensor(np.array([0.5, -0.5]))
@@ -321,6 +386,88 @@ class TestTokenConv:
             conv1x2_tokens(ids - 1, vectors, w, b)
         with pytest.raises(ValueError, match="window larger than input"):
             conv1x2_tokens(ids[:, :, :1], vectors, w, b)
+
+
+# few distinct values, so windows and pooled pairs tie often
+TIE_PRONE = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def depthwise_inputs(draw):
+    """A block input (B, C, R, W) and one or two per-channel convs, from
+    a small value set (ties) with some biases low enough to silence a
+    channel; W covers odd and even widths at every conv count."""
+    n_convs = draw(st.integers(1, 2))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 2)),
+             draw(st.integers(n_convs + 2, 9)))
+    channels = shape[1]
+    x = draw(hnp.arrays(np.float64, shape, elements=TIE_PRONE))
+    convs = [(draw(hnp.arrays(np.float64, (channels, 2), elements=TIE_PRONE)),
+              draw(hnp.arrays(np.float64, channels, elements=TIE_PRONE | st.just(-50.0))))
+             for _ in range(n_convs)]
+    return x, convs, draw(st.booleans())
+
+
+def run_block(op, x, convs, upstream, x_grad=True):
+    """op's output and every gradient for one backward from `upstream`."""
+    xt = Tensor(x.copy(), requires_grad=x_grad)
+    params = [(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
+              for w, b in convs]
+    out = op(xt, params)
+    root = tsum(reshape(linear(reshape(out, (1, out.data.size)),
+                               Tensor(upstream.reshape(-1, 1)), Tensor(np.zeros(1))), (1, 1)))
+    root.backward()
+    return out.data, xt.grad, [(w.grad, b.grad) for w, b in params]
+
+
+class TestDepthwisePool:
+    """The fused block tail against the chain of nodes it replaced
+    (tests/conftest.py), compared with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=depthwise_inputs(), seed=st.integers(0, 2**16))
+    def test_forward_and_gradients_equal_the_chain(self, inputs, seed):
+        x, convs, x_grad = inputs
+        width = (x.shape[3] - len(convs)) // 2
+        upstream = np.random.default_rng(seed).normal(size=x.shape[:3] + (width,))
+        got = run_block(depthwise_pool, x, convs, upstream, x_grad)
+        want = run_block(chain_depthwise_pool, x, convs, upstream, x_grad)
+        assert got[0].shape == x.shape[:3] + (width,)
+        assert np.array_equal(got[0], want[0])
+        assert (got[1] is None) == (not x_grad)
+        if x_grad:
+            assert np.array_equal(got[1], want[1])
+        for (gw, gb), (ww, wb) in zip(got[2], want[2]):
+            assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+    def test_ties_route_left_and_silent_channels_pass_nothing(self):
+        # channel 0: identity conv over a row whose pairs tie; channel 1:
+        # a bias that keeps every ReLU at zero
+        x = np.array([[3.0, 3.0, 5.0, 5.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0]]).reshape(1, 2, 1, 5)
+        convs = [(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, -50.0]))]
+        upstream = np.array([[2.0, 7.0], [1.0, 1.0]]).reshape(1, 2, 1, 2)
+        out, gx, [(gw, gb)] = run_block(depthwise_pool, x, convs, upstream)
+        assert np.array_equal(out.ravel(), [3.0, 5.0, 0.0, 0.0])
+        assert np.array_equal(gx.ravel(), [2.0, 0.0, 7.0, 0.0, 0.0] + [0.0] * 5)
+        assert np.array_equal(gb, [9.0, 0.0]) and not gw[1].any()
+
+    def test_rejects_bad_inputs(self):
+        x = Tensor(np.ones((1, 2, 1, 4)))
+        conv = (Tensor(np.ones((2, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
+            depthwise_pool(x, [(Tensor(np.ones((3, 2))), Tensor(np.zeros(3)))])
+        with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
+            depthwise_pool(x, [(Tensor(np.ones((2, 2))), Tensor(np.zeros(3)))])
+        with pytest.raises(ValueError, match="at least one convolution"):
+            depthwise_pool(x, [])
+        with pytest.raises(ValueError, match="window larger than input"):
+            depthwise_pool(x, [conv, conv, conv])
+        assert depthwise_pool(x, [conv, conv]).data.shape == (1, 2, 1, 1)
+
+    def test_no_gradient_builds_no_graph(self):
+        x = Tensor(np.ones((1, 2, 1, 4)))
+        out = depthwise_pool(x, [(Tensor(np.ones((2, 2))), Tensor(np.zeros(2)))])
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestGatherRows:
@@ -399,8 +546,7 @@ class TestGradCheck:
 
         def loss_fn():
             h = conv1x2_full(x, wf, bf)            # (2, 3, 3, 5)
-            h = conv1x2_depthwise(h, wd, bd)       # (2, 3, 3, 4)
-            h = maxpool_pairs(h)                   # (2, 3, 3, 2)
+            h = depthwise_pool(h, [(wd, bd)])      # (2, 3, 3, 2)
             h = maxpool_pairs(h)                   # (2, 3, 3, 1)
             flat = reshape(h, (2, 9))
             _, loss = softmax_xent_batch(linear(flat, wo, bo), labels)
@@ -408,6 +554,25 @@ class TestGradCheck:
 
         err = grad_check(loss_fn, [wf, bf, wd, bd, wo, bo], n_coords=60, seed=1)
         assert err < 1e-5
+
+    def test_two_conv_block_with_input_gradients(self):
+        # a later block of the stack: two per-channel convs, then the pool,
+        # with the gradient flowing on to the block input
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.uniform(0.2, 1.0, size=(2, 3, 2, 7)), requires_grad=True)
+        w1 = Tensor(rng.uniform(0.25, 0.75, size=(3, 2)), requires_grad=True)
+        b1 = Tensor(np.full(3, 0.05), requires_grad=True)
+        w2 = Tensor(rng.uniform(0.25, 0.75, size=(3, 2)), requires_grad=True)
+        b2 = Tensor(np.full(3, -0.1), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 3, 2, 2)))
+
+        def loss_fn():
+            h = depthwise_pool(x, [(w1, b1), (w2, b2)])   # (2, 3, 2, 2)
+            flat = reshape(h, (1, h.data.size))
+            return reshape(linear(flat, reshape(weights, (h.data.size, 1)), Tensor(np.zeros(1))),
+                           ())
+
+        assert grad_check(loss_fn, [x, w1, b1, w2, b2], n_coords=80, seed=2) < 1e-6
 
     def test_input_gradients_too(self):
         rng = np.random.default_rng(2)

@@ -43,6 +43,8 @@ from fakereal.pipeline import (
 from fakereal.seeds import rng_for
 from fakereal.slcnn import required_hcbs
 
+from conftest import ListAdamState, chain_depthwise_pool, list_adam_step
+
 # desk-scale corpus shared by the data/training tests below
 SMALL_SPEC = SynthSpec(
     n_real=10, n_fake=10, n_users=10, vocab_size=30, n_markers=4,
@@ -722,8 +724,8 @@ class TestPrepareData:
             return sum(scores) / len(scores)
 
         col = EXPLICIT_ORDER.index("ni")
-        want_train = np.array([walk_mean(a) for a in bundle.train_articles])
-        want_test = np.array([walk_mean(a) for a in bundle.test_articles])
+        want_train = np.array([walk_mean(a) for a in corpus.load_corpus(config.train_path)])
+        want_test = np.array([walk_mean(a) for a in corpus.load_corpus(config.test_path)])
         scaler = social.fit_minmax(want_train)
         assert (bundle.scaler.mins[col], bundle.scaler.maxs[col]) == (scaler.mins[0],
                                                                       scaler.maxs[0])
@@ -830,6 +832,45 @@ class TestTraining:
             train(config, out_dir=str(out), bundle=small_bundle)
         assert not out.exists()
 
+    def test_non_finite_gradient_stops_before_writing(self, small_config, small_bundle,
+                                                      tmp_path, monkeypatch):
+        # the loss stays finite; one logit's gradient is infinite
+        real_head_apply = fusion.head_apply
+
+        def poisoned(*args):
+            logits = real_head_apply(*args)
+            out = nncore.Tensor(logits.data, (logits,))
+            if out.requires_grad:
+                def bp():
+                    logits.grad = np.zeros_like(logits.data)
+                    logits.grad[0, 1] = np.inf
+                out._backward = bp
+            return out
+
+        monkeypatch.setattr(fusion, "head_apply", poisoned)
+        out = tmp_path / "diverged"
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"non-finite gradient at epoch 1 batch 1 \(lr 0\.001\)"):
+            train(small_config, out_dir=str(out), bundle=small_bundle)
+        assert not out.exists()
+
+    def test_parameters_stay_views_of_the_flat_buffer(self, small_config, small_bundle,
+                                                      tmp_path):
+        def assert_views(model):
+            tensors = model.param_tensors()
+            assert all(t.data.base is model.flat for t in tensors)
+            assert np.array_equal(model.flat, np.concatenate([t.data.ravel() for t in tensors]))
+
+        config = small_config.with_overrides({
+            "train.epochs": "-1", "train.max_epochs": "6",
+            "train.patience": "2", "train.val_fraction": "0.3"})
+        result = train(config, out_dir=str(tmp_path), bundle=small_bundle)
+        assert "restored epoch" in result.log_lines[-1]
+        assert_views(result.model)
+        model, _ = load_model(result.checkpoint_path)
+        assert_views(model)
+        assert np.array_equal(model.flat, result.model.flat)
+
     def test_early_stopping_needs_articles(self, tmp_path):
         spec = SynthSpec(n_real=1, n_fake=0, n_users=4, vocab_size=10,
                          embed_dim=4, pubs_max=1)
@@ -860,6 +901,53 @@ class TestTraining:
         reloaded = load_config(path=os.path.join(out, "config.snapshot"))
         assert reloaded.to_pairs() == small_config.to_pairs()
         assert result.checkpoint_path == os.path.join(out, "checkpoint.bin")
+
+
+class TestFusedFormsOracle:
+    """A whole run against the forms the fused ones replaced: the per-node
+    depthwise conv and pooling chain, the per-tensor Adam loop, and
+    prediction in chunks of train.batch_size articles."""
+
+    def run(self, config, bundle, out):
+        result = train(config, out_dir=out, bundle=bundle)
+        write_report_files(out, config, evaluate_model(result.model, bundle, config))
+        return {name: open(os.path.join(out, name), "rb").read()
+                for name in ("checkpoint.bin", "train.log", "report.tsv")}
+
+    def test_run_files_are_byte_identical(self, tmp_path, monkeypatch):
+        spec = SynthSpec(n_real=30, n_fake=30, n_users=10, vocab_size=30, n_markers=4,
+                         embed_dim=6, sents_min=2, sents_max=3, words_min=3, words_max=8)
+        paths = write_synthetic(gen_synthetic(spec, seed=11), str(tmp_path / "data"),
+                                test_fraction=0.3)
+        config = synth_config(paths, overrides={"train.epochs": "3", "train.batch_size": "16",
+                                                "model.dense_width": "16"})
+        bundle = prepare_data(config)
+        assert bundle.train_x.shape[0] > 2 * config.batch_size   # several old chunks
+        got = self.run(config, bundle, str(tmp_path / "fused"))
+
+        models = []
+        real_init_model = fusion.init_model
+
+        def recording_init_model(*args, **kwargs):
+            models.append(real_init_model(*args, **kwargs))
+            return models[-1]
+
+        list_states = []
+
+        def per_tensor_adam_step(flat, grad, state):
+            tensors = models[-1].param_tensors()
+            if not list_states:
+                list_states.append(ListAdamState([t.data for t in tensors], lr=state.lr))
+            grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+            list_adam_step([t.data for t in tensors], grads, list_states[0])
+
+        monkeypatch.setattr(fusion, "init_model", recording_init_model)
+        monkeypatch.setattr(nncore, "depthwise_pool", chain_depthwise_pool)
+        monkeypatch.setattr(nncore, "adam_step", per_tensor_adam_step)
+        monkeypatch.setattr(pipeline, "PREDICT_ROWS", config.batch_size * bundle.train_x.shape[1])
+        want = self.run(config, bundle, str(tmp_path / "chain"))
+        assert len(models) == 1 and list_states[0].step == 3 * 3   # 42 articles, 16 a batch
+        assert got == want
 
 
 class TestAtomicWrites:

@@ -65,8 +65,8 @@ class TestBlockConfig:
         x = Tensor(np.ones((1, 2, 3, 5)))
         with pytest.raises(ValueError, match="conv1x2_full shape mismatch"):
             nncore.conv1x2_full(x, Tensor(np.ones((4, 3, 5))), Tensor(np.zeros(4)))
-        with pytest.raises(ValueError, match="conv1x2_depthwise shape mismatch"):
-            nncore.conv1x2_depthwise(x, Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
+            nncore.depthwise_pool(x, [(Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))])
 
 
 class TestInitStack:

@@ -19,6 +19,7 @@ once per occurrence.
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +27,8 @@ from hashlib import blake2b
 from itertools import chain, repeat
 
 import numpy as np
+
+from .fileio import atomic_write
 
 # Reference statistics for the two FakeNewsNet benchmarks.  The corpora are
 # not shipped, so their sentence-count thresholds are provided as presets
@@ -274,12 +277,31 @@ def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE, words=None) -
     unparsed, whatever it holds.  A word listed twice keeps its last
     line.  Components are parsed in C by np.loadtxt, a chunk of lines per
     call, which gives the same float64 as float() but rejects what
-    float() alone accepts, such as ``1_0``.  The vectors go straight into
-    one matrix with a row for each word that can be kept: len(words) + 1,
-    or one per line of the file.
+    float() alone accepts, such as ``1_0``.
+
+    With `words`, the parsed vectors are also kept in a cache file beside
+    the embeddings file (see VectorCache), so a later call that asks for
+    words an earlier call parsed from the same file content skips the
+    parse; the table is the same, row order and bits.
     """
+    if words is None:
+        rows, matrix = _parse_embeddings(path, None)[:2]
+    else:
+        rows, matrix = _cached_vectors(path, words)
+    return EmbeddingTable(rows, matrix, oov_seed=oov_seed, oov_range=oov_range)
+
+
+def _parse_embeddings(path, words):
+    """Parse the lines load_embeddings keeps; returns (rows, matrix,
+    lines, first).  rows maps word -> row of the (len(rows), E) matrix,
+    in the order of each word's first kept line; lines[i] is the number
+    of that line for row i; first is the vector on the file's first
+    non-blank line, which a later line of the same word may overwrite in
+    the matrix.  The vectors go straight into one matrix with a row for
+    each word that can be kept: len(words) + 1, or one per line."""
     capacity = _line_count(path) if words is None else len(words) + 1
-    rows, pending, matrix = {}, [], None    # pending: (word, lineno, text) not yet parsed
+    rows, lines, first = {}, [], None
+    pending, matrix = [], None    # pending: (word, lineno, text) not yet parsed
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split(None, 1)
@@ -291,13 +313,15 @@ def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE, words=None) -
                 raise CorpusError(f"{path}: line {lineno}: no vector components")
             pending.append((parts[0], lineno, parts[1]))
             if matrix is None or len(pending) == _PARSE_CHUNK:
-                matrix = _store_rows(path, pending, rows, matrix, capacity)
+                matrix = _store_rows(path, pending, rows, lines, matrix, capacity)
+                if first is None:
+                    first = matrix[0].copy()
                 pending = []
     if matrix is None:
         raise CorpusError(f"{path}: empty embeddings file")
     if pending:
-        matrix = _store_rows(path, pending, rows, matrix, capacity)
-    return EmbeddingTable(rows, matrix[: len(rows)], oov_seed=oov_seed, oov_range=oov_range)
+        matrix = _store_rows(path, pending, rows, lines, matrix, capacity)
+    return rows, matrix[: len(rows)], lines, first
 
 
 def _line_count(path):
@@ -309,15 +333,19 @@ def _line_count(path):
     return count
 
 
-def _store_rows(path, lines, rows, matrix, capacity):
-    """Parse `lines`, (word, lineno, text) triples, and write each vector
-    to its word's row of `matrix`, which the first call allocates with
-    `capacity` rows; a word seen again overwrites its row."""
-    block = _parse_components(path, lines, None if matrix is None else matrix.shape[1])
+def _store_rows(path, pending, rows, lines, matrix, capacity):
+    """Parse `pending`, (word, lineno, text) triples, and write each
+    vector to its word's row of `matrix`, which the first call allocates
+    with `capacity` rows; a word seen again overwrites its row.  A new
+    word's line number is appended to `lines`."""
+    block = _parse_components(path, pending, None if matrix is None else matrix.shape[1])
     if matrix is None:
         matrix = np.empty((capacity, block.shape[1]))
-    for (word, _, _), vec in zip(lines, block):
-        matrix[rows.setdefault(word, len(rows))] = vec
+    for (word, lineno, _), vec in zip(pending, block):
+        row = rows.setdefault(word, len(rows))
+        if row == len(lines):
+            lines.append(lineno)
+        matrix[row] = vec
     return matrix
 
 
@@ -348,8 +376,138 @@ def _parse_components(path, lines, dim):
     raise CorpusError(f"{path}: lines {lines[0][1]}-{lines[-1][1]}: unparseable vector components")
 
 
+# The vector cache: one file per embeddings file, in CACHE_DIR beside it.
+# Deleting it is always safe; the next load_embeddings parses again.
+CACHE_DIR = "__fakereal_cache__"
+# the first line of a cache file; a file with another first line, such as
+# one of an older format, is a miss and is overwritten
+_CACHE_MAGIC = b"fakereal vector cache 1\n"
+
+
+@dataclass
+class VectorCache:
+    """The vectors parsed so far from one embeddings file content.
+
+    Row 0 of `matrix` is the vector on the file's first non-blank line,
+    whose word is names[0] and line lines[0].  Rows 1.. are the words
+    looked up so far, each with the vector load_embeddings keeps for it
+    (its last line) and its first line number, in line order.  `absent`
+    lists looked-up words the file lacks.  `digest` identifies the file
+    content (blake2b of its bytes).
+    """
+
+    digest: str
+    names: list
+    lines: list
+    matrix: np.ndarray
+    absent: list
+
+    def __post_init__(self):
+        self.index = dict(zip(self.names[1:], range(1, len(self.names))))
+        self.index.update(dict.fromkeys(self.absent, -1))
+
+    def select(self, words):
+        """(rows, matrix) of load_embeddings(words=words), or None when a
+        word in `words` has not been looked up yet."""
+        pos = np.fromiter(map(self.index.get, words, repeat(-2)), dtype=np.int64,
+                          count=len(words))
+        if (pos == -2).any():
+            return None
+        # rows 1.. are in line order, and the first line's word comes first
+        keep = np.sort(pos[pos > 0])
+        if self.names[0] not in words:
+            keep = np.concatenate(([0], keep))
+        names = [self.names[i] for i in keep.tolist()]
+        return dict(zip(names, range(len(names)))), self.matrix[keep]
+
+    @staticmethod
+    def build(digest, parsed, looked_up, old=None):
+        """The cache `old` (None for an empty one) plus `parsed`, what
+        _parse_embeddings(path, looked_up) returned for the same content."""
+        rows, matrix, lines, first = parsed
+        names = [w for w in rows if w in looked_up]
+        at = [lines[rows[w]] for w in names]
+        vectors = matrix[[rows[w] for w in names]]
+        absent = [w for w in looked_up if w not in rows]
+        if old is not None:
+            names, at, absent = old.names[1:] + names, old.lines[1:] + at, old.absent + absent
+            vectors = np.concatenate([old.matrix[1:], vectors])
+        order = np.argsort(at, kind="stable").tolist()
+        return VectorCache(digest, [next(iter(rows))] + [names[i] for i in order],
+                           [lines[0]] + [at[i] for i in order],
+                           np.concatenate([first[None], vectors[order]]), absent)
+
+    def to_bytes(self):
+        head = json.dumps({"digest": self.digest, "dim": self.matrix.shape[1],
+                           "names": self.names, "lines": self.lines, "absent": self.absent})
+        return _CACHE_MAGIC + head.encode("ascii") + b"\n" + self.matrix.astype("<f8").tobytes()
+
+    @staticmethod
+    def from_bytes(data):
+        """Raises ValueError, KeyError or TypeError on a corrupt file."""
+        if not data.startswith(_CACHE_MAGIC):
+            raise ValueError("not a cache file of this format")
+        end = data.index(b"\n", len(_CACHE_MAGIC))
+        head = json.loads(data[len(_CACHE_MAGIC):end])
+        names, lines = head["names"], head["lines"]
+        if not names or len(lines) != len(names):
+            raise ValueError("corrupt cache header")
+        matrix = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(len(names), head["dim"])
+        return VectorCache(head["digest"], names, lines, matrix, head["absent"])
+
+
+def _cached_vectors(path, words):
+    """(rows, matrix) of load_embeddings(path, words=words), read from the
+    cache when an earlier call parsed every word in `words` from the same
+    file content; otherwise the missing words are parsed and the cache is
+    rewritten.  A cache that is missing, unreadable, corrupt, of another
+    format or of other content is a miss, and a directory that cannot be
+    written only means nothing is cached."""
+    directory, name = os.path.split(os.fspath(path))
+    cache_path = os.path.join(directory, CACHE_DIR, name + ".vectors")
+    digest = _file_digest(path)
+    try:
+        with open(cache_path, "rb") as fh:
+            cached = VectorCache.from_bytes(fh.read())
+        if cached.digest != digest:
+            cached = None
+    except (OSError, ValueError, KeyError, TypeError):
+        cached = None
+    missing = words
+    if cached is not None:
+        hit = cached.select(words)
+        if hit is not None:
+            return hit
+        missing = dict.fromkeys(w for w in words if w not in cached.index)
+    parsed = _parse_embeddings(path, missing)
+    if _file_digest(path) != digest:   # rewritten during the parse: cache nothing
+        return _parse_embeddings(path, words)[:2]
+    cached = VectorCache.build(digest, parsed, missing, cached)
+    try:
+        os.makedirs(os.path.dirname(cache_path), exist_ok=True)
+        with atomic_write(cache_path, binary=True) as fh:
+            fh.write(cached.to_bytes())
+    except OSError:
+        pass
+    return cached.select(words)
+
+
+def _file_digest(path):
+    """blake2b of the file's bytes, read a MB at a time."""
+    digest = blake2b(digest_size=32)
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_embeddings(vectors, path):
-    """Inverse of load_embeddings.  ``vectors`` maps word -> 1D array."""
+    """Inverse of load_embeddings.  ``vectors`` maps word -> 1D array.
+    Raises ValueError for a word the reader cannot read back: an empty
+    one, or one holding a character for which str.isspace() is true."""
+    for word in vectors:
+        if not word or any(ch.isspace() for ch in word):
+            raise ValueError(f"embedding word {word!r} is empty or contains whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         for word, vec in vectors.items():
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")

@@ -356,11 +356,16 @@ def depthwise_pool(x: Tensor, convs) -> Tensor:
         def bp():
             # the pool's winner mask routes the gradient straight into the
             # last conv's masked gradient; a winner passed its ReLU iff the
-            # pooled value is positive
-            routed = out.grad * (out.data > 0.0)
+            # pooled value is positive.  Signed zeros follow the chain of
+            # nodes this replaced, which added each gradient into zeros: a
+            # slot that gets nothing, or only -0.0, holds +0.0
+            passed = out.data > 0.0
             gm = np.empty(last_shape)
-            np.multiply(routed, left, out=gm[:, :, :, 0:2 * half:2])
-            np.multiply(routed, ~left, out=gm[:, :, :, 1:2 * half:2])
+            for start, won in ((0, left), (1, ~left)):
+                routed = out.grad * won
+                routed += 0.0
+                routed *= passed
+                gm[:, :, :, start:2 * half:2] = routed
             if width % 2:
                 gm[:, :, :, -1] = 0.0
             for i in range(len(convs) - 1, -1, -1):
@@ -374,6 +379,7 @@ def depthwise_pool(x: Tensor, convs) -> Tensor:
                 np.multiply(gm, w0, out=gx[:, :, :, :-1])
                 np.multiply(gm[:, :, :, -1:], w1, out=gx[:, :, :, -1:])
                 gx[:, :, :, 1:-1] += gm[:, :, :, :-1] * w1
+                gx += 0.0     # -0.0 to +0.0, as the chain's sum into zeros gave
                 if i == 0:
                     _accum(x, gx)
                 else:

@@ -116,9 +116,11 @@ def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
 
 
 def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
-    """Tab-separated `user_id<TAB>follower_count` table for count mode."""
+    """Tab-separated `user_id<TAB>follower_count` table for count mode.
+    Each user is listed once."""
     g = FollowerGraph(p=p, d_max=d_max, n_users=n_users)
     g.counts = {}
+    seen = {}   # user -> line number
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -128,6 +130,10 @@ def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'user<TAB>count'")
             user, count = parts
+            first = seen.setdefault(user, lineno)
+            if first != lineno:
+                raise ValueError(f"{path}: user {user!r} listed twice, on lines {first} "
+                                 f"and {lineno}")
             try:
                 g.counts[user] = int(count)
             except ValueError:

@@ -13,6 +13,16 @@ from fakereal.corpus import DEFAULT_OOV_RANGE, CorpusError, EmbeddingTable
 from fakereal.nncore import Tensor, _accum
 
 
+def assert_same_bits(got, want):
+    """got and want hold the same bits: dtype, shape and bytes.  Unlike
+    np.array_equal, -0.0 differs from 0.0 and a NaN matches only the
+    same NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, (got.dtype, want.dtype)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def grad_check(loss_fn, params, n_coords=200, h=1e-4, seed=0):
     """Max relative error between backprop and central finite differences.
 

@@ -1,12 +1,17 @@
 """Tokenization, sizing thresholds, embeddings, token-id inputs, and corpus
 file round-trips."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fakereal import corpus
 from fakereal.corpus import (
+    CACHE_DIR,
     DATASET_PRESETS,
     FAKENEWSNET_PUBLISHER_COUNT,
     CorpusError,
@@ -25,7 +30,7 @@ from fakereal.corpus import (
     write_embeddings,
 )
 
-from conftest import article_token_ids, float_load_embeddings
+from conftest import article_token_ids, assert_same_bits, float_load_embeddings
 
 
 def art(body, headline="Breaking News", label=Label.REAL, art_id="a1", pubs=None):
@@ -271,6 +276,30 @@ class TestEmbeddingFiles:
         with pytest.raises(CorpusError, match="empty embeddings file"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("word", ["new york", "", "a\xa0b", "tab\tword", "line\nbreak",
+                                      "\u2028"])
+    def test_writer_rejects_words_the_reader_cannot_read(self, tmp_path, word):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError, match="empty or contains whitespace"):
+            write_embeddings({"ok": np.array([1.0]), word: np.array([2.0])}, path)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_written_file_reads_back(self, tmp_path_factory, data):
+        dim = data.draw(st.integers(1, 4))
+        word = st.text(min_size=1, max_size=6).filter(
+            lambda w: not any(ch.isspace() for ch in w))
+        vector = st.lists(st.floats(allow_nan=False), min_size=dim, max_size=dim).map(np.array)
+        vectors = data.draw(st.dictionaries(word, vector, min_size=1, max_size=6))
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        write_embeddings(vectors, path)
+        for words in (None, set(vectors)):
+            table = load_embeddings(path, words=words)
+            assert list(table.rows) == list(vectors)
+            for w, vec in vectors.items():
+                assert_same_bits(table.lookup(w), vec.astype(np.float64))
+
 
 # embeddings-file pieces the parser must read exactly as float() does
 EMBED_WORDS = ("cat", "dog", "emu", "gnu", "yak")
@@ -398,6 +427,169 @@ class TestEmbeddingParser:
         assert float_load_embeddings(path).lookup("a").tolist() == [10.0, 2.0]
         with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
             load_embeddings(path)
+
+
+BAD_LINE_TEXT = st.sampled_from(["", "1.0 oops", "1_0", "1 2 3 4 5 6"])
+
+
+@st.composite
+def maybe_faulty_files(draw):
+    """An embeddings_files() text, with one line of a drawn word that does
+    not parse put in at a drawn place half the time."""
+    lines = draw(embedding_files()).splitlines(keepends=True)
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(EMBED_WORDS)) + " " + draw(BAD_LINE_TEXT) + "\n"
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "".join(lines)
+
+
+def parse_or_error(path, words):
+    """(rows, matrix) of an uncached parse, or the CorpusError text."""
+    try:
+        return corpus._parse_embeddings(path, words)[:2]
+    except CorpusError as exc:
+        return str(exc)
+
+
+def load_or_error(path, words):
+    try:
+        table = load_embeddings(path, oov_seed=3, words=words)
+    except CorpusError as exc:
+        return str(exc)
+    assert table.dimension == table.matrix.shape[1]
+    return table.rows, table.matrix
+
+
+def assert_same_table(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert list(got[0].items()) == list(want[0].items())
+        assert_same_bits(got[1], want[1])
+
+
+class TestVectorCache:
+    """load_embeddings(words=...) through the cache beside the file
+    against an uncached parse: the same rows in the same order, the same
+    vector bits and the same CorpusError, over sequences of lookups and
+    rewrites of the file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_an_uncached_parse(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        word_sets = st.sets(st.sampled_from(EMBED_WORDS + ("owl",)))
+        path.write_bytes(data.draw(maybe_faulty_files()).encode("utf-8"))
+        for step in data.draw(st.lists(st.one_of(word_sets, maybe_faulty_files()),
+                                       min_size=1, max_size=8)):
+            if isinstance(step, str):
+                path.write_bytes(step.encode("utf-8"))
+                continue
+            want = parse_or_error(path, step)
+            assert_same_table(load_or_error(path, step), want)
+            if not isinstance(want, str):
+                # a repeated lookup, or one of fewer words, parses nothing
+                for words in (step, set(sorted(step)[1:])):
+                    want = parse_or_error(path, words)
+                    with mock.patch.object(corpus, "_parse_embeddings",
+                                           side_effect=AssertionError):
+                        assert_same_table(load_or_error(path, words), want)
+        cache_dir = path.parent / CACHE_DIR
+        assert not cache_dir.exists() or os.listdir(cache_dir) == ["emb.txt.vectors"]
+
+    @pytest.mark.parametrize("text, lookups", [
+        # the first line always comes along; its word's later line counts
+        # only when the word is looked up
+        ("a 1 2\nb 3 4\na 5 6\n", [{"b"}, {"a", "b"}, {"b"}, {"a"}, set()]),
+        # words looked up later whose lines come earlier
+        ("x 0 0\na 1 2\nb 3 4\nc 5 6\n", [{"c"}, {"a"}, {"b", "owl"}, {"a", "b", "c"}]),
+    ])
+    def test_lookups_in_any_order(self, tmp_path, text, lookups):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        for words in lookups:
+            assert_same_table(load_or_error(path, words), parse_or_error(path, words))
+
+    def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        parse = corpus._parse_embeddings
+
+        def rewrite_then_parse(*args):
+            path.write_text("a 1 2\nb 7 8\n")
+            return parse(*args)
+
+        with mock.patch.object(corpus, "_parse_embeddings", side_effect=rewrite_then_parse):
+            assert load_embeddings(path, words={"b"}).lookup("b").tolist() == [7.0, 8.0]
+        assert not (tmp_path / CACHE_DIR).exists()
+        assert load_embeddings(path, words={"b"}).lookup("b").tolist() == [7.0, 8.0]
+
+    def cache_file(self, path):
+        return path.parent / CACHE_DIR / (path.name + ".vectors")
+
+    @pytest.mark.parametrize("spoil", [
+        lambda data: data[: len(data) // 2],                  # truncated
+        lambda data: data[:-3],                               # a partial last vector
+        lambda data: b"\x00" * len(data),                     # overwritten
+        lambda data: data.replace(b"cache 1\n", b"cache 0\n", 1),   # another version
+        lambda data: data.replace(b'"dim": 2', b'"dim": 3', 1),     # a header that lies
+        lambda data: b"",
+    ])
+    def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\nc 5 6\n")
+        words = {"b", "c", "owl"}
+        want = parse_or_error(path, words)
+        assert_same_table(load_or_error(path, words), want)
+        cache = self.cache_file(path)
+        cache.write_bytes(spoil(cache.read_bytes()))
+        assert_same_table(load_or_error(path, words), want)
+        with mock.patch.object(corpus, "_parse_embeddings", side_effect=AssertionError):
+            assert_same_table(load_or_error(path, words), want)
+
+    def test_an_edited_file_overwrites_its_cache(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        load_embeddings(path, words={"b"})
+        path.write_text("a 1 2\nb 3 5\n")
+        assert load_embeddings(path, words={"b"}).lookup("b").tolist() == [3.0, 5.0]
+        assert os.listdir(tmp_path / CACHE_DIR) == ["emb.txt.vectors"]
+
+    def test_parse_errors_are_not_cached(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 oops\n")
+        for _ in range(2):
+            with pytest.raises(CorpusError, match="line 2: non-numeric vector component"):
+                load_embeddings(path, words={"b"})
+        assert not (tmp_path / CACHE_DIR).exists()
+
+    @pytest.mark.parametrize("block", ["file in the way", "read-only directory",
+                                       "cache path is a directory"])
+    def test_an_unwritable_cache_means_no_caching(self, tmp_path, block):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        if block == "file in the way":
+            (tmp_path / CACHE_DIR).write_text("")
+        elif block == "cache path is a directory":
+            self.cache_file(path).mkdir(parents=True)
+        want = parse_or_error(path, {"b"})
+        if block == "read-only directory":
+            # what a directory without write permission does to the
+            # temporary file; root would be allowed to write anyway
+            refuse = mock.patch.object(corpus, "atomic_write", side_effect=PermissionError)
+        else:
+            refuse = mock.patch.object(corpus, "atomic_write", wraps=corpus.atomic_write)
+        with refuse:
+            for _ in range(2):
+                assert_same_table(load_or_error(path, {"b"}), want)
+        assert not self.cache_file(path).is_file()
+
+    def test_words_none_uses_no_cache(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        load_embeddings(path)
+        assert not (tmp_path / CACHE_DIR).exists()
 
 
 class TestTokenIds:

@@ -36,6 +36,7 @@ from fakereal.nncore import (
 
 from conftest import (
     ListAdamState,
+    assert_same_bits,
     chain_depthwise_pool,
     conv1x2_depthwise,
     grad_check,
@@ -433,12 +434,13 @@ class TestDepthwisePool:
         got = run_block(depthwise_pool, x, convs, upstream, x_grad)
         want = run_block(chain_depthwise_pool, x, convs, upstream, x_grad)
         assert got[0].shape == x.shape[:3] + (width,)
-        assert np.array_equal(got[0], want[0])
+        assert_same_bits(got[0], want[0])
         assert (got[1] is None) == (not x_grad)
         if x_grad:
-            assert np.array_equal(got[1], want[1])
+            assert_same_bits(got[1], want[1])
         for (gw, gb), (ww, wb) in zip(got[2], want[2]):
-            assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+            assert_same_bits(gw, ww)
+            assert_same_bits(gb, wb)
 
     def test_ties_route_left_and_silent_channels_pass_nothing(self):
         # channel 0: identity conv over a row whose pairs tie; channel 1:
@@ -447,9 +449,10 @@ class TestDepthwisePool:
         convs = [(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, -50.0]))]
         upstream = np.array([[2.0, 7.0], [1.0, 1.0]]).reshape(1, 2, 1, 2)
         out, gx, [(gw, gb)] = run_block(depthwise_pool, x, convs, upstream)
-        assert np.array_equal(out.ravel(), [3.0, 5.0, 0.0, 0.0])
-        assert np.array_equal(gx.ravel(), [2.0, 0.0, 7.0, 0.0, 0.0] + [0.0] * 5)
-        assert np.array_equal(gb, [9.0, 0.0]) and not gw[1].any()
+        assert_same_bits(out.ravel(), [3.0, 5.0, 0.0, 0.0])
+        assert_same_bits(gx.ravel(), [2.0, 0.0, 7.0, 0.0, 0.0] + [0.0] * 5)
+        assert_same_bits(gb, [9.0, 0.0])
+        assert not gw[1].any()
 
     def test_rejects_bad_inputs(self):
         x = Tensor(np.ones((1, 2, 1, 4)))

@@ -25,7 +25,7 @@ from fakereal.social import (
     user_influence,
 )
 
-from conftest import article_explicit_rows, level_followers
+from conftest import article_explicit_rows, assert_same_bits, level_followers
 
 
 def art(pubs, label=Label.REAL, art_id="a1"):
@@ -126,6 +126,12 @@ class TestLoaders:
         negative.write_text("u1\t-3\n")
         with pytest.raises(ValueError, match="negative follower count"):
             load_follower_counts(negative)
+
+    def test_counts_file_lists_each_user_once(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("u1\t10\nu2\t3\n\nu1\t12\n")
+        with pytest.raises(ValueError, match=r"dup.tsv: user 'u1' listed twice, on lines 1 and 4"):
+            load_follower_counts(path)
 
 
 class TestLevelFollowers:
@@ -500,5 +506,5 @@ class TestExplicitRows:
             want, cold = article_explicit_rows(articles, ledger, scores)
             got = explicit_rows(articles, ledger, scores)
             assert got.shape == (len(articles), len(EXPLICIT_ORDER))
-            assert np.array_equal(got, want)
+            assert_same_bits(got, want)
             assert np.array_equal(got[:, EXPLICIT_ORDER.index("num_p_credit")] == 0, cold)

@@ -1,0 +1,8 @@
+"""`python -m fakereal`: the command line of fakereal.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

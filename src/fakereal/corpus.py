@@ -19,7 +19,6 @@ once per occurrence.
 
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +27,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import ContentCache
 
 # Reference statistics for the two FakeNewsNet benchmarks.  The corpora are
 # not shipped, so their sentence-count thresholds are provided as presets
@@ -376,12 +375,10 @@ def _parse_components(path, lines, dim):
     raise CorpusError(f"{path}: lines {lines[0][1]}-{lines[-1][1]}: unparseable vector components")
 
 
-# The vector cache: one file per embeddings file, in CACHE_DIR beside it.
-# Deleting it is always safe; the next load_embeddings parses again.
-CACHE_DIR = "__fakereal_cache__"
-# the first line of a cache file; a file with another first line, such as
-# one of an older format, is a miss and is overwritten
-_CACHE_MAGIC = b"fakereal vector cache 1\n"
+# The vector cache: one file per embeddings file (fileio.ContentCache).
+# Its first line changes with the format or the digest, and a file with
+# another first line is a miss and is overwritten.
+_CACHE_MAGIC = b"fakereal vector cache 2\n"
 
 
 @dataclass
@@ -392,11 +389,9 @@ class VectorCache:
     whose word is names[0] and line lines[0].  Rows 1.. are the words
     looked up so far, each with the vector load_embeddings keeps for it
     (its last line) and its first line number, in line order.  `absent`
-    lists looked-up words the file lacks.  `digest` identifies the file
-    content (blake2b of its bytes).
+    lists looked-up words the file lacks.
     """
 
-    digest: str
     names: list
     lines: list
     matrix: np.ndarray
@@ -421,7 +416,7 @@ class VectorCache:
         return dict(zip(names, range(len(names)))), self.matrix[keep]
 
     @staticmethod
-    def build(digest, parsed, looked_up, old=None):
+    def build(parsed, looked_up, old=None):
         """The cache `old` (None for an empty one) plus `parsed`, what
         _parse_embeddings(path, looked_up) returned for the same content."""
         rows, matrix, lines, first = parsed
@@ -433,46 +428,34 @@ class VectorCache:
             names, at, absent = old.names[1:] + names, old.lines[1:] + at, old.absent + absent
             vectors = np.concatenate([old.matrix[1:], vectors])
         order = np.argsort(at, kind="stable").tolist()
-        return VectorCache(digest, [next(iter(rows))] + [names[i] for i in order],
+        return VectorCache([next(iter(rows))] + [names[i] for i in order],
                            [lines[0]] + [at[i] for i in order],
                            np.concatenate([first[None], vectors[order]]), absent)
 
     def to_bytes(self):
-        head = json.dumps({"digest": self.digest, "dim": self.matrix.shape[1],
-                           "names": self.names, "lines": self.lines, "absent": self.absent})
-        return _CACHE_MAGIC + head.encode("ascii") + b"\n" + self.matrix.astype("<f8").tobytes()
+        head = json.dumps({"dim": self.matrix.shape[1], "names": self.names,
+                           "lines": self.lines, "absent": self.absent})
+        return head.encode("ascii") + b"\n" + self.matrix.astype("<f8").tobytes()
 
     @staticmethod
     def from_bytes(data):
-        """Raises ValueError, KeyError or TypeError on a corrupt file."""
-        if not data.startswith(_CACHE_MAGIC):
-            raise ValueError("not a cache file of this format")
-        end = data.index(b"\n", len(_CACHE_MAGIC))
-        head = json.loads(data[len(_CACHE_MAGIC):end])
+        """Raises ValueError, KeyError or TypeError on a corrupt payload."""
+        end = data.index(b"\n")
+        head = json.loads(data[:end])
         names, lines = head["names"], head["lines"]
         if not names or len(lines) != len(names):
             raise ValueError("corrupt cache header")
         matrix = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(len(names), head["dim"])
-        return VectorCache(head["digest"], names, lines, matrix, head["absent"])
+        return VectorCache(names, lines, matrix, head["absent"])
 
 
 def _cached_vectors(path, words):
     """(rows, matrix) of load_embeddings(path, words=words), read from the
     cache when an earlier call parsed every word in `words` from the same
     file content; otherwise the missing words are parsed and the cache is
-    rewritten.  A cache that is missing, unreadable, corrupt, of another
-    format or of other content is a miss, and a directory that cannot be
-    written only means nothing is cached."""
-    directory, name = os.path.split(os.fspath(path))
-    cache_path = os.path.join(directory, CACHE_DIR, name + ".vectors")
-    digest = _file_digest(path)
-    try:
-        with open(cache_path, "rb") as fh:
-            cached = VectorCache.from_bytes(fh.read())
-        if cached.digest != digest:
-            cached = None
-    except (OSError, ValueError, KeyError, TypeError):
-        cached = None
+    rewritten."""
+    cache = ContentCache(path, ".vectors", _CACHE_MAGIC)
+    cached = cache.load(VectorCache.from_bytes)
     missing = words
     if cached is not None:
         hit = cached.select(words)
@@ -480,25 +463,11 @@ def _cached_vectors(path, words):
             return hit
         missing = dict.fromkeys(w for w in words if w not in cached.index)
     parsed = _parse_embeddings(path, missing)
-    if _file_digest(path) != digest:   # rewritten during the parse: cache nothing
+    if not cache.unchanged():   # rewritten during the parse: cache nothing
         return _parse_embeddings(path, words)[:2]
-    cached = VectorCache.build(digest, parsed, missing, cached)
-    try:
-        os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-        with atomic_write(cache_path, binary=True) as fh:
-            fh.write(cached.to_bytes())
-    except OSError:
-        pass
+    cached = VectorCache.build(parsed, missing, cached)
+    cache.store(cached.to_bytes())
     return cached.select(words)
-
-
-def _file_digest(path):
-    """blake2b of the file's bytes, read a MB at a time."""
-    digest = blake2b(digest_size=32)
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def write_embeddings(vectors, path):

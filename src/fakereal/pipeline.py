@@ -15,6 +15,7 @@ and text signal for desk-scale experiments.
 """
 
 import io
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -144,8 +145,12 @@ class RunConfig:
                                   f"{v['model.variant']}: integrator {exc}") from None
         if v["train.epochs"] < -1:
             raise ConfigError("train.epochs must be >= -1 (-1 selects early stopping)")
-        if v["train.lr"] <= 0.0:
-            raise ConfigError("train.lr must be > 0")
+        # written so that NaN fails each range check
+        if not 0.0 < v["train.lr"] < math.inf:
+            raise ConfigError(f"train.lr must be > 0 and finite, got {v['train.lr']!r}")
+        if not 0.0 <= v["train.stop_at_train_acc"] <= 1.0:
+            raise ConfigError(f"train.stop_at_train_acc must be in [0, 1], "
+                              f"got {v['train.stop_at_train_acc']!r}")
         for key, text in self.to_pairs():
             _check_reloads(key, text)
 

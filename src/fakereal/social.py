@@ -9,11 +9,14 @@ the publisher list is masked against these tables and averaged, then
 min-max normalized with statistics fitted on training articles.
 """
 
+import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .corpus import Label
+from .fileio import ContentCache
 
 
 class CreditLedger:
@@ -46,73 +49,171 @@ def tally_credit(train_articles) -> CreditLedger:
     return ledger
 
 
+_NO_EDGES = np.zeros(0, dtype=np.int32)
+
+
 class FollowerGraph:
     """Directed follower structure.
 
-    `followers[u]` is the set of users who follow u.  N is the audience
-    size used for normalization (defaults to the number of distinct users
-    seen).  p is the reshare probability applied per extra level; d_max
-    bounds the traversal depth (None = until exhaustion, i.e. the graph
-    diameter).  A graph may instead carry only per-user follower counts,
-    which supports the follower-count influence mode alone.  Edges go in
-    through add_edge, which also drops the follower index that
-    influence_table keeps on the graph between calls.
+    `users` numbers every user the graph holds, name -> id, in order of
+    first appearance.  The edges are two int32 arrays, `follower` and
+    `followed`: one entry per distinct (follower, followed) pair, sorted
+    by follower and then by followed.  N is the audience size used for
+    normalization (defaults to the number of users held).  p is the
+    reshare probability applied per extra level; d_max bounds the
+    traversal depth (None = until exhaustion, i.e. the graph diameter).
+    A graph may instead carry only per-user follower `counts`, which
+    supports the follower-count influence mode alone.  graph_from_edges
+    and load_edge_list build graphs with edges; add_user adds a user
+    without any.
     """
 
-    def __init__(self, p=0.5, d_max=None, n_users=None):
+    def __init__(self, p=0.5, d_max=None, n_users=None, users=None,
+                 follower=_NO_EDGES, followed=_NO_EDGES):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"share probability must be in [0, 1], got {p}")
         self.p = float(p)
         self.d_max = d_max
-        self.followers = {}
+        self.users = {} if users is None else users
+        self.follower = follower
+        self.followed = followed
         self.counts = None
-        self._users = set()
         self._n_override = n_users
-        self._follower_index = None   # _followed_by_follower(self), built on first use
-
-    def add_edge(self, follower: str, followed: str):
-        self.followers.setdefault(followed, set()).add(follower)
-        self._users.add(follower)
-        self._users.add(followed)
-        self._follower_index = None
+        # direct followers of each user, a self-follow not counted
+        self._in_degree = np.bincount(followed[follower != followed], minlength=len(self.users))
+        self._followers = None   # the `followers` mapping, built on first use
 
     def add_user(self, user: str):
-        self._users.add(user)
+        self.users.setdefault(user, len(self.users))
 
     @property
     def n_users(self):
-        if self._n_override is not None:
-            return self._n_override
-        if self.counts is not None and not self._users:
-            return len(self.counts)
-        return len(self._users)
+        held = len(self.users) if self.counts is None or self.users else len(self.counts)
+        if self._n_override is None:
+            return held
+        if self._n_override < held:
+            raise ValueError(f"n_users={self._n_override} is below the {held} users "
+                             f"the graph holds")
+        return self._n_override
+
+    def direct_followers(self, user: str) -> int:
+        """How many other users follow `user` over the edges; 0 for a user
+        the edges do not name."""
+        i = self.users.get(user, len(self._in_degree))
+        return int(self._in_degree[i]) if i < len(self._in_degree) else 0
 
     def known(self, user: str) -> bool:
-        if user in self._users:
+        if user in self.users:
             return True
         return self.counts is not None and user in self.counts
+
+    @property
+    def followers(self):
+        """Read-only {user: frozenset of the users who follow it}, for the
+        users with followers; built from the edge arrays on first use."""
+        if self._followers is None:
+            names = list(self.users)
+            sets = {}
+            for a, b in zip(self.follower.tolist(), self.followed.tolist()):
+                sets.setdefault(names[b], set()).add(names[a])
+            self._followers = MappingProxyType({u: frozenset(fs) for u, fs in sets.items()})
+        return self._followers
 
 
 def graph_from_edges(edges, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
     """Build from (follower, followed) pairs; duplicates collapse."""
-    g = FollowerGraph(p=p, d_max=d_max, n_users=n_users)
+    names = []
     for follower, followed in edges:
-        g.add_edge(str(follower), str(followed))
-    return g
+        names += (str(follower), str(followed))
+    users = {}
+    return FollowerGraph(p, d_max, n_users, *_index_edges(users, [_number(names, users)]))
+
+
+def _number(names, users):
+    """The ids of `names` as int32, after giving each name new to `users`
+    (name -> id) the next id, in order of first appearance."""
+    for name in dict.fromkeys(names):
+        users.setdefault(name, len(users))
+    return np.fromiter(map(users.__getitem__, names), dtype=np.int32, count=len(names))
+
+
+def _index_edges(users, ids):
+    """(users, follower, followed) of FollowerGraph for the edges
+    flat[0] -> flat[1], flat[2] -> flat[3], and so on, where flat is the
+    concatenation of the int32 arrays `ids`."""
+    flat = np.concatenate(ids)
+    n = max(len(users), 1)
+    # one key per distinct pair, in (follower, followed) order; a sort
+    # and a mask, as np.unique takes 20x longer on numpy 2.4
+    keys = np.sort(flat[0::2].astype(np.int64) * n + flat[1::2])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    follower, followed = np.divmod(keys, n)
+    return users, follower.astype(np.int32), followed.astype(np.int32)
+
+
+# names numbered at a time by load_edge_list; bounds the strings held at once
+_NAME_CHUNK = 8192
+
+
+# the first line of an edge-list cache file (fileio.ContentCache)
+_GRAPH_MAGIC = b"fakereal graph cache 1\n"
 
 
 def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
-    """Edge-list text file: one `follower_id followed_id` pair per line."""
-    g = FollowerGraph(p=p, d_max=d_max, n_users=n_users)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'follower followed'")
-            g.add_edge(parts[0], parts[1])
-    return g
+    """Edge-list text file: one `follower_id followed_id` pair per line.
+
+    The users and edge arrays are kept in a cache file beside the edge
+    list, `__fakereal_cache__/<name>.graph`, so a later call on the same
+    file content builds the same graph without reading a line of it."""
+    cache = ContentCache(path, ".graph", _GRAPH_MAGIC)
+    edges = cache.load(_edges_from_bytes)
+    if edges is None:
+        users, ids, names = {}, [], []
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected 'follower followed'")
+                names += parts
+                if len(names) == _NAME_CHUNK:
+                    ids.append(_number(names, users))
+                    names = []
+        ids.append(_number(names, users))
+        edges = _index_edges(users, ids)
+        if cache.unchanged():
+            cache.store(*_edges_to_bytes(*edges))
+    return FollowerGraph(p, d_max, n_users, *edges)
+
+
+def _edges_to_bytes(users, follower, followed):
+    """A JSON head line with the user and edge counts and the byte length
+    of the names, the user names in id order, each ending in a newline,
+    and the two edge arrays as little-endian int32."""
+    names = "".join(u + "\n" for u in users).encode("utf-8")
+    head = json.dumps({"users": len(users), "edges": len(follower), "names": len(names)})
+    return (head.encode("ascii") + b"\n", names, follower.astype("<i4").tobytes(),
+            followed.astype("<i4").tobytes())
+
+
+def _edges_from_bytes(data):
+    """What _edges_to_bytes wrote; raises ValueError, KeyError or
+    TypeError on a payload that does not hold it."""
+    end = data.index(b"\n")
+    head = json.loads(data[:end])
+    n, e, size = head["users"], head["edges"], head["names"]
+    names = data[end + 1:end + 1 + size].decode("utf-8").split("\n")
+    if names.pop() != "" or len(names) != n or len(data) != end + 1 + size + 8 * e:
+        raise ValueError("corrupt graph cache")
+    users = dict(zip(names, range(n)))
+    edges = np.frombuffer(data, dtype="<i4", offset=end + 1 + size).astype(np.int32)
+    follower, followed = edges[:e], edges[e:]
+    # the ids index the users, and the pairs are distinct and in order
+    if len(users) != n or (e and (edges.min() < 0 or edges.max() >= n or (
+            np.diff(follower.astype(np.int64) * n + followed) <= 0).any())):
+        raise ValueError("corrupt graph cache")
+    return users, follower, followed
 
 
 def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
@@ -161,26 +262,27 @@ def influence_table(g: FollowerGraph, users) -> dict:
     excludes the publisher), so a score lies in [0, 1].  Users without
     followers in the graph, unknown ones included, score 0.0.
 
-    The follower sets are indexed once as int32 arrays, kept on the graph
-    for later calls until add_edge changes it; each call then walks
-    the levels of up to 64 publishers at a time (multi-source BFS, Then
-    et al., VLDB 2014): bit j of a user's uint64 `reached` and `frontier`
-    words says whether publisher j has reached that user, in total and at
-    the current level.  The per-level first-reach counts are integers,
-    folded into the score by the recurrence of a one-publisher walk, so a
-    score does not depend on which publishers share a sweep.
+    Each call walks the levels of up to 64 publishers at a time over the
+    graph's edge arrays (multi-source BFS, Then et al., VLDB 2014): bit j
+    of a user's uint64 `reached` and `frontier` words says whether
+    publisher j has reached that user, in total and at the current level.
+    The per-level first-reach counts are integers, folded into the score
+    by the recurrence of a one-publisher walk, so a score does not depend
+    on which publishers share a sweep.
     """
     n = g.n_users
     if n < 2:
         raise ValueError(f"influence needs at least 2 users, got N={n}")
-    if g.counts is not None and not g.followers:
+    if g.counts is not None and not len(g.follower):
         raise ValueError("graph holds only follower counts; use follower_count_influence")
     users = list(dict.fromkeys(users))
-    if g._follower_index is None:
-        g._follower_index = _followed_by_follower(g)
-    ids, followed, starts, follower = g._follower_index
+    ids = g.users
+    # the edges of follower[starts[i]] start at starts[i]
+    starts = np.flatnonzero(np.diff(g.follower, prepend=-1))
+    follower, followed = g.follower[starts], g.followed
     scores = {u: 0.0 for u in users}
-    sources = [u for u in users if u in ids]
+    # a user nobody follows reaches no one
+    sources = [u for u in users if g.direct_followers(u)]
     for first in range(0, len(sources), SWEEP_WIDTH):
         chunk = sources[first:first + SWEEP_WIDTH]
         reached = np.zeros(len(ids), dtype=np.uint64)
@@ -222,33 +324,11 @@ def _reach_score(levels, p):
     return total
 
 
-def _followed_by_follower(g: FollowerGraph):
-    """The follower sets as int32 arrays: (ids, followed, starts, follower).
-
-    `ids` numbers every user that follows or is followed, followed users
-    first.  The CSR form followed -> followers comes first: `indices`
-    lists the followers of user 0, then of user 1, and so on, `degree`
-    of each.  Its edges are then sorted by follower: `followed` holds the
-    followed user of each edge, and the edges of follower[i] start at
-    starts[i]."""
-    ids = {u: i for i, u in enumerate(g.followers)}
-    for u in set().union(*g.followers.values()).difference(ids):
-        ids[u] = len(ids)
-    degree = np.fromiter(map(len, g.followers.values()), dtype=np.int64, count=len(g.followers))
-    indices = np.fromiter((ids[f] for fs in g.followers.values() for f in fs),
-                          dtype=np.int32, count=int(degree.sum()))
-    order = np.argsort(indices, kind="stable")
-    followed = np.repeat(np.arange(len(g.followers), dtype=np.int32), degree)[order]
-    by_follower = indices[order]
-    starts = np.flatnonzero(np.diff(by_follower, prepend=-1))
-    return ids, followed, starts, by_follower[starts]
-
-
 def follower_count_influence(g: FollowerGraph, u: str) -> float:
     """The simplified influence mode: just the direct follower count."""
     if g.counts is not None:
         return float(g.counts.get(u, 0))
-    return float(len(g.followers.get(u, set()) - {u}))
+    return float(g.direct_followers(u))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,76 @@ def level_followers(g, u: str, i: int) -> set:
 
 
 # ---------------------------------------------------------------------------
+# the dict-of-sets follower graph and loader that social.FollowerGraph's
+# edge arrays replaced, and the int32 index built from it
+
+
+class SetGraph:
+    """followers[u] is the set of users who follow u, filled one add_edge
+    at a time; the users in order of first appearance.  Duck-types the
+    FollowerGraph attributes that influence_walk and level_followers read."""
+
+    def __init__(self, p=0.5, d_max=None, n_users=None):
+        self.p = float(p)
+        self.d_max = d_max
+        self.followers = {}
+        self.counts = None
+        self.users = {}
+        self._n_override = n_users
+
+    def add_edge(self, follower: str, followed: str):
+        self.followers.setdefault(followed, set()).add(follower)
+        self.users.setdefault(follower)
+        self.users.setdefault(followed)
+
+    @property
+    def n_users(self):
+        return len(self.users) if self._n_override is None else self._n_override
+
+    def known(self, user: str) -> bool:
+        return user in self.users
+
+    def follower_count(self, user: str) -> float:
+        return float(len(self.followers.get(user, set()) - {user}))
+
+
+def load_set_graph(path, p=0.5, d_max=None, n_users=None) -> SetGraph:
+    """Edge-list text file: one `follower_id followed_id` pair per line."""
+    g = SetGraph(p=p, d_max=d_max, n_users=n_users)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 'follower followed'")
+            g.add_edge(parts[0], parts[1])
+    return g
+
+
+def followed_by_follower(g: SetGraph):
+    """The follower sets as int32 arrays: (ids, followed, starts, follower).
+
+    `ids` numbers every user that follows or is followed, followed users
+    first.  The CSR form followed -> followers comes first: `indices`
+    lists the followers of user 0, then of user 1, and so on, `degree`
+    of each.  Its edges are then sorted by follower: `followed` holds the
+    followed user of each edge, and the edges of follower[i] start at
+    starts[i]."""
+    ids = {u: i for i, u in enumerate(g.followers)}
+    for u in set().union(*g.followers.values()).difference(ids):
+        ids[u] = len(ids)
+    degree = np.fromiter(map(len, g.followers.values()), dtype=np.int64, count=len(g.followers))
+    indices = np.fromiter((ids[f] for fs in g.followers.values() for f in fs),
+                          dtype=np.int32, count=int(degree.sum()))
+    order = np.argsort(indices, kind="stable")
+    followed = np.repeat(np.arange(len(g.followers), dtype=np.int32), degree)[order]
+    by_follower = indices[order]
+    starts = np.flatnonzero(np.diff(by_follower, prepend=-1))
+    return ids, followed, starts, by_follower[starts]
+
+
+# ---------------------------------------------------------------------------
 # the op chain, optimizer and scatter that nncore's fused forms replaced
 
 

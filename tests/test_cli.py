@@ -1,10 +1,17 @@
 """End-to-end command-line runs against a generated corpus."""
 
+import filecmp
 import os
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
 
+import fakereal
+from fakereal import social
 from fakereal.cli import build_parser, main
+from fakereal.fileio import CACHE_DIR
 
 FAST_FLAGS = ["--dense-width", "8", "--dropout", "0.0",
               "--batch-size", "8", "--epochs", "1"]
@@ -162,3 +169,48 @@ class TestExperimentCommands:
         snapshot = (tmp_path / "run" / "config.snapshot").read_text(encoding="utf-8")
         assert "model.dense_width = 8\n" in snapshot
         assert "train.epochs = 1\n" in snapshot
+
+
+class TestModuleEntryPoint:
+    def test_python_m_fakereal(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fakereal.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "fakereal", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: fakereal")
+
+
+def tree(root):
+    """Every file under `root`, by its path relative to `root`."""
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, _, names in os.walk(root) for name in names)
+
+
+class TestEdgeListRuns:
+    def test_a_warm_cache_gives_the_same_run_directories(self, tmp_path):
+        """train, eval and stats with an edge list, first with no cache
+        beside the inputs and then with the caches the first run wrote."""
+        data = str(tmp_path / "data")
+        assert main(["synth", "--out", data, "--seed", "5", "--n-real", "8", "--n-fake", "8",
+                     "--n-users", "12", "--vocab-size", "20", "--embed-dim", "5",
+                     "--test-fraction", "0.25"]) == 0
+        edges = ["--edges", os.path.join(data, "edges.txt"), "--influence-mode", "exact"]
+        for run in ("cold", "warm"):
+            out = str(tmp_path / run)
+            with mock.patch.object(social, "_index_edges", wraps=social._index_edges) as index:
+                assert main(["train", *data_flags(data), *edges, *FAST_FLAGS,
+                             "--out", out]) == 0
+                assert main(["eval", *data_flags(data), *edges, "--out", out]) == 0
+                assert main(["stats", "--train", os.path.join(data, "train.jsonl"), *edges,
+                             "--out", os.path.join(out, "stats")]) == 0
+            # the cold run parses the edge list once, and the warm run not at all
+            assert index.call_count == (run == "cold")
+            assert sorted(os.listdir(os.path.join(data, CACHE_DIR))) == [
+                "edges.txt.graph", "embeddings.txt.vectors"]
+        cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+        files = tree(cold)
+        assert "report.tsv" in files and os.path.join("stats", "stats.tsv") in files
+        assert tree(warm) == files
+        assert filecmp.cmpfiles(cold, warm, files, shallow=False)[1:] == ([], [])

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fakereal import corpus
+from fakereal import corpus, fileio
 from fakereal.corpus import (
-    CACHE_DIR,
     DATASET_PRESETS,
     FAKENEWSNET_PUBLISHER_COUNT,
     CorpusError,
@@ -29,6 +28,7 @@ from fakereal.corpus import (
     write_corpus,
     write_embeddings,
 )
+from fakereal.fileio import CACHE_DIR
 
 from conftest import article_token_ids, assert_same_bits, float_load_embeddings
 
@@ -532,7 +532,7 @@ class TestVectorCache:
         lambda data: data[: len(data) // 2],                  # truncated
         lambda data: data[:-3],                               # a partial last vector
         lambda data: b"\x00" * len(data),                     # overwritten
-        lambda data: data.replace(b"cache 1\n", b"cache 0\n", 1),   # another version
+        lambda data: data.replace(b"cache 2\n", b"cache 1\n", 1),   # another version
         lambda data: data.replace(b'"dim": 2', b'"dim": 3', 1),     # a header that lies
         lambda data: b"",
     ])
@@ -577,9 +577,9 @@ class TestVectorCache:
         if block == "read-only directory":
             # what a directory without write permission does to the
             # temporary file; root would be allowed to write anyway
-            refuse = mock.patch.object(corpus, "atomic_write", side_effect=PermissionError)
+            refuse = mock.patch.object(fileio, "atomic_write", side_effect=PermissionError)
         else:
-            refuse = mock.patch.object(corpus, "atomic_write", wraps=corpus.atomic_write)
+            refuse = mock.patch.object(fileio, "atomic_write", wraps=fileio.atomic_write)
         with refuse:
             for _ in range(2):
                 assert_same_table(load_or_error(path, {"b"}), want)

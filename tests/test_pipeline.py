@@ -120,7 +120,8 @@ def run_configs(draw):
         "coldstart.fraction": draw(st.floats(0.0, 1.0)),
         "train.val_fraction": draw(st.floats(0.0, 1.0, exclude_max=True)),
         "influence.p": draw(st.floats(0.0, 1.0)),
-        "train.lr": draw(st.floats(0.0, exclude_min=True)),
+        "train.lr": draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        "train.stop_at_train_acc": draw(st.floats(0.0, 1.0)),
         "train.epochs": draw(st.integers(-1, 10**6)),
     }
     for key, (_, typ, _) in CONFIG_SCHEMA.items():
@@ -194,6 +195,13 @@ class TestRunConfig:
         ("influence.d_max", "-1", "influence.d_max must be >= 0"),
         ("train.epochs", "-2", "train.epochs must be >= -1"),
         ("train.lr", "0.0", "train.lr must be > 0"),
+        ("train.lr", "-1e-3", "train.lr must be > 0 and finite, got -0.001"),
+        ("train.lr", "nan", "train.lr must be > 0 and finite, got nan"),
+        ("train.lr", "inf", "train.lr must be > 0 and finite, got inf"),
+        ("train.stop_at_train_acc", "nan", r"train.stop_at_train_acc must be in \[0, 1\], got nan"),
+        ("train.stop_at_train_acc", "-3", r"train.stop_at_train_acc must be in \[0, 1\]"),
+        ("train.stop_at_train_acc", "7", r"train.stop_at_train_acc must be in \[0, 1\], got 7.0"),
+        ("train.stop_at_train_acc", "-inf", r"train.stop_at_train_acc must be in \[0, 1\]"),
     ])
     def test_validation(self, key, value, message):
         with pytest.raises(ConfigError, match=message):

@@ -1,12 +1,17 @@
 """Publisher history tallies, follower-graph influence, and the min-max
 feature scaling."""
 
+import hashlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fakereal import social
+from fakereal import fileio, social
+from fakereal.fileio import CACHE_DIR
 from fakereal.corpus import Label, NewsArticle
 from fakereal.social import (
     EXPLICIT_ORDER,
@@ -25,7 +30,14 @@ from fakereal.social import (
     user_influence,
 )
 
-from conftest import article_explicit_rows, assert_same_bits, level_followers
+from conftest import (
+    SetGraph,
+    article_explicit_rows,
+    assert_same_bits,
+    followed_by_follower,
+    level_followers,
+    load_set_graph,
+)
 
 
 def art(pubs, label=Label.REAL, art_id="a1"):
@@ -69,16 +81,26 @@ class TestCreditLedger:
 
 class TestFollowerGraph:
     def test_edge_and_membership(self):
-        g = FollowerGraph()
-        g.add_edge("alice", "bob")     # alice follows bob
+        g = graph_from_edges([("alice", "bob")])     # alice follows bob
         assert g.followers["bob"] == {"alice"}
         assert g.known("alice") and g.known("bob") and not g.known("carol")
         assert g.n_users == 2
 
     def test_n_users_override(self):
-        g = FollowerGraph(n_users=100)
-        g.add_edge("a", "b")
+        g = graph_from_edges([("a", "b")], n_users=100)
         assert g.n_users == 100
+
+    def test_n_users_override_below_the_users_held(self):
+        g = graph_from_edges([("a", "u"), ("b", "u"), ("c", "u"), ("d", "a")], n_users=2)
+        with pytest.raises(ValueError, match="n_users=2 is below the 5 users the graph holds"):
+            influence_table(g, ["u"])
+        # users added later count too
+        g = graph_from_edges([("a", "u")], n_users=3)
+        g.add_user("b")
+        assert user_influence(g, "u") == 0.5
+        g.add_user("c")
+        with pytest.raises(ValueError, match="n_users=3 is below the 4 users"):
+            user_influence(g, "u")
 
     def test_invalid_share_probability(self):
         with pytest.raises(ValueError, match="share probability"):
@@ -132,6 +154,208 @@ class TestLoaders:
         path.write_text("u1\t10\nu2\t3\n\nu1\t12\n")
         with pytest.raises(ValueError, match=r"dup.tsv: user 'u1' listed twice, on lines 1 and 4"):
             load_follower_counts(path)
+
+
+EDGE_NAMES = ("a", "b", "u1", "caf\u00e9", "x_y")
+EDGE_GAPS = (" ", "\t", "\x0c", "\xa0", "\u2028", " \t ")
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list text over a few names: blank and whitespace-only lines,
+    tabs, form feeds, no-break and line-separator spaces inside lines,
+    \\n and \\r\\n line ends, self-loops and repeated edges, and now and
+    then a line with one or three names."""
+    name = st.sampled_from(EDGE_NAMES)
+    gap = st.sampled_from(EDGE_GAPS)
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 5)) == 0:
+            text = draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0 "]))
+        else:
+            text = draw(st.sampled_from(["", " ", "\u2028"])) + draw(name) + draw(gap) + draw(name)
+            text += draw(st.sampled_from(["", " ", "\t\xa0"]))
+        lines.append(text + draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from(["a", "a b c", "\xa0a\t", "a b\u2028c"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad + "\n")
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestEdgeListLoader:
+    """load_edge_list, a parse and then a cache hit, against the
+    dict-of-sets loader it replaced (tests/conftest.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_set_graph_loader(self, tmp_path_factory, influence_walk, data):
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        path.write_bytes(data.draw(edge_files()).encode("utf-8"))
+        p = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        d_max = data.draw(st.sampled_from([None, 1, 2]))
+        want = outcome(load_set_graph, path, p, d_max)
+        if isinstance(want, str):
+            for _ in range(2):
+                assert outcome(load_edge_list, path, p, d_max) == want
+            assert not (path.parent / CACHE_DIR).exists()   # parse errors are not cached
+            return
+        override = data.draw(st.one_of(st.none(), st.integers(len(want.users),
+                                                              len(want.users) + 3)))
+        want = load_set_graph(path, p, d_max, override)
+        names = [*EDGE_NAMES, "nobody"]
+        chunk = data.draw(st.sampled_from([2, 6, social._NAME_CHUNK]))   # names numbered at once
+        for parses in (True, False):
+            with mock.patch.object(social, "_index_edges", wraps=social._index_edges) as index, \
+                    mock.patch.object(social, "_NAME_CHUNK", chunk):
+                g = load_edge_list(path, p, d_max, override)
+            assert index.called == parses   # the second load is a cache hit
+            assert list(g.users) == list(want.users)
+            assert g.n_users == want.n_users
+            assert [g.known(u) for u in names] == [want.known(u) for u in names]
+            assert g.followers == want.followers
+            assert influence_scores(g, names) == {u: want.follower_count(u) for u in names}
+            got = outcome(influence_table, g, names)
+            if isinstance(got, str):
+                assert got == outcome(influence_walk, want, names[0])
+                continue
+            assert_same_bits(np.array(list(got.values())),
+                             np.array([influence_walk(want, u) for u in names]))
+
+
+class TestEdgeListCache:
+    """The cache file beside an edge list: a hit is the graph a parse
+    builds, and anything else is a miss that parses and rewrites it."""
+
+    TEXT = "a u\nb u\nc a\nu a\nb u\n"
+
+    def cache_file(self, path):
+        return path.parent / CACHE_DIR / (path.name + ".graph")
+
+    def assert_same_graph(self, got, want):
+        assert list(got.users) == list(want.users)
+        assert_same_bits(got.follower, want.follower)
+        assert_same_bits(got.followed, want.followed)
+        users = list(want.users)
+        assert_same_bits(np.array(list(influence_table(got, users).values())),
+                         np.array(list(influence_table(want, users).values())))
+
+    def load_without_parse(self, path):
+        with mock.patch.object(social, "_index_edges", side_effect=AssertionError):
+            return load_edge_list(path)
+
+    def test_a_hit_equals_a_parse(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        want = load_edge_list(path)
+        assert os.listdir(tmp_path / CACHE_DIR) == ["edges.txt.graph"]
+        self.assert_same_graph(self.load_without_parse(path), want)
+        self.assert_same_graph(want, graph_from_edges(
+            [line.split() for line in self.TEXT.splitlines()]))
+
+    def test_keyed_by_the_sha256_of_the_file(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        load_edge_list(path)
+        head = self.cache_file(path).read_bytes().split(b"\n", 2)[:2]
+        assert head == [b"fakereal graph cache 1",
+                        hashlib.sha256(self.TEXT.encode()).hexdigest().encode()]
+
+    def test_an_empty_edge_list_is_cached(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("\n \n")
+        load_edge_list(path)
+        g = self.load_without_parse(path)
+        assert g.users == {} and len(g.follower) == 0 and g.n_users == 0
+
+    @pytest.mark.parametrize("spoil", [
+        lambda data, other: data[: len(data) // 2],             # truncated
+        lambda data, other: data[:-3],                          # a partial last id
+        lambda data, other: b"\x00" * len(data),                # overwritten
+        lambda data, other: b"",
+        lambda data, other: data.replace(b"cache 1\n", b"cache 0\n", 1),   # another version
+        lambda data, other: other,                              # another file content
+        lambda data, other: data.replace(b'"users": 4', b'"users": 5', 1),   # a head that lies
+        lambda data, other: data[:-4] + b"\xff\xff\xff\xff",    # an id out of range
+        # the last two followers swapped: pairs out of order
+        lambda data, other: data[:-24] + data[-20:-16] + data[-24:-20] + data[-16:],
+        # the last pair a copy of the one before
+        lambda data, other: data[:-20] + data[-24:-20] + data[-16:-4] + data[-8:-4],
+    ])
+    def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
+        other = tmp_path / "other" / "edges.txt"
+        other.parent.mkdir()
+        other.write_text(self.TEXT.replace("c a", "c b"))
+        load_edge_list(other)
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        want = load_edge_list(path)
+        cache = self.cache_file(path)
+        cache.write_bytes(spoil(cache.read_bytes(), self.cache_file(other).read_bytes()))
+        self.assert_same_graph(load_edge_list(path), want)
+        self.assert_same_graph(self.load_without_parse(path), want)
+
+    def test_a_file_rewritten_between_calls_is_parsed_again(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        load_edge_list(path)
+        path.write_text(self.TEXT + "d c\n")
+        g = load_edge_list(path)
+        assert g.followers["c"] == {"d"} and g.n_users == 5
+        assert os.listdir(tmp_path / CACHE_DIR) == ["edges.txt.graph"]
+        self.assert_same_graph(self.load_without_parse(path), g)
+
+    def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        index = social._index_edges
+
+        def rewrite_then_index(*args):
+            path.write_text("x y\n")
+            return index(*args)
+
+        with mock.patch.object(social, "_index_edges", side_effect=rewrite_then_index):
+            assert load_edge_list(path).followers["u"] == {"a", "b"}
+        assert not (tmp_path / CACHE_DIR).exists()
+        assert dict(load_edge_list(path).followers) == {"y": {"x"}}
+
+    def test_parse_errors_are_not_cached(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("a b\nc\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="edges.txt: line 2: expected 'follower followed'"):
+                load_edge_list(path)
+        assert not (tmp_path / CACHE_DIR).exists()
+
+    @pytest.mark.parametrize("block", ["file in the way", "read-only directory",
+                                       "cache path is a directory"])
+    def test_an_unwritable_cache_means_no_caching(self, tmp_path, block):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        if block == "file in the way":
+            (tmp_path / CACHE_DIR).write_text("")
+        elif block == "cache path is a directory":
+            self.cache_file(path).mkdir(parents=True)
+        want = graph_from_edges([line.split() for line in self.TEXT.splitlines()])
+        if block == "read-only directory":
+            # what a directory without write permission does to the
+            # temporary file; root would be allowed to write anyway
+            refuse = mock.patch.object(fileio, "atomic_write", side_effect=PermissionError)
+        else:
+            refuse = mock.patch.object(fileio, "atomic_write", wraps=fileio.atomic_write)
+        with refuse:
+            for _ in range(2):
+                self.assert_same_graph(load_edge_list(path), want)
+        assert not self.cache_file(path).is_file()
 
 
 class TestLevelFollowers:
@@ -224,13 +448,10 @@ class TestUserInfluence:
         for trial in range(30):
             n = int(rng.integers(2, 9))
             users = [f"u{i}" for i in range(n)]
-            g = FollowerGraph(p=float(rng.random()))
+            edges = [(a, b) for a in users for b in users if a != b and rng.random() < 0.3]
+            g = graph_from_edges(edges, p=float(rng.random()))
             for x in users:
                 g.add_user(x)
-            for a in users:
-                for b in users:
-                    if a != b and rng.random() < 0.3:
-                        g.add_edge(a, b)
             for x in users:
                 assert 0.0 <= user_influence(g, x) <= 1.0
 
@@ -246,7 +467,7 @@ class TestUserInfluence:
             if not outsider or outsider == ["u0"]:
                 continue
             extra = next(x for x in outsider if x != "u0")
-            g.add_edge(extra, "u0")
+            g = graph_from_edges(edges + [(extra, "u0")], p=0.6, n_users=6)
             assert user_influence(g, "u0") >= before - 1e-12
 
     def test_matches_naive_level_oracle(self, influence_oracle):
@@ -255,15 +476,13 @@ class TestUserInfluence:
             n = int(rng.integers(2, 7))
             users = [str(i) for i in range(n)]
             p = float(rng.random())
-            g = FollowerGraph(p=p)
+            edges = [(a, b) for a in users for b in users if a != b and rng.random() < 0.35]
+            g = graph_from_edges(edges, p=p)
             for x in users:
                 g.add_user(x)
             followers = {}
-            for a in users:
-                for b in users:
-                    if a != b and rng.random() < 0.35:
-                        g.add_edge(a, b)
-                        followers.setdefault(b, set()).add(a)
+            for a, b in edges:
+                followers.setdefault(b, set()).add(a)
             for x in users:
                 want = influence_oracle(followers, n, x, p)
                 assert user_influence(g, x) == pytest.approx(want, abs=1e-12)
@@ -278,7 +497,7 @@ def influence_cases(draw, min_users=2, max_users=12, min_edges_per_user=0):
                           min_size=min_edges_per_user * n, max_size=4 * n))
     p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     d_max = draw(st.sampled_from([1, 2, 3, None]))
-    override = draw(st.one_of(st.none(), st.integers(2, 2 * n + 2)))
+    override = draw(st.one_of(st.none(), st.integers(n, 2 * n + 2)))
     g = graph_from_edges([(f"u{a}", f"u{b}") for a, b in edges], p=p, d_max=d_max,
                          n_users=override)
     for i in range(n):
@@ -344,26 +563,34 @@ class TestInfluenceTable:
         with pytest.raises(ValueError, match="only follower counts"):
             influence_table(load_follower_counts(path), ["u"])
 
-    def test_follower_index_built_once_per_graph(self, monkeypatch):
-        builds = []
-        build = social._followed_by_follower
-        monkeypatch.setattr(social, "_followed_by_follower",
-                            lambda g: builds.append(g) or build(g))
+    def test_edge_arrays_equal_the_old_index(self):
+        """The graph's arrays hold the edges of the int32 index that
+        influence_table once built from the follower sets, by name."""
         rng = np.random.default_rng(8)
-        g = graph_from_edges([(f"u{a}", f"u{b}") for a, b in rng.integers(0, 30, size=(90, 2))])
-        scores = [user_influence(g, f"u{i}") for i in range(12)]
-        assert len(builds) == 1
-        assert influence_table(g, [f"u{i}" for i in range(12)]) == {
-            f"u{i}": score for i, score in enumerate(scores)}
-        assert len(builds) == 1
+        edges = [(f"u{a}", f"u{b}") for a, b in rng.integers(0, 30, size=(90, 2))]
+        g = graph_from_edges(edges)
+        old = SetGraph()
+        for follower, followed in edges:
+            old.add_edge(follower, followed)
+        ids, followed, starts, follower = followed_by_follower(old)
+        names, ends = list(ids), [*starts[1:], len(followed)]
+        want = {(names[f], names[d])
+                for f, lo, hi in zip(follower, starts, ends) for d in followed[lo:hi]}
+        users = list(g.users)
+        got = [(users[f], users[d]) for f, d in zip(g.follower, g.followed)]
+        assert len(got) == len(want) and set(got) == want
+        # distinct pairs, sorted by follower and then by followed
+        assert (np.diff(g.follower.astype(np.int64) * len(users) + g.followed) > 0).all()
+        assert users == list(old.users)   # numbered in order of first appearance
 
-    def test_add_edge_drops_the_follower_index(self, influence_walk):
-        g = graph_from_edges([("a", "u"), ("b", "a")], p=0.5, n_users=5)
-        assert user_influence(g, "u") == 1.5 / 4
-        g.add_edge("c", "b")
-        assert user_influence(g, "u") == influence_walk(g, "u") == 1.75 / 4
-        g.add_edge("d", "u")
-        assert user_influence(g, "u") == influence_walk(g, "u") == 2.75 / 4
+    def test_add_user_counts_in_later_calls(self, influence_walk):
+        g = graph_from_edges([("a", "u"), ("b", "a")], p=0.5)
+        assert user_influence(g, "u") == 1.5 / 2
+        g.add_user("c")
+        assert user_influence(g, "u") == influence_walk(g, "u") == 1.5 / 3
+        g.add_user("a")
+        g.add_user("d")
+        assert user_influence(g, "u") == influence_walk(g, "u") == 1.5 / 4
 
     def test_exact_scores_skip_unknown_publishers(self):
         # no graph at all: unknown publishers score 0 and nothing is walked

@@ -2,9 +2,10 @@
 
 The integrator appends the article's explicit publisher features (credit
 and influence vectors) to every row of the latent matrix, then reduces
-each widened row back to k values with its own HCB stack, treating the
-row as depth-1 input.  The head flattens the matrix row-major and applies
-dense(64)+ReLU, dropout, dense(64)+ReLU, dropout, dense(2), softmax.
+each widened row back to k values with its own HCB stack, reading the
+row as one channel that the stack's first conv fans out to k.  The head
+flattens the matrix row-major and applies dense(64)+ReLU, dropout,
+dense(64)+ReLU, dropout, dense(2), softmax.
 
 Variants select which explicit features exist:
   slcnn    - none; the integrator is skipped entirely
@@ -43,9 +44,10 @@ def integrate_batch(latent: Tensor, explicit: np.ndarray) -> Tensor:
 
 def integrator_apply(blocks: list, x: Tensor) -> Tensor:
     """Reduce integrated rows back to k-vectors: (B, R, W) -> (B, R, k).
-    The widened row is treated as depth-1 input to a fresh HCB stack."""
+    The widened rows are one channel, which the stack's first conv fans
+    out to k."""
     b, rows, width = x.data.shape
-    return stack_apply(blocks, nncore.reshape(x, (b, rows, width, 1)))
+    return stack_apply(blocks, nncore.reshape(x, (b, 1, rows, width)))
 
 
 @dataclass
@@ -113,16 +115,10 @@ class Model:
         """Name -> leaf Tensor, in a stable order (drives Adam slots and
         checkpoints)."""
         params = {}
-        for i, blk in enumerate(self.slcnn.blocks):
-            params[f"slcnn.b{i}.conv1.w"] = blk.conv1_w
-            params[f"slcnn.b{i}.conv1.b"] = blk.conv1_b
-            params[f"slcnn.b{i}.conv2.w"] = blk.conv2_w
-            params[f"slcnn.b{i}.conv2.b"] = blk.conv2_b
-        for i, blk in enumerate(self.integrator):
-            params[f"integrator.b{i}.conv1.w"] = blk.conv1_w
-            params[f"integrator.b{i}.conv1.b"] = blk.conv1_b
-            params[f"integrator.b{i}.conv2.w"] = blk.conv2_w
-            params[f"integrator.b{i}.conv2.b"] = blk.conv2_b
+        for stack, blocks in (("slcnn", self.slcnn.blocks), ("integrator", self.integrator)):
+            for i, blk in enumerate(blocks):
+                for name, t in zip(("conv1.w", "conv1.b", "conv2.w", "conv2.b"), blk.tensors()):
+                    params[f"{stack}.b{i}.{name}"] = t
         for name, t in zip(("w1", "b1", "w2", "b2", "w3", "b3"), self.head.tensors()):
             params[f"head.{name}"] = t
         return params
@@ -139,7 +135,7 @@ def init_model(variant: str, t_s: int, t_d: int, embed_dim: int, rng,
     net = init_slcnn(t_s, embed_dim, k, rng)
     m = len(VARIANTS[variant])
     if m:
-        integrator = init_hcb_stack(k + m, 1, k, rng)
+        integrator = init_hcb_stack(k + m, None, k, rng)
     else:
         integrator = []
     head = init_head(rows * k, dense_width, rng)

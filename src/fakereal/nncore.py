@@ -1,17 +1,18 @@
 """Minimal dense-tensor numeric core.
 
-Exactly the operations the classifier needs: 1x2 convolutions (full-depth
-and per-channel), pairwise max pooling, dense layers, inverted dropout,
-softmax cross-entropy, and Adam, with reverse-mode gradients.  float64
-throughout, row-major numpy storage.
+Exactly the operations the classifier needs: 1x2 convolutions (over
+word vectors and per-channel), pairwise max pooling, dense layers,
+inverted dropout, softmax cross-entropy, and Adam, with reverse-mode
+gradients.  float64 throughout, row-major numpy storage.
 
-Graph ops (conv1x2_full, conv1x2_tokens, depthwise_pool, linear, relu,
-reshape, transpose, concat, gather_rows, dropout_t, softmax_xent_batch)
-build a tape of `Tensor` nodes over batched arrays.  depthwise_pool is the
-per-channel tail of a conv block (per-channel 1x2 convs with ReLU, then
-pairwise max pooling) as one node.  A result that needs no gradient
-(no input requires grad) records no parents and no backward closure, so
-an evaluation forward builds no tape.
+Graph ops (conv1x2_tokens, depthwise_pool, linear, relu, reshape,
+transpose, concat, gather_rows, dropout_t, softmax_xent_batch) build a
+tape of `Tensor` nodes over batched arrays.  depthwise_pool is a conv
+block's per-channel convs with ReLU, then pairwise max pooling, as one
+node; its first conv may fan a one-channel input out to every channel (a
+depthwise conv with a channel multiplier).  A result that needs no
+gradient (no input requires grad) records no parents and no backward
+closure, so an evaluation forward builds no tape.
 
 pack_parameters moves a parameter list into one flat buffer, and
 adam_step updates such a buffer from the flat gradient that gather_grads
@@ -21,6 +22,8 @@ collects.
 import ctypes
 import json
 import platform
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -213,47 +216,15 @@ def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return out
 
 
-def conv1x2_full(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Full-depth 1x2 convolution with fused ReLU.
-
-    x: (B, R, W, E) input rows; w: (k, 2, E) stacked filters; b: (k,).
-    Returns (B, k, R, W-1).  Each filter spans two adjacent width slots
-    across the whole depth axis; rows share weights.
-    """
-    xb, wb, bb = x.data, w.data, b.data
-    if xb.ndim != 4 or wb.ndim != 3 or wb.shape[1] != 2 or xb.shape[3] != wb.shape[2]:
-        raise ValueError(f"conv1x2_full shape mismatch: x{xb.shape} w{wb.shape}")
-    if xb.shape[2] < 2:
-        raise ValueError("window larger than input")
-    x0 = xb[:, :, :-1, :]
-    x1 = xb[:, :, 1:, :]
-    pre = (np.einsum("brte,fe->bfrt", x0, wb[:, 0, :])
-           + np.einsum("brte,fe->bfrt", x1, wb[:, 1, :])
-           + bb[None, :, None, None])
-    out = Tensor(np.maximum(pre, 0.0), (x, w, b))
-    assert out.data.shape[3] == xb.shape[2] - 1
-    if out.requires_grad:
-        def bp():
-            gm = out.grad * (out.data > 0.0)
-            _accum(b, gm.sum(axis=(0, 2, 3)))
-            gw = np.stack([np.einsum("bfrt,brte->fe", gm, x0),
-                           np.einsum("bfrt,brte->fe", gm, x1)], axis=1)
-            _accum(w, gw)
-            if x.requires_grad:
-                gx = np.zeros_like(xb)
-                gx[:, :, :-1, :] += np.einsum("bfrt,fe->brte", gm, wb[:, 0, :])
-                gx[:, :, 1:, :] += np.einsum("bfrt,fe->brte", gm, wb[:, 1, :])
-                _accum(x, gx)
-        out._backward = bp
-    return out
-
-
 def conv1x2_tokens(ids, vectors, w: Tensor, b: Tensor) -> Tensor:
-    """conv1x2_full over rows of token ids into a frozen vector table.
+    """Full-depth 1x2 convolution with fused ReLU over rows of token ids
+    into a frozen vector table.
 
-    ids: (B, R, W) integer rows indexing vectors (V, E); w: (k, 2, E);
-    b: (k,).  Returns (B, k, R, W-1), the value conv1x2_full gives on
-    vectors[ids].  The table takes no gradient, so the conv is linear in
+    ids: (B, R, W) integer rows indexing vectors (V, E); w: (k, 2, E)
+    stacked filters; b: (k,).  Returns (B, k, R, W-1): filter f at slot t
+    is ReLU(w[f, 0] . vectors[id_t] + w[f, 1] . vectors[id_{t+1}] + b[f]),
+    spanning two adjacent width slots across the whole embedding axis; rows
+    share weights.  The table takes no gradient, so the conv is linear in
     it: every table row is projected once, P = vectors @ [W0; W1]^T, and
     each output is P0[id_t] + P1[id_{t+1}] + b.  Backward scatter-adds the
     masked gradient into per-token rows of dP and takes dW = dP^T @ vectors.
@@ -314,21 +285,24 @@ def gather_rows(x: Tensor, index) -> Tensor:
 
 
 def depthwise_pool(x: Tensor, convs) -> Tensor:
-    """The per-channel tail of a conv block as one graph node.
+    """A conv block's per-channel convs and its pooling as one graph node.
 
-    x: (B, C, R, W); convs: one or more (w, b) pairs, w (C, 2) one
-    independent 1x2 kernel per channel and b (C,).  Each conv is followed
-    by ReLU, then stride-2 max pooling over adjacent width slots:
-    (B, C, R, (W - len(convs)) // 2).  A trailing slot at odd width is
-    dropped, and a tie routes the gradient to the left element only.
-    Channels never mix.
+    x: (B, C, R, W), or (B, 1, R, W); convs: one or more (w, b) pairs, w
+    (C, 2) one independent 1x2 kernel per channel and b (C,).  On a
+    one-channel input the first conv fans out: every channel's kernel reads
+    the same row.  Each conv is followed by ReLU, then stride-2 max pooling
+    over adjacent width slots: (B, C, R, (W - len(convs)) // 2).  A
+    trailing slot at odd width is dropped, and a tie routes the gradient to
+    the left element only.  Channels never mix.
     """
     xb = x.data
     convs = list(convs)
     if not convs:
         raise ValueError("depthwise_pool needs at least one convolution")
+    channels = convs[0][0].data.shape[:1]    # (C,) when the first kernel is well formed
     for w, b in convs:
-        if xb.ndim != 4 or w.data.shape != (xb.shape[1], 2) or b.data.shape != (xb.shape[1],):
+        if (xb.ndim != 4 or xb.shape[1:2] not in ((1,), channels)
+                or w.data.shape != channels + (2,) or b.data.shape != channels):
             raise ValueError(f"depthwise_pool shape mismatch: x{xb.shape} w{w.data.shape} "
                              f"b{b.data.shape}")
     if xb.shape[3] - len(convs) < 2:
@@ -376,9 +350,16 @@ def depthwise_pool(x: Tensor, convs) -> Tensor:
                 if i == 0 and not x.requires_grad:
                     break
                 gx = np.empty_like(xi)
-                np.multiply(gm, w0, out=gx[:, :, :, :-1])
-                np.multiply(gm[:, :, :, -1:], w1, out=gx[:, :, :, -1:])
-                gx[:, :, :, 1:-1] += gm[:, :, :, :-1] * w1
+                if xi.shape[1] == gm.shape[1]:
+                    np.multiply(gm, w0, out=gx[:, :, :, :-1])
+                    np.multiply(gm[:, :, :, -1:], w1, out=gx[:, :, :, -1:])
+                    gx[:, :, :, 1:-1] += gm[:, :, :, :-1] * w1
+                else:
+                    # the fanned-out input: each tap sums over the channels
+                    gx[:, 0, :, :-1] = np.einsum("bcrt,c->brt", gm, w.data[:, 0])
+                    tap1 = np.einsum("bcrt,c->brt", gm, w.data[:, 1])
+                    gx[:, 0, :, -1] = tap1[:, :, -1]
+                    gx[:, 0, :, 1:-1] += tap1[:, :, :-1]
                 gx += 0.0     # -0.0 to +0.0, as the chain's sum into zeros gave
                 if i == 0:
                     _accum(x, gx)
@@ -513,8 +494,21 @@ def save_checkpoint(path, arrays: dict, meta: dict):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: (arrays dict, meta dict)."""
-    with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(bytes(z[_META_KEY].tobytes()).decode("utf-8"))
-        arrays = {k: z[k] for k in z.files if k != _META_KEY}
+    """Inverse of save_checkpoint: (arrays dict, meta dict).
+
+    Every stored CRC-32 is checked before anything is read, so a file cut
+    short or with a damaged byte raises ValueError naming the path.  A
+    damaged name can still drop or rename an array, which the caller's
+    layout check must catch."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as z:
+                damaged = z.zip.testzip()
+                if damaged is not None:
+                    raise ValueError(f"bad CRC-32 for {damaged!r}")
+                meta = json.loads(bytes(z[_META_KEY].tobytes()).decode("utf-8"))
+                arrays = {k: z[k] for k in z.files if k != _META_KEY}
+        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, NotImplementedError,
+                OSError, RuntimeError, ValueError) as exc:
+            raise ValueError(f"{path}: damaged checkpoint ({exc})") from exc
     return arrays, meta

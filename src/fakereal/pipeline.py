@@ -30,7 +30,7 @@ from .seeds import rng_for
 from .slcnn import required_hcbs
 from .social import EXPLICIT_ORDER
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +639,13 @@ def evaluate_model(model: fusion.Model, bundle: DataBundle, config: RunConfig) -
 
 def evaluate(config: RunConfig, checkpoint_path, out_dir=None) -> EvalReport:
     """Evaluate a stored checkpoint against the configured test data.
-    Only the test split's text is tokenized and embedded."""
-    bundle = prepare_data(config, train_text=False)
+    The checkpoint is loaded and its variant checked before any data is
+    read; only the test split's text is tokenized and embedded."""
     model, meta = load_model(checkpoint_path)
     if meta["variant"] != config.variant:
         raise ValueError(f"checkpoint is for variant {meta['variant']!r}, "
                          f"config says {config.variant!r}")
+    bundle = prepare_data(config, train_text=False)
     if (meta["t_s"], meta["t_d"]) != (bundle.thresholds.t_s, bundle.thresholds.t_d):
         raise ValueError("checkpoint thresholds do not match the prepared data")
     if meta["embed_dim"] != bundle.embed_dim:
@@ -1008,16 +1009,3 @@ def write_synthetic(data: SynthData, out_dir, test_fraction=0.5) -> dict:
             fh.write(f"{follower} {followed}\n")
     corpus.write_embeddings(data.embeddings, paths["embeddings"])
     return paths
-
-
-def synth_config(paths, overrides=None) -> RunConfig:
-    """RunConfig pointing at a write_synthetic() layout."""
-    base = {
-        "data.train": paths["train"],
-        "data.test": paths["test"],
-        "data.embeddings": paths["embeddings"],
-        "data.publishers": paths["publishers"],
-        "model.t_s": "10",
-    }
-    base.update(overrides or {})
-    return RunConfig(base)

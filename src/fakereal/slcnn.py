@@ -6,13 +6,13 @@ adjacent pairs.  One block maps row width w to (w-2)//2, so a stack sized
 by required_hcbs() reduces every row to a single k-vector.  Rows share
 weights, so the latent matrix is row-permutation-equivariant.
 
-The first convolution of the first block is the only full-depth one (it
-consumes the embedding axis and fans out to k channels); every other
-convolution is per-channel with an independent 1x2 kernel.  On article
-text the full-depth conv reads token ids and the frozen word-vector table
-(nncore.conv1x2_tokens); the integrator's depth-1 stacks use the dense
-form (nncore.conv1x2_full).  A block's per-channel convolutions and its
-pooling run as one graph node (nncore.depthwise_pool).
+The first convolution of the first block fans out to k channels; every
+other convolution is per-channel with an independent 1x2 kernel.  On
+article text that first conv is full-depth: it reads token ids and the
+frozen word-vector table and consumes the embedding axis
+(nncore.conv1x2_tokens).  The integrator's stack reads one channel, which
+its first conv fans out to k.  Every block's per-channel convolutions and
+its pooling run as one graph node (nncore.depthwise_pool).
 """
 
 from dataclasses import dataclass
@@ -45,22 +45,16 @@ def required_hcbs(width: int) -> int:
 
 @dataclass
 class HcbBlock:
-    """Parameters of one block: conv1 may be full-depth, conv2 is always
-    per-channel.  full_depth convs hold weights (k, 2, d); per-channel
-    convs hold (k, 2)."""
+    """Parameters of one block: 1x2 kernels of shape (k, 2), one per
+    channel, except the text stack's first conv1, which spans the
+    embedding axis with weights (k, 2, E)."""
     conv1_w: Tensor
     conv1_b: Tensor
     conv2_w: Tensor
     conv2_b: Tensor
-    full_depth: bool
 
     def tensors(self):
         return [self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b]
-
-    def depthwise_convs(self):
-        """The (w, b) pairs of the block's per-channel convs, in order."""
-        tail = [(self.conv2_w, self.conv2_b)]
-        return tail if self.full_depth else [(self.conv1_w, self.conv1_b)] + tail
 
 
 def _he_uniform(rng, shape, fan_in):
@@ -75,17 +69,20 @@ def _depthwise_init(rng, k):
     return rng.uniform(0.25, 0.75, (k, 2))
 
 
-def init_hcb_stack(width: int, in_depth: int, k: int, rng) -> list:
+def init_hcb_stack(width: int, in_depth: int | None, k: int, rng) -> list:
     """Build the parameter blocks for one reduction stack.
 
-    Block 1's first conv is full-depth over `in_depth` and fans out to k
-    channels; everything after is per-channel with positive init (see
-    _depthwise_init).  The full-depth conv gets a small positive bias so
-    no output channel starts all-negative.
+    Block 1's first conv fans out to k channels with He-uniform weights:
+    (k, 2, in_depth) over an embedding axis, or (k, 2) over a one-channel
+    input when in_depth is None.  Everything after is per-channel with
+    positive init (see _depthwise_init).  The fan-out conv gets a small
+    positive bias so no output channel starts all-negative.
     """
     blocks = []
     for b in range(required_hcbs(width)):
-        if b == 0:
+        if b == 0 and in_depth is None:
+            w1 = Tensor(_he_uniform(rng, (k, 2), 2), requires_grad=True)
+        elif b == 0:
             w1 = Tensor(_he_uniform(rng, (k, 2, in_depth), 2 * in_depth), requires_grad=True)
         else:
             w1 = Tensor(_depthwise_init(rng, k), requires_grad=True)
@@ -95,30 +92,25 @@ def init_hcb_stack(width: int, in_depth: int, k: int, rng) -> list:
             conv1_b=Tensor(np.full(k, CONV_BIAS_INIT), requires_grad=True),
             conv2_w=w2,
             conv2_b=Tensor(np.zeros(k), requires_grad=True),
-            full_depth=(b == 0),
         ))
     return blocks
 
 
 def hcb_apply(block: HcbBlock, x: Tensor) -> Tensor:
-    """One block on a batched graph tensor.
-
-    Full-depth blocks take (B, R, W, E) and emit (B, k, R, (W-2)//2);
-    per-channel blocks map (B, k, R, W) to (B, k, R, (W-2)//2).  The
-    block's per-channel convs and its pooling are one nncore.depthwise_pool
-    node.
+    """One block on a batched graph tensor: (B, k, R, W), or (B, 1, R, W)
+    that conv1 fans out, to (B, k, R, (W-2)//2), as one
+    nncore.depthwise_pool node.
     """
-    width = x.data.shape[2] if block.full_depth else x.data.shape[3]
+    width = x.data.shape[3]
     if width < 4:
         raise ValueError(f"block cannot reduce input of width {width}")
-    if block.full_depth:
-        x = nncore.conv1x2_full(x, block.conv1_w, block.conv1_b)
-    return nncore.depthwise_pool(x, block.depthwise_convs())
+    return nncore.depthwise_pool(x, [(block.conv1_w, block.conv1_b),
+                                     (block.conv2_w, block.conv2_b)])
 
 
 def stack_apply(blocks: list, x: Tensor) -> Tensor:
-    """Run blocks until width 1: input (B, R, W, E) when the first block
-    is full-depth, else (B, k, R, W); output (B, R, k)."""
+    """Run blocks until width 1: input (B, k, R, W), or (B, 1, R, W) that
+    the first block fans out; output (B, R, k)."""
     h = x
     for block in blocks:
         h = hcb_apply(block, h)
@@ -173,6 +165,7 @@ def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:
 
     first = model.blocks[0]
     h = nncore.conv1x2_tokens(computed[None], vectors, first.conv1_w, first.conv1_b)
-    latent = stack_apply(model.blocks[1:], nncore.depthwise_pool(h, first.depthwise_convs()))
+    h = nncore.depthwise_pool(h, [(first.conv2_w, first.conv2_b)])
+    latent = stack_apply(model.blocks[1:], h)
     latent = nncore.reshape(latent, latent.data.shape[1:])
     return nncore.gather_rows(latent, source.reshape(batch, rows))

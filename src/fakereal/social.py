@@ -11,7 +11,6 @@ min-max normalized with statistics fitted on training articles.
 
 import json
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -81,7 +80,6 @@ class FollowerGraph:
         self._n_override = n_users
         # direct followers of each user, a self-follow not counted
         self._in_degree = np.bincount(followed[follower != followed], minlength=len(self.users))
-        self._followers = None   # the `followers` mapping, built on first use
 
     def add_user(self, user: str):
         self.users.setdefault(user, len(self.users))
@@ -106,18 +104,6 @@ class FollowerGraph:
         if user in self.users:
             return True
         return self.counts is not None and user in self.counts
-
-    @property
-    def followers(self):
-        """Read-only {user: frozenset of the users who follow it}, for the
-        users with followers; built from the edge arrays on first use."""
-        if self._followers is None:
-            names = list(self.users)
-            sets = {}
-            for a, b in zip(self.follower.tolist(), self.followed.tolist()):
-                sets.setdefault(names[b], set()).add(names[a])
-            self._followers = MappingProxyType({u: frozenset(fs) for u, fs in sets.items()})
-        return self._followers
 
 
 def graph_from_edges(edges, p=0.5, d_max=None, n_users=None) -> FollowerGraph:

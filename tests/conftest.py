@@ -11,6 +11,7 @@ import pytest
 from fakereal import fusion, nncore, slcnn
 from fakereal.corpus import DEFAULT_OOV_RANGE, CorpusError, EmbeddingTable
 from fakereal.nncore import Tensor, _accum
+from fakereal.pipeline import RunConfig
 
 
 def assert_same_bits(got, want):
@@ -62,6 +63,19 @@ def grad_check(loss_fn, params, n_coords=200, h=1e-4, seed=0):
     return worst
 
 
+def synth_config(paths, overrides=None) -> RunConfig:
+    """RunConfig pointing at a pipeline.write_synthetic() layout."""
+    base = {
+        "data.train": paths["train"],
+        "data.test": paths["test"],
+        "data.embeddings": paths["embeddings"],
+        "data.publishers": paths["publishers"],
+        "model.t_s": "10",
+    }
+    base.update(overrides or {})
+    return RunConfig(base)
+
+
 def width_trace(width: int) -> list:
     """Every intermediate width (after each conv and pool) from `width` to 1."""
     n = slcnn.required_hcbs(width)
@@ -73,6 +87,19 @@ def width_trace(width: int) -> list:
     return trace
 
 
+def followers(g) -> dict:
+    """{user: frozenset of the users who follow it}, for the users with
+    followers: a FollowerGraph's edge arrays as sets, or a SetGraph's own
+    mapping."""
+    if isinstance(g, SetGraph):
+        return g.followers
+    names = list(g.users)
+    sets = {}
+    for a, b in zip(g.follower.tolist(), g.followed.tolist()):
+        sets.setdefault(names[b], set()).add(names[a])
+    return {u: frozenset(fs) for u, fs in sets.items()}
+
+
 def level_followers(g, u: str, i: int) -> set:
     """Level-i follower set: followers of followers, i deep, minus u itself.
 
@@ -82,11 +109,12 @@ def level_followers(g, u: str, i: int) -> set:
         raise ValueError(f"level must be >= 1, got {i}")
     if not g.known(u):
         raise ValueError(f"unknown user {u!r}")
-    level = g.followers.get(u, set()) - {u}
+    sets = followers(g)
+    level = sets.get(u, set()) - {u}
     for _ in range(i - 1):
         nxt = set()
         for x in level:
-            nxt |= g.followers.get(x, set())
+            nxt |= sets.get(x, set())
         level = nxt - {u}
     return set(level)
 
@@ -99,7 +127,8 @@ def level_followers(g, u: str, i: int) -> set:
 class SetGraph:
     """followers[u] is the set of users who follow u, filled one add_edge
     at a time; the users in order of first appearance.  Duck-types the
-    FollowerGraph attributes that influence_walk and level_followers read."""
+    FollowerGraph attributes that influence_walk and level_followers read;
+    followers() hands its mapping back as it is."""
 
     def __init__(self, p=0.5, d_max=None, n_users=None):
         self.p = float(p)
@@ -165,6 +194,50 @@ def followed_by_follower(g: SetGraph):
 # the op chain, optimizer and scatter that nncore's fused forms replaced
 
 
+def conv1x2_full(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Full-depth 1x2 convolution with fused ReLU.
+
+    x: (B, R, W, E) input rows; w: (k, 2, E) stacked filters; b: (k,).
+    Returns (B, k, R, W-1).  Each filter spans two adjacent width slots
+    across the whole depth axis; rows share weights.
+    """
+    xb, wb, bb = x.data, w.data, b.data
+    if xb.ndim != 4 or wb.ndim != 3 or wb.shape[1] != 2 or xb.shape[3] != wb.shape[2]:
+        raise ValueError(f"conv1x2_full shape mismatch: x{xb.shape} w{wb.shape}")
+    if xb.shape[2] < 2:
+        raise ValueError("window larger than input")
+    x0 = xb[:, :, :-1, :]
+    x1 = xb[:, :, 1:, :]
+    pre = (np.einsum("brte,fe->bfrt", x0, wb[:, 0, :])
+           + np.einsum("brte,fe->bfrt", x1, wb[:, 1, :])
+           + bb[None, :, None, None])
+    out = Tensor(np.maximum(pre, 0.0), (x, w, b))
+    assert out.data.shape[3] == xb.shape[2] - 1
+    if out.requires_grad:
+        def bp():
+            gm = out.grad * (out.data > 0.0)
+            _accum(b, gm.sum(axis=(0, 2, 3)))
+            gw = np.stack([np.einsum("bfrt,brte->fe", gm, x0),
+                           np.einsum("bfrt,brte->fe", gm, x1)], axis=1)
+            _accum(w, gw)
+            if x.requires_grad:
+                gx = np.zeros_like(xb)
+                gx[:, :, :-1, :] += np.einsum("bfrt,fe->brte", gm, wb[:, 0, :])
+                gx[:, :, 1:, :] += np.einsum("bfrt,fe->brte", gm, wb[:, 1, :])
+                _accum(x, gx)
+        out._backward = bp
+    return out
+
+
+def fan_out_conv(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A one-channel input (B, 1, R, W) fanned out by the kernels w (C, 2)
+    as the integrator's first conv once ran it: conv1x2_full at depth 1,
+    through reshape nodes.  Returns (B, C, R, W-1)."""
+    batch, _, rows, width = x.data.shape
+    return conv1x2_full(nncore.reshape(x, (batch, rows, width, 1)),
+                        nncore.reshape(w, w.data.shape + (1,)), b)
+
+
 def conv1x2_depthwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-channel 1x2 convolution with fused ReLU, one graph node.
 
@@ -223,7 +296,13 @@ def maxpool_pairs(x: Tensor) -> Tensor:
 
 def chain_depthwise_pool(x, convs):
     """nncore.depthwise_pool as the chain of nodes it fused: one
-    conv1x2_depthwise per (w, b), then maxpool_pairs."""
+    conv1x2_depthwise per (w, b), then maxpool_pairs.  A one-channel input
+    that the first conv fans out goes through fan_out_conv instead."""
+    convs = list(convs)
+    w, b = convs[0]
+    if x.data.shape[1] == 1 < w.data.shape[0]:
+        x = fan_out_conv(x, w, b)
+        convs = convs[1:]
     for w, b in convs:
         x = conv1x2_depthwise(x, w, b)
     return maxpool_pairs(x)
@@ -387,9 +466,10 @@ def influence_walk():
         n = g.n_users
         if n < 2:
             raise ValueError(f"influence needs at least 2 users, got N={n}")
-        if g.counts is not None and not g.followers:
+        sets = followers(g)
+        if g.counts is not None and not sets:
             raise ValueError("graph holds only follower counts; use follower_count_influence")
-        frontier = g.followers.get(u, set()) - {u}
+        frontier = sets.get(u, set()) - {u}
         reached = set(frontier)
         total = float(len(frontier))
         level = 1
@@ -401,7 +481,7 @@ def influence_walk():
             weight *= g.p
             nxt = set()
             for x in frontier:
-                nxt |= g.followers.get(x, set())
+                nxt |= sets.get(x, set())
             nxt -= reached
             nxt.discard(u)
             total += weight * len(nxt)
@@ -467,10 +547,17 @@ def build_tensor(tok, th, table):
     return ArticleTensor(data)
 
 
+def dense_block(block, x):
+    """The text stack's first block on word vectors: (B, rows, t_s, E) ->
+    (B, k, rows, (t_s-2)//2), conv1 as conv1x2_full."""
+    h = conv1x2_full(Tensor(x), block.conv1_w, block.conv1_b)
+    return nncore.depthwise_pool(h, [(block.conv2_w, block.conv2_b)])
+
+
 def dense_latent(model, x):
     """Word vectors (B, rows, t_s, E) -> latent (B, rows, k), every row,
     padding included, through conv1x2_full and the rest of the stack."""
-    return slcnn.stack_apply(model.blocks, Tensor(x))
+    return slcnn.stack_apply(model.blocks[1:], dense_block(model.blocks[0], x))
 
 
 def dense_logits(model, x, explicit, mode="eval", rng=None):
@@ -498,5 +585,5 @@ def as_tokens(x):
 @pytest.fixture(scope="session")
 def dense_oracle():
     return types.SimpleNamespace(ArticleTensor=ArticleTensor, embed_word=embed_word,
-                                 build_tensor=build_tensor, latent=dense_latent,
-                                 logits=dense_logits, as_tokens=as_tokens)
+                                 build_tensor=build_tensor, block=dense_block,
+                                 latent=dense_latent, logits=dense_logits, as_tokens=as_tokens)

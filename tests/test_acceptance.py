@@ -20,14 +20,13 @@ from fakereal.pipeline import (
     eval_report,
     gen_synthetic,
     prepare_data,
-    synth_config,
     train,
     write_synthetic,
 )
 from fakereal.seeds import rng_for
 from fakereal.slcnn import required_hcbs
 
-from conftest import grad_check, width_trace
+from conftest import grad_check, synth_config, width_trace
 
 TRAIN_SEEDS = (0, 1, 2, 3, 4)
 

@@ -121,6 +121,17 @@ class TestEvalCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_cut_checkpoint_exits_one(self, cli_corpus, cli_run, tmp_path, capsys):
+        with open(os.path.join(cli_run, "checkpoint.bin"), "rb") as fh:
+            good = fh.read()
+        cut = tmp_path / "checkpoint.bin"
+        cut.write_bytes(good[:len(good) - 10])
+        code = main(["eval", *data_flags(cli_corpus), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: damaged checkpoint")
+        assert "Traceback" not in err
+
 
 class TestStatsCommand:
     def test_prints_and_writes_table(self, cli_corpus, tmp_path, capsys):

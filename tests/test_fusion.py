@@ -26,7 +26,7 @@ from fakereal.nncore import Tensor
 from fakereal.seeds import rng_for
 from fakereal.slcnn import init_hcb_stack
 
-from conftest import grad_check
+from conftest import grad_check, synth_config
 
 # one full explicit row, EXPLICIT_ORDER columns
 EXPLICIT = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
@@ -99,7 +99,7 @@ class TestIntegratorReduce:
     @pytest.mark.parametrize("m", [5, 3, 2])
     def test_reduces_widened_rows_back_to_k(self, m):
         k = 8
-        blocks = init_hcb_stack(k + m, 1, k, rng_for(0, "init"))
+        blocks = init_hcb_stack(k + m, None, k, rng_for(0, "init"))
         assert len(blocks) == 2
         rows = np.random.default_rng(1).random((1, 6, k + m))
         assert integrator_apply(blocks, Tensor(rows)).data.shape == (1, 6, k)
@@ -327,7 +327,7 @@ class TestDenseOracle:
                                   embed_dim=5, sents_min=1, sents_max=4, pubs_max=2)
         paths = pipeline.write_synthetic(pipeline.gen_synthetic(spec, seed=3),
                                          str(tmp_path_factory.mktemp("oracle")))
-        return pipeline.prepare_data(pipeline.synth_config(paths, {"model.t_d": "5"}))
+        return pipeline.prepare_data(synth_config(paths, {"model.t_d": "5"}))
 
     @pytest.mark.parametrize("variant", ["slcnn", "full"])
     def test_logits_match_dense_oracle(self, bundle, dense_oracle, variant):

@@ -2,6 +2,7 @@
 differences, Adam, dropout, and checkpoint round-trips."""
 
 import platform
+import re
 import resource
 
 import numpy as np
@@ -16,7 +17,6 @@ from fakereal.nncore import (
     Tensor,
     adam_step,
     concat,
-    conv1x2_full,
     conv1x2_tokens,
     depthwise_pool,
     dropout_t,
@@ -39,6 +39,8 @@ from conftest import (
     assert_same_bits,
     chain_depthwise_pool,
     conv1x2_depthwise,
+    conv1x2_full,
+    fan_out_conv,
     grad_check,
     list_adam_step,
     maxpool_pairs,
@@ -391,17 +393,21 @@ class TestTokenConv:
 
 # few distinct values, so windows and pooled pairs tie often
 TIE_PRONE = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+# signed zeros, ties and magnitudes from 1e-300 to 1e300
+EXTREME = (st.sampled_from([-0.0, 0.0, 1.0, -1.0])
+           | st.floats(-1e300, 1e300).filter(lambda v: v == 0.0 or abs(v) >= 1e-300))
 
 
 @st.composite
 def depthwise_inputs(draw):
-    """A block input (B, C, R, W) and one or two per-channel convs, from
-    a small value set (ties) with some biases low enough to silence a
-    channel; W covers odd and even widths at every conv count."""
+    """A block input (B, C, R, W), or (B, 1, R, W) that the first conv
+    fans out to C channels, and one or two per-channel convs, from a small
+    value set (ties) with some biases low enough to silence a channel; W
+    covers odd and even widths at every conv count."""
     n_convs = draw(st.integers(1, 2))
-    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 2)),
-             draw(st.integers(n_convs + 2, 9)))
-    channels = shape[1]
+    channels = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 2)), draw(st.sampled_from([1, channels])),
+             draw(st.integers(1, 2)), draw(st.integers(n_convs + 2, 9)))
     x = draw(hnp.arrays(np.float64, shape, elements=TIE_PRONE))
     convs = [(draw(hnp.arrays(np.float64, (channels, 2), elements=TIE_PRONE)),
               draw(hnp.arrays(np.float64, channels, elements=TIE_PRONE | st.just(-50.0))))
@@ -429,11 +435,11 @@ class TestDepthwisePool:
     @given(inputs=depthwise_inputs(), seed=st.integers(0, 2**16))
     def test_forward_and_gradients_equal_the_chain(self, inputs, seed):
         x, convs, x_grad = inputs
-        width = (x.shape[3] - len(convs)) // 2
-        upstream = np.random.default_rng(seed).normal(size=x.shape[:3] + (width,))
+        out_shape = (x.shape[0], len(convs[0][1]), x.shape[2], (x.shape[3] - len(convs)) // 2)
+        upstream = np.random.default_rng(seed).normal(size=out_shape)
         got = run_block(depthwise_pool, x, convs, upstream, x_grad)
         want = run_block(chain_depthwise_pool, x, convs, upstream, x_grad)
-        assert got[0].shape == x.shape[:3] + (width,)
+        assert got[0].shape == out_shape
         assert_same_bits(got[0], want[0])
         assert (got[1] is None) == (not x_grad)
         if x_grad:
@@ -441,6 +447,29 @@ class TestDepthwisePool:
         for (gw, gb), (ww, wb) in zip(got[2], want[2]):
             assert_same_bits(gw, ww)
             assert_same_bits(gb, wb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), batch=st.integers(1, 3), rows=st.integers(1, 3),
+           width=st.integers(4, 12), channels=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_fan_out_equals_conv1x2_full_then_the_tail(self, data, batch, rows, width,
+                                                       channels, seed):
+        # the integrator's first block as it ran before the fan-out was
+        # fused: conv1x2_full at depth 1, then depthwise_pool on conv2
+        def arrays(shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=EXTREME))
+
+        x = arrays((batch, 1, rows, width))
+        convs = [(arrays((channels, 2)), arrays(channels)) for _ in range(2)]
+        upstream = np.random.default_rng(seed).normal(size=(batch, channels, rows,
+                                                            (width - 2) // 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = run_block(depthwise_pool, x, convs, upstream)
+            want = run_block(lambda xt, params: depthwise_pool(fan_out_conv(xt, *params[0]),
+                                                               params[1:]),
+                             x, convs, upstream)
+        for g, w in zip([got[0], got[1], *got[2][0], *got[2][1]],
+                        [want[0], want[1], *want[2][0], *want[2][1]]):
+            assert_same_bits(g, w)
 
     def test_ties_route_left_and_silent_channels_pass_nothing(self):
         # channel 0: identity conv over a row whose pairs tie; channel 1:
@@ -466,6 +495,13 @@ class TestDepthwisePool:
         with pytest.raises(ValueError, match="window larger than input"):
             depthwise_pool(x, [conv, conv, conv])
         assert depthwise_pool(x, [conv, conv]).data.shape == (1, 2, 1, 1)
+        # a one-channel input fans out, but every conv keeps one channel count
+        one = Tensor(np.ones((1, 1, 1, 4)))
+        assert depthwise_pool(one, [conv, conv]).data.shape == (1, 2, 1, 1)
+        with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
+            depthwise_pool(one, [conv, (Tensor(np.ones((3, 2))), Tensor(np.zeros(3)))])
+        with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
+            depthwise_pool(one, [(Tensor(np.ones((2, 2, 1))), Tensor(np.zeros(2)))])
 
     def test_no_gradient_builds_no_graph(self):
         x = Tensor(np.ones((1, 2, 1, 4)))
@@ -577,6 +613,26 @@ class TestGradCheck:
 
         assert grad_check(loss_fn, [x, w1, b1, w2, b2], n_coords=80, seed=2) < 1e-6
 
+    def test_fan_out_block_with_input_gradients(self):
+        # the integrator's first block: one channel fanned out to three,
+        # a per-channel conv, then the pool, with the gradient flowing on
+        # to the widened rows
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.uniform(0.2, 1.0, size=(2, 1, 3, 7)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b1 = Tensor(np.full(3, 0.6), requires_grad=True)
+        w2 = Tensor(rng.uniform(0.25, 0.75, size=(3, 2)), requires_grad=True)
+        b2 = Tensor(np.full(3, 0.05), requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 3, 3, 2)))
+
+        def loss_fn():
+            h = depthwise_pool(x, [(w1, b1), (w2, b2)])   # (2, 3, 3, 2)
+            flat = reshape(h, (1, h.data.size))
+            return reshape(linear(flat, reshape(weights, (h.data.size, 1)), Tensor(np.zeros(1))),
+                           ())
+
+        assert grad_check(loss_fn, [x, w1, b1, w2, b2], n_coords=80, seed=3) < 1e-6
+
     def test_input_gradients_too(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(1, 2, 5, 3)), requires_grad=True)
@@ -645,6 +701,27 @@ class TestCheckpoint:
         save_checkpoint(path, {"a": np.zeros(2)}, {})
         assert path.exists()
         assert not (tmp_path / "checkpoint.bin.npz").exists()
+
+    def test_every_crc_is_checked(self, tmp_path):
+        # '<f8' -> '<f4' in a large array's header: numpy reads half of the
+        # member, so only a check of every CRC-32 sees the damage
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, {"w": np.arange(10000.0)}, {})
+        damaged = path.read_bytes().replace(b"'<f8'", b"'<f4'", 1)
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="damaged checkpoint .*CRC-32 for 'w.npy'"):
+            load_checkpoint(path)
+
+    def test_damage_is_a_value_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, {"w": np.ones(3)}, {"a": 1})
+        good = path.read_bytes()
+        for damaged in (b"", good[:40], good[:-1], b"not a zip archive"):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: damaged checkpoint"):
+                load_checkpoint(path)
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "missing.bin")
 
     def test_reserved_array_name(self, tmp_path):
         with pytest.raises(ValueError, match="reserved"):

@@ -33,7 +33,6 @@ from fakereal.pipeline import (
     prepare_data,
     save_model,
     split_corpus,
-    synth_config,
     train,
     write_config_snapshot,
     write_report_files,
@@ -43,7 +42,14 @@ from fakereal.pipeline import (
 from fakereal.seeds import rng_for
 from fakereal.slcnn import required_hcbs
 
-from conftest import ListAdamState, chain_depthwise_pool, list_adam_step
+from conftest import (
+    ListAdamState,
+    assert_same_bits,
+    chain_depthwise_pool,
+    followers,
+    list_adam_step,
+    synth_config,
+)
 
 # desk-scale corpus shared by the data/training tests below
 SMALL_SPEC = SynthSpec(
@@ -489,19 +495,19 @@ class TestLoadGraph:
     def test_edge_list_wins_over_counts(self, synth_paths):
         config = synth_config(synth_paths, overrides={"data.edges": synth_paths["edges"]})
         g = load_graph(config)
-        assert g.followers
+        assert followers(g)
         assert g.counts is None
 
     def test_counts_only(self, synth_paths):
         g = load_graph(synth_config(synth_paths))
         assert g.counts is not None
-        assert not g.followers
+        assert not followers(g)
         assert g.n_users == SMALL_SPEC.n_users
 
     def test_no_social_files_gives_empty_graph(self, synth_paths):
         config = synth_config(synth_paths, overrides={"data.publishers": ""})
         g = load_graph(config)
-        assert g.counts is None and not g.followers and g.n_users == 0
+        assert g.counts is None and not followers(g) and g.n_users == 0
 
     def test_p_and_depth_bound_plumbed(self, synth_paths):
         config = synth_config(synth_paths, overrides={"influence.p": "0.25",
@@ -659,7 +665,7 @@ class TestSplitAndWrite:
 
         ge = social.load_edge_list(synth_paths["edges"])
         expected = social.graph_from_edges(data.edges)
-        assert ge.followers == expected.followers
+        assert followers(ge) == followers(expected)
 
         table = corpus.load_embeddings(synth_paths["embeddings"])
         assert table.dimension == SMALL_SPEC.embed_dim
@@ -1055,6 +1061,34 @@ class TestCheckpoints:
             load_model(bad)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_cut_or_a_flipped_byte_loads_the_same_or_raises(self, trained_run,
+                                                              tmp_path_factory, data):
+        # a damaged name can drop an array (the layout check) and a damaged
+        # timestamp changes nothing; anything else fails its CRC-32 or the
+        # zip structure, and every failure is a ValueError
+        result, out = trained_run
+        with open(os.path.join(out, "checkpoint.bin"), "rb") as fh:
+            good = fh.read()
+        if data.draw(st.booleans(), label="cut"):
+            damaged = good[:data.draw(st.integers(0, len(good) - 1), label="length")]
+        else:
+            damaged = bytearray(good)
+            damaged[data.draw(st.integers(0, len(good) - 1), label="at")] ^= \
+                data.draw(st.integers(1, 255), label="mask")
+        path = tmp_path_factory.mktemp("damaged") / "checkpoint.bin"
+        path.write_bytes(bytes(damaged))
+        want_model, want_meta = load_model(os.path.join(out, "checkpoint.bin"))
+        try:
+            model, meta = load_model(str(path))
+        except ValueError:
+            return
+        assert meta == want_meta
+        for name, t in want_model.parameters().items():
+            assert_same_bits(model.parameters()[name].data, t.data)
+
+
 class TestEvaluate:
     def test_end_to_end_report_and_files(self, small_config, small_bundle,
                                          trained_run, tmp_path):
@@ -1090,6 +1124,23 @@ class TestEvaluate:
         config = small_config.with_overrides({"model.variant": "slcnn_c"})
         with pytest.raises(ValueError, match="checkpoint is for variant 'full'"):
             evaluate(config, os.path.join(out, "checkpoint.bin"))
+
+    def test_checkpoint_is_checked_before_setup(self, small_config, trained_run, tmp_path,
+                                                monkeypatch):
+        _, out = trained_run
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("prepare_data was called")
+
+        monkeypatch.setattr(pipeline, "prepare_data", no_setup)
+        config = small_config.with_overrides({"model.variant": "slcnn_c"})
+        with pytest.raises(ValueError, match="checkpoint is for variant 'full'"):
+            evaluate(config, os.path.join(out, "checkpoint.bin"))
+        cut = tmp_path / "checkpoint.bin"
+        with open(os.path.join(out, "checkpoint.bin"), "rb") as fh:
+            cut.write_bytes(fh.read()[:100])
+        with pytest.raises(ValueError, match="damaged checkpoint"):
+            evaluate(small_config, str(cut))
 
     def test_threshold_mismatch(self, small_config, trained_run):
         _, out = trained_run

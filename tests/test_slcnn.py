@@ -62,18 +62,19 @@ class TestRequiredHcbs:
 class TestBlockConfig:
     def test_only_1x2_convolutions(self):
         # both block convs take exactly two taps along the width
-        x = Tensor(np.ones((1, 2, 3, 5)))
-        with pytest.raises(ValueError, match="conv1x2_full shape mismatch"):
-            nncore.conv1x2_full(x, Tensor(np.ones((4, 3, 5))), Tensor(np.zeros(4)))
-        with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
-            nncore.depthwise_pool(x, [(Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))])
+        ids, vectors = np.ones((1, 2, 5), dtype=np.int32), np.ones((2, 5))
+        with pytest.raises(ValueError, match="conv1x2_tokens shape mismatch"):
+            nncore.conv1x2_tokens(ids, vectors, Tensor(np.ones((4, 3, 5))), Tensor(np.zeros(4)))
+        for channels in (2, 1):
+            x = Tensor(np.ones((1, channels, 3, 5)))
+            with pytest.raises(ValueError, match="depthwise_pool shape mismatch"):
+                nncore.depthwise_pool(x, [(Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))])
 
 
 class TestInitStack:
     def test_structure(self):
         blocks = init_hcb_stack(46, 5, 8, rng_for(0, "init"))
         assert len(blocks) == 4
-        assert blocks[0].full_depth and not any(b.full_depth for b in blocks[1:])
         assert blocks[0].conv1_w.data.shape == (8, 2, 5)
         for b in blocks[1:]:
             assert b.conv1_w.data.shape == (8, 2)
@@ -91,6 +92,20 @@ class TestInitStack:
         for b in blocks:
             assert np.all(b.conv2_w.data > 0.0)
 
+    def test_fan_out_stack_draws_the_depth_one_weights(self):
+        # a one-channel stack's first conv is (k, 2): the He-uniform draws
+        # of the (k, 2, 1) full-depth weight it replaced, in the same order
+        for width in (13, 10, 46):
+            fan_out = init_hcb_stack(width, None, 8, rng_for(3, "init"))
+            full = init_hcb_stack(width, 1, 8, rng_for(3, "init"))
+            assert fan_out[0].conv1_w.data.shape == (8, 2)
+            assert np.array_equal(fan_out[0].conv1_w.data, full[0].conv1_w.data[:, :, 0])
+            for a, b in zip(fan_out, full):
+                for ta, tb in zip(a.tensors()[1:], b.tensors()[1:]):
+                    assert np.array_equal(ta.data, tb.data)
+        # an embedding axis of one stays full-depth
+        assert init_hcb_stack(10, 1, 4, rng_for(0, "init"))[0].conv1_w.data.shape == (4, 2, 1)
+
     def test_deterministic_for_seed(self):
         a = init_hcb_stack(10, 3, 4, rng_for(7, "init"))
         b = init_hcb_stack(10, 3, 4, rng_for(7, "init"))
@@ -100,30 +115,35 @@ class TestInitStack:
 
 
 class TestForward:
-    def test_block_width_arithmetic(self):
+    def test_block_width_arithmetic(self, dense_oracle):
         rng = rng_for(0, "init")
         blocks = init_hcb_stack(46, 3, 2, rng)
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 5, 46, 3)))
-        h = hcb_apply(blocks[0], x)
+        h = dense_oracle.block(blocks[0], np.random.default_rng(0).normal(size=(1, 5, 46, 3)))
         assert h.data.shape == (1, 2, 5, 22)
         h = hcb_apply(blocks[1], h)
         assert h.data.shape == (1, 2, 5, 10)
+        fan_out = init_hcb_stack(13, None, 2, rng)
+        h = hcb_apply(fan_out[0], Tensor(np.random.default_rng(1).normal(size=(1, 1, 5, 13))))
+        assert h.data.shape == (1, 2, 5, 5)
 
     def test_block_rejects_narrow_input(self):
-        blocks = init_hcb_stack(4, 1, 1, rng_for(0, "init"))
+        blocks = init_hcb_stack(4, None, 1, rng_for(0, "init"))
         with pytest.raises(ValueError, match="block cannot reduce input of width 3"):
-            hcb_apply(blocks[0], Tensor(np.ones((1, 2, 3, 1))))
+            hcb_apply(blocks[0], Tensor(np.ones((1, 1, 2, 3))))
 
-    def test_stack_output_width_one(self):
+    def test_stack_output_width_one(self, dense_oracle):
         blocks = init_hcb_stack(10, 3, 4, rng_for(2, "init"))
-        out = stack_apply(blocks, Tensor(np.ones((2, 6, 10, 3))))
+        out = stack_apply(blocks[1:], dense_oracle.block(blocks[0], np.ones((2, 6, 10, 3))))
+        assert out.data.shape == (2, 6, 4)
+        out = stack_apply(init_hcb_stack(10, None, 4, rng_for(2, "init")),
+                          Tensor(np.ones((2, 1, 6, 10))))
         assert out.data.shape == (2, 6, 4)
 
-    def test_plain_block_form_matches_graph_form(self, plain_oracle):
+    def test_plain_block_form_matches_graph_form(self, plain_oracle, dense_oracle):
         # one article through the full-depth block, one filter and channel at a time
         blk = init_hcb_stack(10, 3, 4, rng_for(3, "init"))[0]
         x = np.random.default_rng(1).normal(size=(5, 10, 3))
-        graph = hcb_apply(blk, Tensor(x[None])).data[0]
+        graph = dense_oracle.block(blk, x[None]).data[0]
         assert graph.shape == (4, 5, 4)
         for f in range(4):
             h = plain_oracle.conv_1x2(x, blk.conv1_w.data[f], blk.conv1_b.data[f])

@@ -35,6 +35,7 @@ from conftest import (
     article_explicit_rows,
     assert_same_bits,
     followed_by_follower,
+    followers,
     level_followers,
     load_set_graph,
 )
@@ -82,7 +83,7 @@ class TestCreditLedger:
 class TestFollowerGraph:
     def test_edge_and_membership(self):
         g = graph_from_edges([("alice", "bob")])     # alice follows bob
-        assert g.followers["bob"] == {"alice"}
+        assert followers(g)["bob"] == {"alice"}
         assert g.known("alice") and g.known("bob") and not g.known("carol")
         assert g.n_users == 2
 
@@ -110,7 +111,7 @@ class TestFollowerGraph:
 
     def test_graph_from_edges_collapses_duplicates(self):
         g = graph_from_edges([("a", "b"), ("a", "b"), ("c", "b")])
-        assert g.followers["b"] == {"a", "c"}
+        assert followers(g)["b"] == {"a", "c"}
 
 
 class TestLoaders:
@@ -118,8 +119,8 @@ class TestLoaders:
         path = tmp_path / "edges.txt"
         path.write_text("a b\nc b\n\nb a\n")
         g = load_edge_list(path)
-        assert g.followers["b"] == {"a", "c"}
-        assert g.followers["a"] == {"b"}
+        assert followers(g)["b"] == {"a", "c"}
+        assert followers(g)["a"] == {"b"}
 
     def test_edge_list_malformed(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -222,7 +223,7 @@ class TestEdgeListLoader:
             assert list(g.users) == list(want.users)
             assert g.n_users == want.n_users
             assert [g.known(u) for u in names] == [want.known(u) for u in names]
-            assert g.followers == want.followers
+            assert followers(g) == want.followers
             assert influence_scores(g, names) == {u: want.follower_count(u) for u in names}
             got = outcome(influence_table, g, names)
             if isinstance(got, str):
@@ -310,7 +311,7 @@ class TestEdgeListCache:
         load_edge_list(path)
         path.write_text(self.TEXT + "d c\n")
         g = load_edge_list(path)
-        assert g.followers["c"] == {"d"} and g.n_users == 5
+        assert followers(g)["c"] == {"d"} and g.n_users == 5
         assert os.listdir(tmp_path / CACHE_DIR) == ["edges.txt.graph"]
         self.assert_same_graph(self.load_without_parse(path), g)
 
@@ -324,9 +325,9 @@ class TestEdgeListCache:
             return index(*args)
 
         with mock.patch.object(social, "_index_edges", side_effect=rewrite_then_index):
-            assert load_edge_list(path).followers["u"] == {"a", "b"}
+            assert followers(load_edge_list(path))["u"] == {"a", "b"}
         assert not (tmp_path / CACHE_DIR).exists()
-        assert dict(load_edge_list(path).followers) == {"y": {"x"}}
+        assert followers(load_edge_list(path)) == {"y": {"x"}}
 
     def test_parse_errors_are_not_cached(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -463,7 +464,7 @@ class TestUserInfluence:
                      if a != b and rng.random() < 0.25]
             g = graph_from_edges(edges, p=0.6, n_users=6)
             before = user_influence(g, "u0")
-            outsider = [x for x in users if x not in g.followers.get("u0", set())]
+            outsider = [x for x in users if x not in followers(g).get("u0", set())]
             if not outsider or outsider == ["u0"]:
                 continue
             extra = next(x for x in outsider if x != "u0")
@@ -480,11 +481,11 @@ class TestUserInfluence:
             g = graph_from_edges(edges, p=p)
             for x in users:
                 g.add_user(x)
-            followers = {}
+            follower_sets = {}
             for a, b in edges:
-                followers.setdefault(b, set()).add(a)
+                follower_sets.setdefault(b, set()).add(a)
             for x in users:
-                want = influence_oracle(followers, n, x, p)
+                want = influence_oracle(follower_sets, n, x, p)
                 assert user_influence(g, x) == pytest.approx(want, abs=1e-12)
 
 
@@ -522,7 +523,7 @@ class TestInfluenceTable:
     def test_equals_walk_across_sweeps(self, influence_walk, case):
         # more than 64 publishers with edges: the later ones land in a second sweep
         g, users = case
-        assume(len(set(g.followers).union(*g.followers.values())) > 64)
+        assume(len(set(followers(g)).union(*followers(g).values())) > 64)
         assert influence_table(g, users) == {u: influence_walk(g, u) for u in users}
 
     def test_sweep_boundary_on_a_long_chain(self, influence_walk):

@@ -1,6 +1,7 @@
 """Output files that are replaced whole or not at all, and the cache files
 kept beside input files."""
 
+import copy
 import os
 from contextlib import contextmanager
 from hashlib import sha256
@@ -37,14 +38,27 @@ class ContentCache:
     was made.  What follows is the caller's payload.  A cache file that is
     missing, unreadable, of another format or of other content is a miss,
     and the next write overwrites it; a directory that cannot be written
-    only means nothing is cached."""
+    only means nothing is cached.  `sibling` gives the cache of another
+    payload kept for the same input file under the same digest, without
+    hashing the file again."""
 
     def __init__(self, path, suffix, magic):
-        directory, name = os.path.split(os.fspath(path))
         self.source = path
-        self.path = os.path.join(directory, CACHE_DIR, name + suffix)
         self.digest = file_digest(path)
+        self._place(suffix, magic)
+
+    def _place(self, suffix, magic):
+        directory, name = os.path.split(os.fspath(self.source))
+        self.path = os.path.join(directory, CACHE_DIR, name + suffix)
         self.head = magic + self.digest.encode("ascii") + b"\n"
+
+    def sibling(self, suffix, magic):
+        """The cache `CACHE_DIR/<name><suffix>` of the same input file,
+        keyed by this object's digest: what it holds must be derived from
+        the bytes that digest names."""
+        other = copy.copy(self)
+        other._place(suffix, magic)
+        return other
 
     def load(self, decode):
         """decode(payload), or None on a miss.  `decode` raises ValueError,

@@ -7,10 +7,20 @@ network a user's post reaches: direct followers count fully, followers at
 level i count with weight p^(i-1) and only on first reach.  Per article,
 the publisher list is masked against these tables and averaged, then
 min-max normalized with statistics fitted on training articles.
+
+Exact influence is folded from each publisher's integer first-reach
+counts per level.  A graph read by load_edge_list keeps those counts in
+`__fakereal_cache__/<name>.influence` beside the edge list, keyed by the
+file's sha256 (the digest its graph cache already took) and d_max, so
+influence_scores sweeps only the publishers no earlier call has scored;
+p and N are applied when the counts are folded.  influence_table and
+user_influence always sweep and never touch the disk.
 """
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from hashlib import sha256
 
 import numpy as np
 
@@ -64,7 +74,9 @@ class FollowerGraph:
     A graph may instead carry only per-user follower `counts`, which
     supports the follower-count influence mode alone.  graph_from_edges
     and load_edge_list build graphs with edges; add_user adds a user
-    without any.
+    without any.  `influence_cache` is the ContentCache of the per-level
+    reach counts of the edge file the graph was read from, or None for a
+    graph that no file is known to hold.
     """
 
     def __init__(self, p=0.5, d_max=None, n_users=None, users=None,
@@ -77,6 +89,7 @@ class FollowerGraph:
         self.follower = follower
         self.followed = followed
         self.counts = None
+        self.influence_cache = None
         self._n_override = n_users
         # direct followers of each user, a self-follow not counted
         self._in_degree = np.bincount(followed[follower != followed], minlength=len(self.users))
@@ -141,8 +154,10 @@ def _index_edges(users, ids):
 _NAME_CHUNK = 8192
 
 
-# the first line of an edge-list cache file (fileio.ContentCache)
+# the first lines of the edge-list cache files (fileio.ContentCache): the
+# graph, and the per-level reach counts of its publishers
 _GRAPH_MAGIC = b"fakereal graph cache 1\n"
+_INFLUENCE_MAGIC = b"fakereal influence cache 1\n"
 
 
 def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
@@ -150,9 +165,12 @@ def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
 
     The users and edge arrays are kept in a cache file beside the edge
     list, `__fakereal_cache__/<name>.graph`, so a later call on the same
-    file content builds the same graph without reading a line of it."""
+    file content builds the same graph without reading a line of it.
+    When the graph is known to hold the content of that digest, it also
+    carries the cache of its influence level counts (influence_scores)."""
     cache = ContentCache(path, ".graph", _GRAPH_MAGIC)
     edges = cache.load(_edges_from_bytes)
+    matches = edges is not None
     if edges is None:
         users, ids, names = {}, [], []
         with open(path, "r", encoding="utf-8") as fh:
@@ -168,9 +186,13 @@ def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
                     names = []
         ids.append(_number(names, users))
         edges = _index_edges(users, ids)
-        if cache.unchanged():
+        matches = cache.unchanged()
+        if matches:
             cache.store(*_edges_to_bytes(*edges))
-    return FollowerGraph(p, d_max, n_users, *edges)
+    g = FollowerGraph(p, d_max, n_users, *edges)
+    if matches:
+        g.influence_cache = cache.sibling(".influence", _INFLUENCE_MAGIC)
+    return g
 
 
 def _edges_to_bytes(users, follower, followed):
@@ -256,17 +278,37 @@ def influence_table(g: FollowerGraph, users) -> dict:
     by the recurrence of a one-publisher walk, so a score does not depend
     on which publishers share a sweep.
     """
+    return _fold_levels(g, users, None)
+
+
+def _fold_levels(g, users, cache):
+    """influence_table(g, users), its level counts read from and added to
+    `cache`, the ContentCache of g's edge file, unless that is None."""
     n = g.n_users
     if n < 2:
         raise ValueError(f"influence needs at least 2 users, got N={n}")
     if g.counts is not None and not len(g.follower):
         raise ValueError("graph holds only follower counts; use follower_count_influence")
     users = list(dict.fromkeys(users))
+    levels = {}
+    if cache is not None:
+        levels = cache.load(partial(_levels_from_bytes, g.d_max)) or {}
+    missing = [u for u in users if u not in levels]
+    if missing:
+        levels.update(_reach_levels(g, missing))
+        if cache is not None:
+            cache.store(_levels_to_bytes(g.d_max, levels))
+    return {u: _reach_score(levels[u], g.p) / (n - 1) for u in users}
+
+
+def _reach_levels(g, users):
+    """{user: [first reaches at level 1, 2, ...]} for each of `users`
+    (distinct), up to g.d_max levels; a level list may end in zeros."""
     ids = g.users
     # the edges of follower[starts[i]] start at starts[i]
     starts = np.flatnonzero(np.diff(g.follower, prepend=-1))
     follower, followed = g.follower[starts], g.followed
-    scores = {u: 0.0 for u in users}
+    levels = {u: [] for u in users}
     # a user nobody follows reaches no one
     sources = [u for u in users if g.direct_followers(u)]
     for first in range(0, len(sources), SWEEP_WIDTH):
@@ -292,9 +334,28 @@ def influence_table(g: FollowerGraph, users) -> dict:
             frontier = nxt
             level += 1
         per_source = np.array(counts, dtype=np.int64).reshape(-1, len(chunk)).T.tolist()
-        for u, levels in zip(chunk, per_source):
-            scores[u] = _reach_score(levels, g.p) / (n - 1)
-    return scores
+        levels.update(zip(chunk, per_source))
+    return levels
+
+
+def _levels_to_bytes(d_max, levels):
+    """The sha256 of a JSON body, a newline, and the body: d_max and the
+    {user: level counts} table.  A numpy integer d_max is written as an int."""
+    body = json.dumps({"d_max": d_max, "levels": levels}, default=int).encode("ascii")
+    return sha256(body).hexdigest().encode("ascii") + b"\n" + body
+
+
+def _levels_from_bytes(d_max, data):
+    """The table _levels_to_bytes wrote for `d_max`; raises ValueError,
+    KeyError or TypeError on a payload that does not hold it."""
+    end = data.index(b"\n")
+    body = data[end + 1:]
+    if data[:end] != sha256(body).hexdigest().encode("ascii"):
+        raise ValueError("corrupt influence cache")
+    head = json.loads(body)
+    if head["d_max"] != d_max:
+        raise ValueError("influence cache of another d_max")
+    return head["levels"]
 
 
 def _reach_score(levels, p):
@@ -350,14 +411,17 @@ def influence_scores(g: FollowerGraph, users, mode="follower_count") -> dict:
     """Influence of each of `users` under `mode`: the exact level-walk
     score (influence_table) or the plain follower count.  In exact mode a
     user the graph does not know scores 0.0 without being looked up, so a
-    corpus whose publishers are all unknown needs no graph."""
+    corpus whose publishers are all unknown needs no graph, and the level
+    counts of a graph's influence_cache are read, and the counts of the
+    users it lacks added to it, so each publisher of an edge file is swept
+    once.  The scores equal influence_table's either way."""
     if mode not in ("exact", "follower_count"):
         raise ValueError(f"unknown influence mode {mode!r}")
     users = list(dict.fromkeys(users))
     if mode == "follower_count":
         return {u: follower_count_influence(g, u) for u in users}
     known = [u for u in users if g.known(u)]
-    table = influence_table(g, known) if known else {}
+    table = _fold_levels(g, known, g.influence_cache) if known else {}
     return {u: table.get(u, 0.0) for u in users}
 
 

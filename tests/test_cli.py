@@ -210,16 +210,21 @@ class TestEdgeListRuns:
         edges = ["--edges", os.path.join(data, "edges.txt"), "--influence-mode", "exact"]
         for run in ("cold", "warm"):
             out = str(tmp_path / run)
-            with mock.patch.object(social, "_index_edges", wraps=social._index_edges) as index:
+            with mock.patch.object(social, "_index_edges", wraps=social._index_edges) as index, \
+                    mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
                 assert main(["train", *data_flags(data), *edges, *FAST_FLAGS,
                              "--out", out]) == 0
+                # the cold train sweeps every publisher once
+                assert sweep.call_count == (run == "cold")
                 assert main(["eval", *data_flags(data), *edges, "--out", out]) == 0
                 assert main(["stats", "--train", os.path.join(data, "train.jsonl"), *edges,
                              "--out", os.path.join(out, "stats")]) == 0
-            # the cold run parses the edge list once, and the warm run not at all
+            # the cold run parses the edge list once, and the warm run not at
+            # all; eval, stats and the warm run sweep no publisher
             assert index.call_count == (run == "cold")
+            assert sweep.call_count == (run == "cold")
             assert sorted(os.listdir(os.path.join(data, CACHE_DIR))) == [
-                "edges.txt.graph", "embeddings.txt.vectors"]
+                "edges.txt.graph", "edges.txt.influence", "embeddings.txt.vectors"]
         cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
         files = tree(cold)
         assert "report.tsv" in files and os.path.join("stats", "stats.tsv") in files

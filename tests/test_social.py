@@ -2,6 +2,7 @@
 feature scaling."""
 
 import hashlib
+import json
 import os
 from unittest import mock
 
@@ -599,6 +600,221 @@ class TestInfluenceTable:
         g = graph_from_edges([("a", "u1"), ("b", "a")], p=0.5, n_users=4)
         assert influence_scores(g, ["u1", "ghost", "u1"], mode="exact") == {
             "u1": (1 + 0.5) / 3, "ghost": 0.0}
+
+
+def write_edges(path, g):
+    """Write g's edges to `path` as an edge list, one pair per line."""
+    names = list(g.users)
+    path.write_text("".join(f"{names[a]} {names[b]}\n" for a, b in zip(g.follower, g.followed)))
+
+
+class TestInfluenceCache:
+    """The per-level reach counts kept beside an edge list: scores read
+    through the cache equal a fresh sweep, whichever calls scored which
+    publishers, and any cache file but a good one is a miss."""
+
+    TEXT = "a u\nb u\nc a\nu a\nb u\nd c\n"
+    USERS = ["u", "a", "b", "c", "d", "ghost"]
+
+    def cache_file(self, path):
+        return path.parent / CACHE_DIR / (path.name + ".influence")
+
+    def scores(self, path, users=USERS, p=0.5, d_max=None, n_users=None):
+        """influence_scores in exact mode on a fresh load of `path`, and
+        the users it swept (None for no sweep)."""
+        g = load_edge_list(path, p, d_max, n_users)
+        with mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
+            got = influence_scores(g, users, mode="exact")
+        assert sweep.call_count <= 1
+        return got, sweep.call_args[0][1] if sweep.called else None
+
+    def want(self, p=0.5, d_max=None, n_users=None):
+        g = graph_from_edges([line.split() for line in self.TEXT.splitlines()], p, d_max, n_users)
+        return influence_table(g, self.USERS)
+
+    def edge_file(self, directory, text=TEXT):
+        directory.mkdir(exist_ok=True)
+        path = directory / "edges.txt"
+        path.write_text(text)
+        return path
+
+    def _merged_tables(self, tmp_path_factory, influence_walk, case, data):
+        g, users = case
+        path = tmp_path_factory.mktemp("edges") / "edges.txt"
+        write_edges(path, g)
+        scored = set()
+        for _ in range(data.draw(st.integers(2, 4))):
+            lo, hi = sorted(data.draw(st.lists(st.integers(0, len(users)), min_size=2,
+                                               max_size=2)))
+            subset = users[lo:hi] + users[lo:lo + 1]
+            p = data.draw(st.one_of(st.sampled_from([0.0, 1.0, g.p]), st.floats(0.0, 1.0)))
+            override = data.draw(st.one_of(st.none(), st.integers(len(g.users),
+                                                                  len(g.users) + 3)))
+            loaded = load_edge_list(path, p, g.d_max, override)
+            for u in g.users:   # the users no edge names
+                loaded.add_user(u)
+            with mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
+                got = influence_scores(loaded, subset, mode="exact")
+            # only the known users that no earlier call scored are swept
+            missing = [u for u in dict.fromkeys(subset) if loaded.known(u) and u not in scored]
+            assert [c[0][1] for c in sweep.call_args_list] == ([missing] if missing else [])
+            scored.update(missing)
+            assert got == influence_table(loaded, subset)
+            assert got == {u: influence_walk(loaded, u) for u in subset}
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=influence_cases(), data=st.data())
+    def test_merged_tables_equal_a_fresh_sweep(self, tmp_path_factory, influence_walk, case,
+                                               data):
+        self._merged_tables(tmp_path_factory, influence_walk, case, data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=influence_cases(min_users=70, max_users=160, min_edges_per_user=3),
+           data=st.data())
+    def test_merged_tables_equal_a_fresh_sweep_across_sweeps(self, tmp_path_factory,
+                                                             influence_walk, case, data):
+        # more than 64 publishers with edges: a call may sweep more than once
+        g, _ = case
+        assume(len(set(followers(g)).union(*followers(g).values())) > 64)
+        self._merged_tables(tmp_path_factory, influence_walk, case, data)
+
+    def test_keyed_by_the_sha256_of_the_file_and_d_max(self, tmp_path):
+        path = self.edge_file(tmp_path)
+        assert self.scores(path, d_max=2) == (self.want(d_max=2), self.USERS[:5])
+        head, digest, checksum, body = self.cache_file(path).read_bytes().split(b"\n")
+        assert head == b"fakereal influence cache 1"
+        assert digest == hashlib.sha256(self.TEXT.encode()).hexdigest().encode()
+        assert checksum == hashlib.sha256(body).hexdigest().encode()
+        # integer counts per level (c's last level is one its sweep
+        # mates reached); p and N are applied on read
+        assert json.loads(body) == {"d_max": 2, "levels": {
+            "u": [2, 1], "a": [2, 2], "b": [], "c": [1, 0], "d": []}}
+        assert sorted(os.listdir(tmp_path / CACHE_DIR)) == ["edges.txt.graph",
+                                                            "edges.txt.influence"]
+
+    def test_p_n_users_and_add_user_still_hit(self, tmp_path):
+        path = self.edge_file(tmp_path)
+        self.scores(path)
+        for p, n_users in [(0.5, None), (0.0, None), (1.0, 9), (0.3, 6)]:
+            assert self.scores(path, p=p, n_users=n_users) == (self.want(p, None, n_users), None)
+        g = load_edge_list(path)
+        g.add_user("e")
+        # a user new to the cache is swept, and only it
+        want = self.want(n_users=6)
+        for sweeps in (["e"], None):
+            with mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
+                assert influence_scores(g, ["e", "u", "a"], mode="exact") == {
+                    "e": 0.0, "u": want["u"], "a": want["a"]}
+            assert (sweep.call_args[0][1] if sweep.called else None) == sweeps
+
+    def test_another_d_max_is_a_miss_and_overwrites(self, tmp_path):
+        path = self.edge_file(tmp_path)
+        swept = self.USERS[:5]
+        for d_max, sweeps in [(1, swept), (None, swept), (None, None), (1, swept), (1, None)]:
+            assert self.scores(path, d_max=d_max) == (self.want(d_max=d_max), sweeps)
+
+    def test_d_max_is_read_when_the_call_is_made(self, tmp_path):
+        path = self.edge_file(tmp_path)
+        g = load_edge_list(path)
+        g.d_max = np.int64(1)   # stored as the int 1
+        assert influence_scores(g, self.USERS, mode="exact") == self.want(d_max=1)
+        assert self.scores(path, d_max=1) == (self.want(d_max=1), None)
+        g.d_max = None
+        assert influence_scores(g, self.USERS, mode="exact") == self.want()
+        assert self.scores(path) == (self.want(), None)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda data, other: data[: len(data) // 2],             # truncated
+        lambda data, other: data[:-1],                          # the closing brace cut
+        lambda data, other: b"",
+        # a count flipped, 2 -> 3: still JSON, but not the checksummed body
+        lambda data, other: data.replace(b'"u": [2', b'"u": [3', 1),
+        lambda data, other: data[:-2] + bytes([data[-2] ^ 0x01]) + data[-1:],
+        lambda data, other: data.replace(b"cache 1\n", b"cache 0\n", 1),   # another version
+        lambda data, other: other,                              # another file content
+    ])
+    def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
+        other = self.edge_file(tmp_path / "other", self.TEXT.replace("c a", "c b"))
+        self.scores(other)
+        path = self.edge_file(tmp_path)
+        self.scores(path)
+        cache = self.cache_file(path)
+        good = cache.read_bytes()
+        spoilt = spoil(good, self.cache_file(other).read_bytes())
+        assert spoilt != good
+        cache.write_bytes(spoilt)
+        assert self.scores(path) == (self.want(), self.USERS[:5])
+        assert cache.read_bytes() == good
+        assert self.scores(path) == (self.want(), None)
+
+    @pytest.mark.parametrize("block", ["read-only directory", "cache path is a directory"])
+    def test_an_unwritable_cache_means_no_caching(self, tmp_path, block):
+        path = self.edge_file(tmp_path)
+        if block == "read-only directory":
+            # what a directory without write permission does to the
+            # temporary file; root would be allowed to write anyway
+            refuse = mock.patch.object(fileio, "atomic_write", side_effect=PermissionError)
+        else:
+            self.cache_file(path).mkdir(parents=True)
+            refuse = mock.patch.object(fileio, "atomic_write", wraps=fileio.atomic_write)
+        with refuse:
+            for _ in range(2):
+                assert self.scores(path) == (self.want(), self.USERS[:5])
+        assert not self.cache_file(path).is_file()
+
+    def test_a_file_rewritten_during_the_load_is_not_cached(self, tmp_path):
+        path = self.edge_file(tmp_path)
+        index = social._index_edges
+
+        def rewrite_then_index(*args):
+            path.write_text("x y\n")
+            return index(*args)
+
+        with mock.patch.object(social, "_index_edges", side_effect=rewrite_then_index):
+            g = load_edge_list(path)
+        assert g.influence_cache is None
+        assert influence_scores(g, self.USERS, mode="exact") == self.want()
+        assert not (tmp_path / CACHE_DIR).exists()
+
+    def test_errors_are_the_same_on_a_hit_and_a_miss(self, tmp_path):
+        one_user = self.edge_file(tmp_path, "a a\n")
+        empty = self.edge_file(tmp_path / "empty", "")
+
+        def graph(path, spoil):
+            """A graph of `path` that scores, or one that raises when spoilt."""
+            if spoil and path == one_user:
+                return load_edge_list(path)
+            g = load_edge_list(path, n_users=3)
+            g.add_user("u")
+            if spoil:
+                g.counts = {"u": 5}
+            return g
+
+        for path, error in [(one_user, "at least 2 users, got N=1"),
+                            (empty, "only follower counts")]:
+            want = outcome(influence_table, graph(path, True), ["a", "u"])
+            assert error in want
+            for cached in (False, True):   # a miss, then a hit
+                assert self.cache_file(path).is_file() == cached
+                with mock.patch.object(social, "_reach_levels", side_effect=AssertionError):
+                    assert outcome(influence_scores, graph(path, True), ["a", "u"], "exact") == want
+                influence_scores(graph(path, False), ["a", "u"], mode="exact")
+
+    def test_only_exact_influence_scores_of_a_loaded_graph_write_the_cache(self, tmp_path,
+                                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self.edge_file(tmp_path)
+        g = load_edge_list(path)
+        counts = tmp_path / "p.tsv"
+        counts.write_text("u\t5\nv\t1\n")
+        assert load_follower_counts(counts).influence_cache is None
+        built = graph_from_edges([line.split() for line in self.TEXT.splitlines()])
+        assert built.influence_cache is None
+        assert user_influence(g, "u") == influence_table(g, ["u"])["u"] == 2.75 / 4
+        influence_scores(g, self.USERS)
+        influence_scores(built, self.USERS, mode="exact")
+        assert os.listdir(tmp_path / CACHE_DIR) == ["edges.txt.graph"]
+        assert sorted(os.listdir(tmp_path)) == sorted([CACHE_DIR, "edges.txt", "p.tsv"])
 
 
 class TestFollowerCountInfluence:

@@ -1,9 +1,10 @@
 """News corpus loading, tokenization, and token-id input construction.
 
 File formats:
-  * corpus: JSON Lines, one object per line with fields ``id``,
-    ``headline``, ``body``, ``label`` ("real" or "fake") and
-    ``publishers`` (list of user id strings, possibly empty).
+  * corpus: JSON Lines, one object per line with fields ``id``, the
+    strings ``headline`` and ``body``, ``label`` ("real" or "fake") and
+    ``publishers`` (list of user ids, possibly empty); an id is a string,
+    or an integer read as its decimal text.
   * embeddings: plain text, one line per word: ``word v1 v2 ... vE``
     (the layout published GloVe vectors use).
 
@@ -202,7 +203,8 @@ def vocab_vectors(vocab: dict, table: EmbeddingTable) -> np.ndarray:
 
 def load_corpus(path) -> list:
     """Read a JSON Lines corpus file.  Raises CorpusError naming the file
-    and offending record on any malformed line."""
+    and offending record on any malformed line, a field of another JSON
+    type included."""
     articles = []
     seen_ids = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -215,27 +217,35 @@ def load_corpus(path) -> list:
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc})") from None
             try:
-                art_id = str(obj["id"])
+                art_id = obj["id"]
                 headline = obj["headline"]
                 body = obj["body"]
                 label_text = obj["label"]
             except (KeyError, TypeError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: missing field {exc}") from None
+            where = f"{path}: record {art_id!r} (line {lineno})"
             if label_text not in ("real", "fake"):
-                raise CorpusError(
-                    f"{path}: record {art_id!r} (line {lineno}): label must be 'real' or 'fake', got {label_text!r}"
-                )
-            if art_id in seen_ids:
-                raise CorpusError(f"{path}: record {art_id!r} (line {lineno}): duplicate id")
-            seen_ids.add(art_id)
+                raise CorpusError(f"{where}: label must be 'real' or 'fake', got {label_text!r}")
             publishers = obj.get("publishers", [])
             if not isinstance(publishers, list):
-                raise CorpusError(f"{path}: record {art_id!r} (line {lineno}): publishers must be a list")
+                raise CorpusError(f"{where}: publishers must be a list")
+            # JSON gives exact types, so an int here is never a bool
+            for name, value in [("id", art_id)] + [("publisher", p) for p in publishers]:
+                if type(value) not in (str, int):
+                    raise CorpusError(f"{where}: {name} {value!r:.40} is not a string or an "
+                                      f"integer")
+            for name, value in (("headline", headline), ("body", body)):
+                if type(value) is not str:
+                    raise CorpusError(f"{where}: {name} {value!r:.40} is not a string")
+            art_id = str(art_id)
+            if art_id in seen_ids:
+                raise CorpusError(f"{where}: duplicate id")
+            seen_ids.add(art_id)
             articles.append(
                 NewsArticle(
                     id=art_id,
-                    headline=str(headline),
-                    body=str(body),
+                    headline=headline,
+                    body=body,
                     label=Label.FAKE if label_text == "fake" else Label.REAL,
                     publisher_ids=[str(p) for p in publishers],
                 )
@@ -375,10 +385,9 @@ def _parse_components(path, lines, dim):
     raise CorpusError(f"{path}: lines {lines[0][1]}-{lines[-1][1]}: unparseable vector components")
 
 
-# The vector cache: one file per embeddings file (fileio.ContentCache).
-# Its first line changes with the format or the digest, and a file with
-# another first line is a miss and is overwritten.
-_CACHE_MAGIC = b"fakereal vector cache 2\n"
+# The vector cache: one fileio.ContentCache file per embeddings file, its
+# meta names, lines and absent, and its one array the matrix.
+_CACHE_MAGIC = b"fakereal vector cache 3\n"
 
 
 @dataclass
@@ -389,7 +398,8 @@ class VectorCache:
     whose word is names[0] and line lines[0].  Rows 1.. are the words
     looked up so far, each with the vector load_embeddings keeps for it
     (its last line) and its first line number, in line order.  `absent`
-    lists looked-up words the file lacks.
+    lists looked-up words the file lacks.  Parts that do not fit together,
+    as a damaged cache file may hold, raise ValueError.
     """
 
     names: list
@@ -398,6 +408,9 @@ class VectorCache:
     absent: list
 
     def __post_init__(self):
+        if not self.names or len(self.lines) != len(self.names) or (
+                self.matrix.ndim != 2 or len(self.matrix) != len(self.names)):
+            raise ValueError("corrupt vector cache")
         self.index = dict(zip(self.names[1:], range(1, len(self.names))))
         self.index.update(dict.fromkeys(self.absent, -1))
 
@@ -432,22 +445,6 @@ class VectorCache:
                            [lines[0]] + [at[i] for i in order],
                            np.concatenate([first[None], vectors[order]]), absent)
 
-    def to_bytes(self):
-        head = json.dumps({"dim": self.matrix.shape[1], "names": self.names,
-                           "lines": self.lines, "absent": self.absent})
-        return head.encode("ascii") + b"\n" + self.matrix.astype("<f8").tobytes()
-
-    @staticmethod
-    def from_bytes(data):
-        """Raises ValueError, KeyError or TypeError on a corrupt payload."""
-        end = data.index(b"\n")
-        head = json.loads(data[:end])
-        names, lines = head["names"], head["lines"]
-        if not names or len(lines) != len(names):
-            raise ValueError("corrupt cache header")
-        matrix = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(len(names), head["dim"])
-        return VectorCache(names, lines, matrix, head["absent"])
-
 
 def _cached_vectors(path, words):
     """(rows, matrix) of load_embeddings(path, words=words), read from the
@@ -455,7 +452,7 @@ def _cached_vectors(path, words):
     file content; otherwise the missing words are parsed and the cache is
     rewritten."""
     cache = ContentCache(path, ".vectors", _CACHE_MAGIC)
-    cached = cache.load(VectorCache.from_bytes)
+    cached = cache.load(lambda meta, arrays: VectorCache(**meta, matrix=arrays["matrix"]))
     missing = words
     if cached is not None:
         hit = cached.select(words)
@@ -466,7 +463,8 @@ def _cached_vectors(path, words):
     if not cache.unchanged():   # rewritten during the parse: cache nothing
         return _parse_embeddings(path, words)[:2]
     cached = VectorCache.build(parsed, missing, cached)
-    cache.store(cached.to_bytes())
+    cache.store({"names": cached.names, "lines": cached.lines, "absent": cached.absent},
+                {"matrix": cached.matrix})
     return cached.select(words)
 
 

@@ -1,10 +1,14 @@
 """Output files that are replaced whole or not at all, and the cache files
 kept beside input files."""
 
-import copy
+import json
+import math
 import os
+import zlib
 from contextlib import contextmanager
 from hashlib import sha256
+
+import numpy as np
 
 
 @contextmanager
@@ -32,47 +36,58 @@ CACHE_DIR = "__fakereal_cache__"
 
 
 class ContentCache:
-    """The cache file of one input file: `CACHE_DIR/<name><suffix>` beside
-    it, whose first line is `magic` (the format and its version) and whose
-    second line is the sha256 of the input file's bytes when this object
-    was made.  What follows is the caller's payload.  A cache file that is
-    missing, unreadable, of another format or of other content is a miss,
-    and the next write overwrites it; a directory that cannot be written
-    only means nothing is cached.  `sibling` gives the cache of another
-    payload kept for the same input file under the same digest, without
-    hashing the file again."""
+    """The cache file of one input file, `CACHE_DIR/<name><suffix>` beside
+    it; the only code that knows a cache file's layout:
 
-    def __init__(self, path, suffix, magic):
+        magic                        the format and its version
+        sha256 of the input file     its bytes when this object was made
+        CRC-32 of the rest           8 hex digits
+        {"meta": ..., "arrays": [[name, dtype, shape], ...]}
+        the arrays' bytes            little-endian, C order, in that order
+
+    Any other file, or one the caller's `decode` refuses, is a miss, and
+    the next store overwrites it; a directory that cannot be written only
+    means nothing is cached."""
+
+    def __init__(self, path, suffix, magic, digest=None):
         self.source = path
-        self.digest = file_digest(path)
-        self._place(suffix, magic)
-
-    def _place(self, suffix, magic):
-        directory, name = os.path.split(os.fspath(self.source))
+        self.digest = digest or file_digest(path)
+        directory, name = os.path.split(os.fspath(path))
         self.path = os.path.join(directory, CACHE_DIR, name + suffix)
         self.head = magic + self.digest.encode("ascii") + b"\n"
 
     def sibling(self, suffix, magic):
         """The cache `CACHE_DIR/<name><suffix>` of the same input file,
-        keyed by this object's digest: what it holds must be derived from
-        the bytes that digest names."""
-        other = copy.copy(self)
-        other._place(suffix, magic)
-        return other
+        keyed by this object's digest without hashing the file again: what
+        it holds must be derived from the bytes that digest names."""
+        return ContentCache(self.source, suffix, magic, self.digest)
 
     def load(self, decode):
-        """decode(payload), or None on a miss.  `decode` raises ValueError,
-        KeyError or TypeError on a corrupt payload, which is a miss too."""
+        """decode(meta, arrays) of what store(meta, arrays) wrote, the arrays
+        read-only views of the file's bytes, or None on a miss.  `decode`
+        raises ValueError, KeyError or TypeError on data that means nothing."""
         try:
             with open(self.path, "rb") as fh:
                 data = fh.read()
         except OSError:
             return None
-        if not data.startswith(self.head):
+        start = len(self.head) + 9   # past the CRC-32 line: 8 hex digits, newline
+        if (not data.startswith(self.head)
+                or data[len(self.head):start] != b"%08x\n" % zlib.crc32(memoryview(data)[start:])):
             return None
         try:
-            return decode(data[len(self.head):])
-        except (ValueError, KeyError, TypeError):
+            end = data.index(b"\n", start) + 1
+            spec = json.loads(data[start:end])
+            arrays = {}
+            for name, dtype, shape in spec["arrays"]:
+                if min(shape, default=0) < 0:
+                    raise ValueError("a negative side")
+                arrays[name] = np.frombuffer(data, dtype, math.prod(shape), end).reshape(shape)
+                end += arrays[name].nbytes
+            if end != len(data):
+                raise ValueError("the arrays do not cover the payload")
+            return decode(spec["meta"], arrays)
+        except (ValueError, KeyError, TypeError, OverflowError):
             return None
 
     def unchanged(self):
@@ -81,14 +96,25 @@ class ContentCache:
         between must not be stored."""
         return file_digest(self.source) == self.digest
 
-    def store(self, *parts):
-        """Write the cache file: the two head lines, then `parts` (bytes)."""
+    def store(self, meta, arrays):
+        """Write `meta`, anything json.dumps writes (a numpy integer as an
+        int), and `arrays`, a {name: array} dict, to the cache file."""
+        arrays = {name: a.astype(a.dtype.newbyteorder("<"), order="C", copy=False)
+                  for name, a in arrays.items()}
+        spec = json.dumps({"meta": meta, "arrays": [[name, a.dtype.str, a.shape]
+                                                    for name, a in arrays.items()]},
+                          default=int).encode("ascii")
+        # the CRC-32 runs over the parts, which are written as they are: a
+        # joined copy of the payload would raise the peak memory of a miss
+        parts = [spec + b"\n"] + [a.data for a in arrays.values()]
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
         try:
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
             with atomic_write(self.path, binary=True) as fh:
-                fh.write(self.head)
-                for part in parts:
-                    fh.write(part)
+                fh.write(self.head + b"%08x\n" % crc)
+                fh.writelines(parts)
         except OSError:
             pass
 

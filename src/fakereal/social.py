@@ -14,13 +14,11 @@ counts per level.  A graph read by load_edge_list keeps those counts in
 file's sha256 (the digest its graph cache already took) and d_max, so
 influence_scores sweeps only the publishers no earlier call has scored;
 p and N are applied when the counts are folded.  influence_table and
-user_influence always sweep and never touch the disk.
+user_influence always sweep and never touch the disk.  fileio.ContentCache
+checks the bytes of both cache files, and this module what they mean.
 """
 
-import json
 from dataclasses import dataclass
-from functools import partial
-from hashlib import sha256
 
 import numpy as np
 
@@ -156,8 +154,8 @@ _NAME_CHUNK = 8192
 
 # the first lines of the edge-list cache files (fileio.ContentCache): the
 # graph, and the per-level reach counts of its publishers
-_GRAPH_MAGIC = b"fakereal graph cache 1\n"
-_INFLUENCE_MAGIC = b"fakereal influence cache 1\n"
+_GRAPH_MAGIC = b"fakereal graph cache 2\n"
+_INFLUENCE_MAGIC = b"fakereal influence cache 2\n"
 
 
 def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
@@ -165,11 +163,12 @@ def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
 
     The users and edge arrays are kept in a cache file beside the edge
     list, `__fakereal_cache__/<name>.graph`, so a later call on the same
-    file content builds the same graph without reading a line of it.
-    When the graph is known to hold the content of that digest, it also
-    carries the cache of its influence level counts (influence_scores)."""
+    file content builds the same graph without reading a line of it; a
+    cache file that does not hold a graph is a miss.  When the graph is
+    known to hold the content of that digest, it also carries the cache
+    of its influence level counts (influence_scores)."""
     cache = ContentCache(path, ".graph", _GRAPH_MAGIC)
-    edges = cache.load(_edges_from_bytes)
+    edges = cache.load(_edges_from_cache)
     matches = edges is not None
     if edges is None:
         users, ids, names = {}, [], []
@@ -188,38 +187,28 @@ def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
         edges = _index_edges(users, ids)
         matches = cache.unchanged()
         if matches:
-            cache.store(*_edges_to_bytes(*edges))
+            text = "".join(u + "\n" for u in users).encode("utf-8")
+            cache.store({"users": len(users)}, {"names": np.frombuffer(text, np.uint8),
+                                                "edges": np.stack(edges[1:])})
     g = FollowerGraph(p, d_max, n_users, *edges)
     if matches:
         g.influence_cache = cache.sibling(".influence", _INFLUENCE_MAGIC)
     return g
 
 
-def _edges_to_bytes(users, follower, followed):
-    """A JSON head line with the user and edge counts and the byte length
-    of the names, the user names in id order, each ending in a newline,
-    and the two edge arrays as little-endian int32."""
-    names = "".join(u + "\n" for u in users).encode("utf-8")
-    head = json.dumps({"users": len(users), "edges": len(follower), "names": len(names)})
-    return (head.encode("ascii") + b"\n", names, follower.astype("<i4").tobytes(),
-            followed.astype("<i4").tobytes())
-
-
-def _edges_from_bytes(data):
-    """What _edges_to_bytes wrote; raises ValueError, KeyError or
-    TypeError on a payload that does not hold it."""
-    end = data.index(b"\n")
-    head = json.loads(data[:end])
-    n, e, size = head["users"], head["edges"], head["names"]
-    names = data[end + 1:end + 1 + size].decode("utf-8").split("\n")
-    if names.pop() != "" or len(names) != n or len(data) != end + 1 + size + 8 * e:
-        raise ValueError("corrupt graph cache")
+def _edges_from_cache(meta, arrays):
+    """(users, follower, followed) of a graph cache: the user names in id
+    order, newline-terminated UTF-8, and the edges, one (2, E) int32 array.
+    Raises ValueError, KeyError or TypeError when they make no graph."""
+    n = meta["users"]
+    *names, rest = arrays["names"].tobytes().decode("utf-8").split("\n")
     users = dict(zip(names, range(n)))
-    edges = np.frombuffer(data, dtype="<i4", offset=end + 1 + size).astype(np.int32)
-    follower, followed = edges[:e], edges[e:]
-    # the ids index the users, and the pairs are distinct and in order
-    if len(users) != n or (e and (edges.min() < 0 or edges.max() >= n or (
-            np.diff(follower.astype(np.int64) * n + followed) <= 0).any())):
+    follower, followed = edges = arrays["edges"]
+    # one id per name, the ids index the users, and the pairs are
+    # distinct and in order
+    if rest or len(names) != n or len(users) != n or (edges.size and (
+            edges.min() < 0 or edges.max() >= n or (
+                np.diff(follower.astype(np.int64) * n + followed) <= 0).any())):
         raise ValueError("corrupt graph cache")
     return users, follower, followed
 
@@ -290,14 +279,14 @@ def _fold_levels(g, users, cache):
     if g.counts is not None and not len(g.follower):
         raise ValueError("graph holds only follower counts; use follower_count_influence")
     users = list(dict.fromkeys(users))
-    levels = {}
-    if cache is not None:
-        levels = cache.load(partial(_levels_from_bytes, g.d_max)) or {}
+    # counts walked to another depth are a miss
+    levels = {} if cache is None else cache.load(
+        lambda meta, _: meta["levels"] if meta["d_max"] == g.d_max else {}) or {}
     missing = [u for u in users if u not in levels]
     if missing:
         levels.update(_reach_levels(g, missing))
         if cache is not None:
-            cache.store(_levels_to_bytes(g.d_max, levels))
+            cache.store({"d_max": g.d_max, "levels": levels}, {})
     return {u: _reach_score(levels[u], g.p) / (n - 1) for u in users}
 
 
@@ -336,26 +325,6 @@ def _reach_levels(g, users):
         per_source = np.array(counts, dtype=np.int64).reshape(-1, len(chunk)).T.tolist()
         levels.update(zip(chunk, per_source))
     return levels
-
-
-def _levels_to_bytes(d_max, levels):
-    """The sha256 of a JSON body, a newline, and the body: d_max and the
-    {user: level counts} table.  A numpy integer d_max is written as an int."""
-    body = json.dumps({"d_max": d_max, "levels": levels}, default=int).encode("ascii")
-    return sha256(body).hexdigest().encode("ascii") + b"\n" + body
-
-
-def _levels_from_bytes(d_max, data):
-    """The table _levels_to_bytes wrote for `d_max`; raises ValueError,
-    KeyError or TypeError on a payload that does not hold it."""
-    end = data.index(b"\n")
-    body = data[end + 1:]
-    if data[:end] != sha256(body).hexdigest().encode("ascii"):
-        raise ValueError("corrupt influence cache")
-    head = json.loads(body)
-    if head["d_max"] != d_max:
-        raise ValueError("influence cache of another d_max")
-    return head["levels"]
 
 
 def _reach_score(levels, p):

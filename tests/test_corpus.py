@@ -1,6 +1,7 @@
 """Tokenization, sizing thresholds, embeddings, token-id inputs, and corpus
 file round-trips."""
 
+import json
 import os
 from unittest import mock
 
@@ -230,6 +231,35 @@ class TestCorpusFiles:
                         '"publishers": "u1"}\n')
         with pytest.raises(CorpusError, match="publishers must be a list"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"id": None}, r"record None \(line 2\): id None is not a string or an integer"),
+        ({"id": True}, r"record True \(line 2\): id True is not a string or an integer"),
+        ({"id": 1.5}, r"record 1.5 \(line 2\): id 1.5 is not a string or an integer"),
+        ({"id": ["a"]}, r"record \['a'\] \(line 2\): id \['a'\] is not a string or"),
+        ({"headline": None}, r"record 'b' \(line 2\): headline None is not a string"),
+        ({"headline": 7}, r"record 'b' \(line 2\): headline 7 is not a string"),
+        ({"body": ["x"]}, r"record 'b' \(line 2\): body \['x'\] is not a string"),
+        ({"body": {"text": "x"}}, r"record 'b' \(line 2\): body \{'text': 'x'\} is not a"),
+        ({"publishers": ["u", None]}, r"record 'b' \(line 2\): publisher None is not a string "
+                                      r"or an integer"),
+        ({"publishers": [["a"]]}, r"record 'b' \(line 2\): publisher \['a'\] is not a string"),
+        ({"publishers": [True]}, r"record 'b' \(line 2\): publisher True is not a string"),
+        ({"id": None, "headline": None, "body": ["x"], "publishers": [None, ["a"], True]},
+         r"record None \(line 2\): id None is not"),
+    ])
+    def test_fields_of_the_wrong_type_name_the_record(self, tmp_path, fields, error):
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "a", "headline": "h", "body": "b", "label": "real", "publishers": []}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **fields}) + "\n")
+        with pytest.raises(CorpusError, match=r"bad.jsonl: " + error):
+            load_corpus(path)
+
+    def test_integer_ids_and_publishers_are_read_as_text(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        path.write_text('{"id": 12, "headline": "h", "body": "b", "label": "real", '
+                        '"publishers": [345, "u6", -7]}\n')
+        assert load_corpus(path) == [NewsArticle("12", "h", "b", Label.REAL, ["345", "u6", "-7"])]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gap.jsonl"
@@ -469,6 +499,23 @@ def assert_same_table(got, want):
         assert_same_bits(got[1], want[1])
 
 
+def recoded(change):
+    """A spoil that stores, through the vector cache's codec, the (meta,
+    matrix) that change(meta, matrix) makes of the cache's contents: the
+    CRC-32 holds, so only VectorCache.decode can refuse it.  A lambda, as
+    the other spoils are, so that the test ids number them all in one
+    sequence."""
+    return lambda data, codec: _recode(codec, change)
+
+
+def _recode(codec, change):
+    meta, matrix = change(*codec.load(lambda meta, arrays: (meta, arrays["matrix"])))
+    codec.store(meta, {"matrix": matrix})
+    assert codec.load(lambda meta, arrays: True)
+    with open(codec.path, "rb") as fh:
+        return fh.read()
+
+
 class TestVectorCache:
     """load_embeddings(words=...) through the cache beside the file
     against an uncached parse: the same rows in the same order, the same
@@ -529,12 +576,22 @@ class TestVectorCache:
         return path.parent / CACHE_DIR / (path.name + ".vectors")
 
     @pytest.mark.parametrize("spoil", [
-        lambda data: data[: len(data) // 2],                  # truncated
-        lambda data: data[:-3],                               # a partial last vector
-        lambda data: b"\x00" * len(data),                     # overwritten
-        lambda data: data.replace(b"cache 2\n", b"cache 1\n", 1),   # another version
-        lambda data: data.replace(b'"dim": 2', b'"dim": 3', 1),     # a header that lies
-        lambda data: b"",
+        lambda data, codec: data[: len(data) // 2],           # truncated
+        lambda data, codec: data[:-3],                        # a partial last vector
+        lambda data, codec: b"\x00" * len(data),              # overwritten
+        lambda data, codec: data.replace(b"cache 3\n", b"cache 2\n", 1),   # another version
+        # the recoded cases have a valid CRC-32 and reach the checks of
+        # VectorCache.decode: a header that lies about the rows
+        recoded(lambda meta, matrix: (meta, matrix[:-1])),
+        lambda data, codec: b"",
+        lambda data, codec: data[:-1] + bytes([data[-1] ^ 0x01]),   # c's 6.0 read as 393216.0
+        lambda data, codec: data.replace(b'"owl"', b'"own"', 1),    # another absent word
+        recoded(lambda meta, matrix: ({**meta, "lines": meta["lines"][:-1]}, matrix)),
+        recoded(lambda meta, matrix: (meta, matrix[:, :1].ravel())),   # not a matrix
+        # no first line, and every word looked up absent
+        recoded(lambda meta, matrix: ({"names": [], "lines": [], "absent": ["b", "c", "owl"]},
+                                      matrix[:0])),
+        recoded(lambda meta, matrix: ({**meta, "rows": 3}, matrix)),   # a field it lacks
     ])
     def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
         path = tmp_path / "emb.txt"
@@ -543,8 +600,12 @@ class TestVectorCache:
         want = parse_or_error(path, words)
         assert_same_table(load_or_error(path, words), want)
         cache = self.cache_file(path)
-        cache.write_bytes(spoil(cache.read_bytes()))
+        good = cache.read_bytes()
+        spoilt = spoil(good, fileio.ContentCache(path, ".vectors", corpus._CACHE_MAGIC))
+        assert spoilt != good
+        cache.write_bytes(spoilt)
         assert_same_table(load_or_error(path, words), want)
+        assert cache.read_bytes() == good
         with mock.patch.object(corpus, "_parse_embeddings", side_effect=AssertionError):
             assert_same_table(load_or_error(path, words), want)
 

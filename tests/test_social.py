@@ -4,6 +4,7 @@ feature scaling."""
 import hashlib
 import json
 import os
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,25 @@ class TestEdgeListLoader:
                              np.array([influence_walk(want, u) for u in names]))
 
 
+def recoded(change):
+    """A spoil that stores, through the graph cache's codec, what
+    change(meta, names, edges) makes of the cache's contents (names a
+    bytearray, edges a writable copy): the CRC-32 holds, so only the graph
+    checks can refuse it.  A lambda, as the other spoils are, so that the
+    test ids number them all in one sequence."""
+    return lambda data, other, codec: _recode(codec, change)
+
+
+def _recode(codec, change):
+    meta, arrays = codec.load(lambda meta, arrays: (meta, arrays))
+    names, edges = bytearray(arrays["names"]), arrays["edges"].copy()
+    change(meta, names, edges)
+    codec.store(meta, {"names": np.frombuffer(names, np.uint8), "edges": edges})
+    assert codec.load(lambda meta, arrays: True)
+    with open(codec.path, "rb") as fh:
+        return fh.read()
+
+
 class TestEdgeListCache:
     """The cache file beside an edge list: a hit is the graph a parse
     builds, and anything else is a miss that parses and rewrites it."""
@@ -269,7 +289,7 @@ class TestEdgeListCache:
         path.write_text(self.TEXT)
         load_edge_list(path)
         head = self.cache_file(path).read_bytes().split(b"\n", 2)[:2]
-        assert head == [b"fakereal graph cache 1",
+        assert head == [b"fakereal graph cache 2",
                         hashlib.sha256(self.TEXT.encode()).hexdigest().encode()]
 
     def test_an_empty_edge_list_is_cached(self, tmp_path):
@@ -280,18 +300,32 @@ class TestEdgeListCache:
         assert g.users == {} and len(g.follower) == 0 and g.n_users == 0
 
     @pytest.mark.parametrize("spoil", [
-        lambda data, other: data[: len(data) // 2],             # truncated
-        lambda data, other: data[:-3],                          # a partial last id
-        lambda data, other: b"\x00" * len(data),                # overwritten
-        lambda data, other: b"",
-        lambda data, other: data.replace(b"cache 1\n", b"cache 0\n", 1),   # another version
-        lambda data, other: other,                              # another file content
-        lambda data, other: data.replace(b'"users": 4', b'"users": 5', 1),   # a head that lies
-        lambda data, other: data[:-4] + b"\xff\xff\xff\xff",    # an id out of range
+        lambda data, other, codec: data[: len(data) // 2],     # truncated
+        lambda data, other, codec: data[:-3],                  # a partial last id
+        lambda data, other, codec: b"\x00" * len(data),        # overwritten
+        lambda data, other, codec: b"",
+        # another version
+        lambda data, other, codec: data.replace(b"cache 2\n", b"cache 1\n", 1),
+        lambda data, other, codec: other,                      # another file content
+        # the recoded cases have a valid CRC-32 and reach the graph checks:
+        # a head that lies
+        recoded(lambda meta, names, edges: meta.update(users=5)),
+        # an id out of range
+        recoded(lambda meta, names, edges: edges.__setitem__((1, -1), -1)),
         # the last two followers swapped: pairs out of order
-        lambda data, other: data[:-24] + data[-20:-16] + data[-24:-20] + data[-16:],
+        recoded(lambda meta, names, edges: edges.__setitem__((0, [2, 3]), edges[0, [3, 2]])),
         # the last pair a copy of the one before
-        lambda data, other: data[:-20] + data[-24:-20] + data[-16:-4] + data[-8:-4],
+        recoded(lambda meta, names, edges: edges.__setitem__((slice(None), -1), edges[:, -2])),
+        # a user renamed, b -> z
+        lambda data, other, codec: data.replace(b"\nb\n", b"\nz\n", 1),
+        # an id past the last user
+        recoded(lambda meta, names, edges: edges.__setitem__((1, -1), 4)),
+        # two users of one name
+        recoded(lambda meta, names, edges: names.__setitem__(slice(2, 3), b"a")),
+        # a name more than the head counts
+        recoded(lambda meta, names, edges: names.extend(b"q\n")),
+        # bytes after the last name's newline
+        recoded(lambda meta, names, edges: names.extend(b"q")),
     ])
     def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
         other = tmp_path / "other" / "edges.txt"
@@ -302,8 +336,13 @@ class TestEdgeListCache:
         path.write_text(self.TEXT)
         want = load_edge_list(path)
         cache = self.cache_file(path)
-        cache.write_bytes(spoil(cache.read_bytes(), self.cache_file(other).read_bytes()))
+        good = cache.read_bytes()
+        codec = fileio.ContentCache(path, ".graph", social._GRAPH_MAGIC)
+        spoilt = spoil(good, self.cache_file(other).read_bytes(), codec)
+        assert spoilt != good
+        cache.write_bytes(spoilt)
         self.assert_same_graph(load_edge_list(path), want)
+        assert cache.read_bytes() == good
         self.assert_same_graph(self.load_without_parse(path), want)
 
     def test_a_file_rewritten_between_calls_is_parsed_again(self, tmp_path):
@@ -681,14 +720,15 @@ class TestInfluenceCache:
     def test_keyed_by_the_sha256_of_the_file_and_d_max(self, tmp_path):
         path = self.edge_file(tmp_path)
         assert self.scores(path, d_max=2) == (self.want(d_max=2), self.USERS[:5])
-        head, digest, checksum, body = self.cache_file(path).read_bytes().split(b"\n")
-        assert head == b"fakereal influence cache 1"
+        head, digest, crc, spec, arrays = self.cache_file(path).read_bytes().split(b"\n")
+        assert head == b"fakereal influence cache 2"
         assert digest == hashlib.sha256(self.TEXT.encode()).hexdigest().encode()
-        assert checksum == hashlib.sha256(body).hexdigest().encode()
+        assert crc == b"%08x" % zlib.crc32(spec + b"\n")
         # integer counts per level (c's last level is one its sweep
-        # mates reached); p and N are applied on read
-        assert json.loads(body) == {"d_max": 2, "levels": {
-            "u": [2, 1], "a": [2, 2], "b": [], "c": [1, 0], "d": []}}
+        # mates reached), and no arrays; p and N are applied on read
+        assert json.loads(spec) == {"meta": {"d_max": 2, "levels": {
+            "u": [2, 1], "a": [2, 2], "b": [], "c": [1, 0], "d": []}}, "arrays": []}
+        assert arrays == b""
         assert sorted(os.listdir(tmp_path / CACHE_DIR)) == ["edges.txt.graph",
                                                             "edges.txt.influence"]
 
@@ -725,12 +765,12 @@ class TestInfluenceCache:
 
     @pytest.mark.parametrize("spoil", [
         lambda data, other: data[: len(data) // 2],             # truncated
-        lambda data, other: data[:-1],                          # the closing brace cut
+        lambda data, other: data[:-2] + data[-1:],             # the closing brace cut
         lambda data, other: b"",
-        # a count flipped, 2 -> 3: still JSON, but not the checksummed body
+        # a count flipped, 2 -> 3: still JSON, but not what the CRC-32 covers
         lambda data, other: data.replace(b'"u": [2', b'"u": [3', 1),
         lambda data, other: data[:-2] + bytes([data[-2] ^ 0x01]) + data[-1:],
-        lambda data, other: data.replace(b"cache 1\n", b"cache 0\n", 1),   # another version
+        lambda data, other: data.replace(b"cache 2\n", b"cache 1\n", 1),   # another version
         lambda data, other: other,                              # another file content
     ])
     def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):

@@ -31,7 +31,6 @@ from .pipeline import (
 )
 from .slcnn import SlcnnModel, required_hcbs, slcnn_apply
 from .social import (
-    CreditLedger,
     FollowerGraph,
     explicit_rows,
     follower_count_influence,

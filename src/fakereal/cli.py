@@ -38,6 +38,18 @@ _CONFIG_FLAGS = [
 ]
 
 
+# synth flags: (flag, SynthSpec field, help); each defaults to its field's default
+_SYNTH_FLAGS = [
+    ("--n-real", "n_real", "real articles"),
+    ("--n-fake", "n_fake", "fake articles"),
+    ("--n-users", "n_users", "users in the follower graph"),
+    ("--vocab-size", "vocab_size", "words in the vocabulary"),
+    ("--embed-dim", "embed_dim", "embedding dimension"),
+    ("--signal", "publisher_signal", "publisher signal strength in [0, 1]"),
+    ("--text-signal", "text_signal", "text marker signal strength in [0, 1]"),
+]
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--preset", help="dataset preset: politifact | gossipcop")
@@ -106,15 +118,7 @@ def _cmd_stats(args):
 
 
 def _cmd_synth(args):
-    spec = pipeline.SynthSpec(
-        n_real=args.n_real,
-        n_fake=args.n_fake,
-        n_users=args.n_users,
-        vocab_size=args.vocab_size,
-        embed_dim=args.embed_dim,
-        publisher_signal=args.signal,
-        text_signal=args.text_signal,
-    )
+    spec = pipeline.SynthSpec(**{field: getattr(args, field) for _, field, _ in _SYNTH_FLAGS})
     data = pipeline.gen_synthetic(spec, args.seed)
     paths = pipeline.write_synthetic(data, args.out, test_fraction=args.test_fraction)
     for name in ("train", "test", "publishers", "edges", "embeddings"):
@@ -131,7 +135,8 @@ def build_parser():
     for name, fn, help_text in (
             ("train", _cmd_train, "train a model and write a checkpoint"),
             ("ablate", _cmd_ablate, "train and evaluate all four variants"),
-            ("coldstart", _cmd_coldstart, "retrain at perturbation fractions 0/0.1/0.2/0.3"),
+            ("coldstart", _cmd_coldstart, "retrain at perturbation fractions "
+             + "/".join(f"{f:g}" for f in pipeline.COLDSTART_FRACTIONS)),
             ("stats", _cmd_stats, "per-class publisher feature statistics"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -146,15 +151,10 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic corpus with controllable signal")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-real", type=int, default=50)
-    p.add_argument("--n-fake", type=int, default=50)
-    p.add_argument("--n-users", type=int, default=40)
-    p.add_argument("--vocab-size", type=int, default=150)
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--signal", type=float, default=1.0,
-                   help="publisher signal strength in [0, 1]")
-    p.add_argument("--text-signal", type=float, default=0.3,
-                   help="text marker signal strength in [0, 1]")
+    for flag, field, help_text in _SYNTH_FLAGS:
+        default = getattr(pipeline.SynthSpec, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default,
+                       help=f"{help_text} (default: {default})")
     p.add_argument("--test-fraction", type=float, default=0.5)
     p.set_defaults(fn=_cmd_synth)
     return parser

@@ -709,7 +709,7 @@ def write_report_files(out_dir, config: RunConfig, report: EvalReport):
 # experiments
 
 
-ABLATION_VARIANTS = ("slcnn", "slcnn_c", "slcnn_i", "full")
+ABLATION_VARIANTS = tuple(VARIANTS)
 
 
 def ablate(config: RunConfig, out_dir=None) -> dict:
@@ -785,7 +785,7 @@ class PublisherStats:
     means: dict   # class name -> {feature -> mean}
 
 
-def export_stats(articles, ledger: social.CreditLedger, graph: social.FollowerGraph,
+def export_stats(articles, ledger: dict, graph: social.FollowerGraph,
                  mode="follower_count") -> PublisherStats:
     influence = social.influence_scores(graph, _publishers(articles), mode)
     col = dict(zip(EXPLICIT_ORDER, social.explicit_rows(articles, ledger, influence).T))

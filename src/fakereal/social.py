@@ -2,10 +2,13 @@
 
 Credibility is a per-user pair (uct, ucf) = (articles published, fake
 articles published), tallied from the training split only so test labels
-never leak into features.  Influence is the expected fraction of the
-network a user's post reaches: direct followers count fully, followers at
-level i count with weight p^(i-1) and only on first reach.  Per article,
-the publisher list is masked against these tables and averaged, then
+never leak into features; the ledger is a plain {user: (uct, ucf)} dict.
+Influence is the expected fraction of the network a user's post reaches:
+direct followers count fully, followers at level i count with weight
+p^(i-1) and only on first reach.  It is read from a FollowerGraph: an
+edge list's, or a follower-count file's graph of users with no edges,
+which only the follower-count mode can score.  Per article, the
+publisher list is masked against these tables and averaged, then
 min-max normalized with statistics fitted on training articles.
 
 Exact influence is folded from each publisher's integer first-reach
@@ -26,33 +29,16 @@ from .corpus import Label
 from .fileio import ContentCache
 
 
-class CreditLedger:
-    """Per-user publishing history: user id -> (uct, ucf)."""
-
-    def __init__(self):
-        self._tally = {}
-
-    def record(self, user: str, fake: bool):
-        uct, ucf = self._tally.get(user, (0, 0))
-        self._tally[user] = (uct + 1, ucf + 1 if fake else ucf)
-
-    def credit(self, user: str):
-        """(uct, ucf) for a user; unknown users have no history."""
-        return self._tally.get(user, (0, 0))
-
-    def users(self):
-        return self._tally.keys()
-
-    def __len__(self):
-        return len(self._tally)
-
-
-def tally_credit(train_articles) -> CreditLedger:
-    ledger = CreditLedger()
+def tally_credit(train_articles) -> dict:
+    """The credit ledger: {user: (uct, ucf)} for each user who published
+    one of `train_articles`.  A user the ledger lacks has no history,
+    (0, 0)."""
+    ledger = {}
     for art in train_articles:
         fake = art.label is Label.FAKE
         for user in art.publisher_ids:
-            ledger.record(user, fake)
+            uct, ucf = ledger.get(user, (0, 0))
+            ledger[user] = (uct + 1, ucf + 1 if fake else ucf)
     return ledger
 
 
@@ -69,16 +55,18 @@ class FollowerGraph:
     normalization (defaults to the number of users held).  p is the
     reshare probability applied per extra level; d_max bounds the
     traversal depth (None = until exhaustion, i.e. the graph diameter).
-    A graph may instead carry only per-user follower `counts`, which
-    supports the follower-count influence mode alone.  graph_from_edges
-    and load_edge_list build graphs with edges; add_user adds a user
-    without any.  `influence_cache` is the ContentCache of the per-level
-    reach counts of the edge file the graph was read from, or None for a
-    graph that no file is known to hold.
+    graph_from_edges and load_edge_list build graphs with edges; add_user
+    adds a user without any.  A graph of a follower-count file
+    (load_follower_counts) has no known edges: `follower` and `followed`
+    are None, and `in_degree` gives each user's direct followers by id,
+    so it scores only the follower-count influence mode.
+    `influence_cache` is the ContentCache of the per-level reach counts
+    of the edge file the graph was read from, or None for a graph that no
+    file is known to hold.
     """
 
     def __init__(self, p=0.5, d_max=None, n_users=None, users=None,
-                 follower=_NO_EDGES, followed=_NO_EDGES):
+                 follower=_NO_EDGES, followed=_NO_EDGES, in_degree=None):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"share probability must be in [0, 1], got {p}")
         self.p = float(p)
@@ -86,18 +74,19 @@ class FollowerGraph:
         self.users = {} if users is None else users
         self.follower = follower
         self.followed = followed
-        self.counts = None
         self.influence_cache = None
         self._n_override = n_users
-        # direct followers of each user, a self-follow not counted
-        self._in_degree = np.bincount(followed[follower != followed], minlength=len(self.users))
+        # direct followers of each user, a self-follow not counted; a graph
+        # without edges is given them
+        self._in_degree = (in_degree if follower is None else
+                           np.bincount(followed[follower != followed], minlength=len(self.users)))
 
     def add_user(self, user: str):
         self.users.setdefault(user, len(self.users))
 
     @property
     def n_users(self):
-        held = len(self.users) if self.counts is None or self.users else len(self.counts)
+        held = len(self.users)
         if self._n_override is None:
             return held
         if self._n_override < held:
@@ -106,15 +95,13 @@ class FollowerGraph:
         return self._n_override
 
     def direct_followers(self, user: str) -> int:
-        """How many other users follow `user` over the edges; 0 for a user
-        the edges do not name."""
+        """How many other users follow `user`; 0 for a user the graph
+        gives no followers."""
         i = self.users.get(user, len(self._in_degree))
         return int(self._in_degree[i]) if i < len(self._in_degree) else 0
 
     def known(self, user: str) -> bool:
-        if user in self.users:
-            return True
-        return self.counts is not None and user in self.counts
+        return user in self.users
 
 
 def graph_from_edges(edges, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
@@ -213,12 +200,16 @@ def _edges_from_cache(meta, arrays):
     return users, follower, followed
 
 
+# the largest follower count an in-degree holds
+_MAX_COUNT = np.iinfo(np.int64).max
+
+
 def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
-    """Tab-separated `user_id<TAB>follower_count` table for count mode.
-    Each user is listed once."""
-    g = FollowerGraph(p=p, d_max=d_max, n_users=n_users)
-    g.counts = {}
-    seen = {}   # user -> line number
+    """Tab-separated `user_id<TAB>follower_count` table for count mode:
+    a graph of the listed users, numbered in file order, each with its
+    count of direct followers and no known edges.  Each user is listed
+    once, with a count that fits in int64."""
+    lines, counts = {}, []   # user -> line number, and the counts in that order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -228,17 +219,21 @@ def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 'user<TAB>count'")
             user, count = parts
-            first = seen.setdefault(user, lineno)
-            if first != lineno:
-                raise ValueError(f"{path}: user {user!r} listed twice, on lines {first} "
-                                 f"and {lineno}")
+            if user in lines:
+                raise ValueError(f"{path}: user {user!r} listed twice, on lines "
+                                 f"{lines[user]} and {lineno}")
             try:
-                g.counts[user] = int(count)
+                count = int(count)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: count must be an integer") from None
-            if g.counts[user] < 0:
+            if count < 0:
                 raise ValueError(f"{path}: line {lineno}: negative follower count")
-    return g
+            if count > _MAX_COUNT:
+                raise ValueError(f"{path}: line {lineno}: follower count above {_MAX_COUNT}")
+            lines[user] = lineno
+            counts.append(count)
+    return FollowerGraph(p, d_max, n_users, dict(zip(lines, range(len(lines)))), None, None,
+                         np.array(counts, dtype=np.int64))
 
 
 def user_influence(g: FollowerGraph, u: str) -> float:
@@ -276,7 +271,7 @@ def _fold_levels(g, users, cache):
     n = g.n_users
     if n < 2:
         raise ValueError(f"influence needs at least 2 users, got N={n}")
-    if g.counts is not None and not len(g.follower):
+    if g.follower is None:
         raise ValueError("graph holds only follower counts; use follower_count_influence")
     users = list(dict.fromkeys(users))
     # counts walked to another depth are a miss
@@ -342,8 +337,6 @@ def _reach_score(levels, p):
 
 def follower_count_influence(g: FollowerGraph, u: str) -> float:
     """The simplified influence mode: just the direct follower count."""
-    if g.counts is not None:
-        return float(g.counts.get(u, 0))
     return float(g.direct_followers(u))
 
 
@@ -399,9 +392,10 @@ def influence_scores(g: FollowerGraph, users, mode="follower_count") -> dict:
 EXPLICIT_ORDER = ("nct", "ncf", "num_p_credit", "ni", "num_p_influence")
 
 
-def explicit_rows(articles, ledger: CreditLedger, scores: dict) -> np.ndarray:
+def explicit_rows(articles, ledger: dict, scores: dict) -> np.ndarray:
     """Pre-normalization explicit rows, (len(articles), 5) in EXPLICIT_ORDER
-    columns: the mean (uct, ucf) of each article's publishers, their
+    columns: the mean (uct, ucf) of each article's publishers from
+    `ledger` (tally_credit's {user: (uct, ucf)}; (0, 0) if absent), their
     count, their mean influence from `scores` (a {user: score} table such
     as influence_scores gives), and the count again.  An article without
     publishers gets a row of zeros.  Each mean is a Python sum in
@@ -413,7 +407,7 @@ def explicit_rows(articles, ledger: CreditLedger, scores: dict) -> np.ndarray:
         if not pubs:
             continue
         n = len(pubs)
-        pairs = [ledger.credit(u) for u in pubs]
+        pairs = [ledger.get(u, (0, 0)) for u in pubs]
         rows[i] = (sum(p[0] for p in pairs) / n, sum(p[1] for p in pairs) / n, n,
                    sum(scores[u] for u in pubs) / n, n)
     return rows

@@ -12,6 +12,7 @@ from fakereal import fusion, nncore, slcnn
 from fakereal.corpus import DEFAULT_OOV_RANGE, CorpusError, EmbeddingTable
 from fakereal.nncore import Tensor, _accum
 from fakereal.pipeline import RunConfig
+from fakereal.social import FollowerGraph
 
 
 def assert_same_bits(got, want):
@@ -89,15 +90,25 @@ def width_trace(width: int) -> list:
 
 def followers(g) -> dict:
     """{user: frozenset of the users who follow it}, for the users with
-    followers: a FollowerGraph's edge arrays as sets, or a SetGraph's own
-    mapping."""
+    followers: a FollowerGraph's edge arrays as sets (none for a graph of
+    follower counts), or a SetGraph's own mapping."""
     if isinstance(g, SetGraph):
         return g.followers
+    if g.follower is None:
+        return {}
     names = list(g.users)
     sets = {}
     for a, b in zip(g.follower.tolist(), g.followed.tolist()):
         sets.setdefault(names[b], set()).add(names[a])
     return {u: frozenset(fs) for u, fs in sets.items()}
+
+
+def count_graph(counts: dict, **kw) -> FollowerGraph:
+    """The graph load_follower_counts reads from a file listing the
+    {user: follower count} table in its order."""
+    return FollowerGraph(users=dict(zip(counts, range(len(counts)))), follower=None,
+                         followed=None, in_degree=np.array(list(counts.values()), dtype=np.int64),
+                         **kw)
 
 
 def level_followers(g, u: str, i: int) -> set:
@@ -134,7 +145,6 @@ class SetGraph:
         self.p = float(p)
         self.d_max = d_max
         self.followers = {}
-        self.counts = None
         self.users = {}
         self._n_override = n_users
 
@@ -396,7 +406,7 @@ def raw_article_credit(article, ledger):
     pubs = article.publisher_ids
     if not pubs:
         return 0.0, 0.0, 0.0, True
-    pairs = [ledger.credit(u) for u in pubs]
+    pairs = [ledger.get(u, (0, 0)) for u in pubs]
     nct = sum(p[0] for p in pairs) / len(pairs)
     ncf = sum(p[1] for p in pairs) / len(pairs)
     return float(nct), float(ncf), float(len(pubs)), False
@@ -467,7 +477,7 @@ def influence_walk():
         if n < 2:
             raise ValueError(f"influence needs at least 2 users, got N={n}")
         sets = followers(g)
-        if g.counts is not None and not sets:
+        if not isinstance(g, SetGraph) and g.follower is None:
             raise ValueError("graph holds only follower counts; use follower_count_influence")
         frontier = sets.get(u, set()) - {u}
         reached = set(frontier)

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import fakereal
-from fakereal import social
+from fakereal import pipeline, social
 from fakereal.cli import build_parser, main
 from fakereal.fileio import CACHE_DIR
 
@@ -67,6 +67,14 @@ class TestSynthCommand:
         for name in ("train.jsonl", "test.jsonl", "publishers.tsv",
                      "edges.txt", "embeddings.txt"):
             assert os.path.exists(os.path.join(cli_corpus, name))
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path, capsys):
+        cli, api = str(tmp_path / "cli"), str(tmp_path / "api")
+        assert main(["synth", "--out", cli, "--seed", "3"]) == 0
+        pipeline.write_synthetic(pipeline.gen_synthetic(pipeline.SynthSpec(), 3), api)
+        files = tree(cli)
+        assert files == tree(api) and "publishers.tsv" in files
+        assert filecmp.cmpfiles(cli, api, files, shallow=False)[1:] == ([], [])
 
     def test_bad_spec_exits_one(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path), "--n-users", "5"])
@@ -148,6 +156,16 @@ class TestStatsCommand:
         code = main(["stats", "--out", str(tmp_path)])
         assert code == 2
         assert "stats needs" in capsys.readouterr().err
+
+    def test_a_count_too_large_exits_one(self, cli_corpus, tmp_path, capsys):
+        publishers = tmp_path / "publishers.tsv"
+        publishers.write_text(f"u1\t3\nu2\t{10**30}\n")
+        code = main(["stats", "--train", os.path.join(cli_corpus, "train.jsonl"),
+                     "--publishers", str(publishers), "--out", str(tmp_path / "stats")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "publishers.tsv: line 2: follower count above" in err
+        assert "Traceback" not in err
 
 
 class TestExperimentCommands:

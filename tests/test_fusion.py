@@ -54,7 +54,7 @@ class TestExplicitFeatures:
 
     def test_missing_vectors_become_zeros(self):
         cold = NewsArticle(id="a1", headline="h", body="b.", label=Label.REAL, publisher_ids=[])
-        rows = social.explicit_rows([cold], social.CreditLedger(), {})
+        rows = social.explicit_rows([cold], {}, {})
         flags = rows[:, EXPLICIT_ORDER.index("num_p_credit")] == 0
         assert np.array_equal(rows, np.zeros((1, 5)))
         assert flags.tolist() == [True]

@@ -46,6 +46,7 @@ from conftest import (
     ListAdamState,
     assert_same_bits,
     chain_depthwise_pool,
+    count_graph,
     followers,
     list_adam_step,
     synth_config,
@@ -496,18 +497,18 @@ class TestLoadGraph:
         config = synth_config(synth_paths, overrides={"data.edges": synth_paths["edges"]})
         g = load_graph(config)
         assert followers(g)
-        assert g.counts is None
+        assert g.follower is not None
 
     def test_counts_only(self, synth_paths):
         g = load_graph(synth_config(synth_paths))
-        assert g.counts is not None
+        assert g.follower is None
         assert not followers(g)
         assert g.n_users == SMALL_SPEC.n_users
 
     def test_no_social_files_gives_empty_graph(self, synth_paths):
         config = synth_config(synth_paths, overrides={"data.publishers": ""})
         g = load_graph(config)
-        assert g.counts is None and not followers(g) and g.n_users == 0
+        assert g.follower is not None and not followers(g) and g.n_users == 0
 
     def test_p_and_depth_bound_plumbed(self, synth_paths):
         config = synth_config(synth_paths, overrides={"influence.p": "0.25",
@@ -659,7 +660,8 @@ class TestSplitAndWrite:
         assert len(train_arts) == 14 and len(test_arts) == 6
 
         g = social.load_follower_counts(synth_paths["publishers"])
-        assert g.counts == data.follower_counts
+        assert {u: g.direct_followers(u) for u in g.users} == data.follower_counts
+        assert list(g.users) == sorted(data.follower_counts)
         lines = open(synth_paths["publishers"], encoding="utf-8").read().splitlines()
         assert lines == sorted(lines)
 
@@ -1326,8 +1328,7 @@ class TestPublisherStats:
             self.article("f1", Label.FAKE, ["pub_f"]),
             self.article("f2", Label.FAKE, ["pub_f"]),
         ]
-        graph = social.FollowerGraph()
-        graph.counts = {"pub_r": 10, "pub_f": 2}
+        graph = count_graph({"pub_r": 10, "pub_f": 2})
         return articles, social.tally_credit(articles), graph
 
     def test_hand_worked_means(self):
@@ -1377,8 +1378,7 @@ class TestPublisherStats:
     def test_stats_on_generated_corpus_separate_classes(self):
         data = gen_synthetic(SMALL_SPEC, seed=7)
         ledger = social.tally_credit(data.articles)
-        graph = social.FollowerGraph()
-        graph.counts = dict(data.follower_counts)
+        graph = count_graph(data.follower_counts)
         stats = export_stats(data.articles, ledger, graph)
         assert stats.means["fake"]["ncf"] > stats.means["real"]["ncf"]
         assert stats.means["real"]["ni"] > stats.means["fake"]["ni"]

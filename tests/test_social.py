@@ -17,7 +17,6 @@ from fakereal.fileio import CACHE_DIR
 from fakereal.corpus import Label, NewsArticle
 from fakereal.social import (
     EXPLICIT_ORDER,
-    CreditLedger,
     FollowerGraph,
     apply_minmax,
     explicit_rows,
@@ -56,12 +55,17 @@ class TestCreditLedger:
             art(["u1", "u3"], Label.FAKE, "a3"),
         ]
         ledger = tally_credit(arts)
-        assert ledger.credit("u1") == (3, 2)
-        assert ledger.credit("u2") == (1, 0)
-        assert ledger.credit("u3") == (1, 1)
+        assert ledger == {"u1": (3, 2), "u2": (1, 0), "u3": (1, 1)}
+        # the ledger holds plain ints, in order of first publication
+        assert list(ledger) == ["u1", "u2", "u3"]
+        assert all(type(n) is int for pair in ledger.values() for n in pair)
 
     def test_unknown_user_has_no_history(self):
-        assert tally_credit([]).credit("ghost") == (0, 0)
+        assert tally_credit([]) == {}
+        ledger = tally_credit([art(["u"])])
+        row = explicit_rows([art(["u", "ghost"])], ledger, {"u": 0.0, "ghost": 0.0})[0]
+        # ghost counts as (0, 0): the means are (1 + 0) / 2 and 0 / 2
+        assert row[:3].tolist() == [0.5, 0.0, 2.0]
 
     def test_fake_count_never_exceeds_total(self):
         rng = np.random.default_rng(0)
@@ -70,16 +74,13 @@ class TestCreditLedger:
                 for i in range(50)]
         ledger = tally_credit(arts)
         assert len(ledger) > 0
-        for u in ledger.users():
-            uct, ucf = ledger.credit(u)
+        for uct, ucf in ledger.values():
             assert 0 <= ucf <= uct
 
     def test_ledger_accumulates_per_record(self):
-        ledger = CreditLedger()
-        ledger.record("u", fake=False)
-        ledger.record("u", fake=True)
-        ledger.record("u", fake=True)
-        assert ledger.credit("u") == (3, 2)
+        ledger = tally_credit([art(["u"], Label.REAL, "a1"), art(["u"], Label.FAKE, "a2"),
+                               art(["u"], Label.FAKE, "a3")])
+        assert ledger["u"] == (3, 2)
 
 
 class TestFollowerGraph:
@@ -134,9 +135,33 @@ class TestLoaders:
         path = tmp_path / "publishers.tsv"
         path.write_text("u1\t10\nu2\t0\n")
         g = load_follower_counts(path)
-        assert g.counts == {"u1": 10, "u2": 0}
+        # the users in file order, each count its direct followers, no edges
+        assert g.users == {"u1": 0, "u2": 1}
+        assert g.direct_followers("u1") == 10 and g.direct_followers("u2") == 0
+        assert g.follower is None and g.followed is None
         assert follower_count_influence(g, "u1") == 10.0
+        assert g.known("u2") and not g.known("u3")
         assert g.n_users == 2
+
+    def test_counts_graph_from_the_constructor(self):
+        g = FollowerGraph(users={"u1": 0, "u2": 1}, follower=None, followed=None,
+                          in_degree=np.array([10, 0]))
+        assert follower_count_influence(g, "u1") == 10.0
+        assert follower_count_influence(g, "u3") == 0.0
+        assert g.n_users == 2
+        with pytest.raises(ValueError, match="only follower counts"):
+            influence_table(g, ["u1"])
+
+    def test_counts_graph_add_user(self, tmp_path):
+        path = tmp_path / "publishers.tsv"
+        path.write_text("u1\t10\nu2\t0\nu3\t4\n")
+        g = load_follower_counts(path)
+        g.add_user("x")
+        assert g.n_users == 4
+        assert g.known("x") and g.known("u1")
+        assert g.users == {"u1": 0, "u2": 1, "u3": 2, "x": 3}
+        assert follower_count_influence(g, "x") == 0.0
+        assert follower_count_influence(g, "u3") == 4.0
 
     def test_counts_file_errors(self, tmp_path):
         bad_tab = tmp_path / "a.tsv"
@@ -151,6 +176,14 @@ class TestLoaders:
         negative.write_text("u1\t-3\n")
         with pytest.raises(ValueError, match="negative follower count"):
             load_follower_counts(negative)
+        # a count an int64 in-degree cannot hold; 2**63 - 1 is the largest
+        huge = tmp_path / "d.tsv"
+        huge.write_text(f"u1\t{2**63 - 1}\nu2\t{10**30}\n")
+        with pytest.raises(ValueError, match=r"d.tsv: line 2: follower count above "
+                                             r"9223372036854775807"):
+            load_follower_counts(huge)
+        huge.write_text(f"u1\t{2**63 - 1}\n")
+        assert follower_count_influence(load_follower_counts(huge), "u1") == float(2**63 - 1)
 
     def test_counts_file_lists_each_user_once(self, tmp_path):
         path = tmp_path / "dup.tsv"
@@ -817,28 +850,23 @@ class TestInfluenceCache:
         assert not (tmp_path / CACHE_DIR).exists()
 
     def test_errors_are_the_same_on_a_hit_and_a_miss(self, tmp_path):
-        one_user = self.edge_file(tmp_path, "a a\n")
-        empty = self.edge_file(tmp_path / "empty", "")
+        path = self.edge_file(tmp_path, "a a\n")
 
-        def graph(path, spoil):
-            """A graph of `path` that scores, or one that raises when spoilt."""
-            if spoil and path == one_user:
+        def graph(spoil):
+            """A graph of `path` that scores, or, spoilt, one of a single user."""
+            if spoil:
                 return load_edge_list(path)
             g = load_edge_list(path, n_users=3)
             g.add_user("u")
-            if spoil:
-                g.counts = {"u": 5}
             return g
 
-        for path, error in [(one_user, "at least 2 users, got N=1"),
-                            (empty, "only follower counts")]:
-            want = outcome(influence_table, graph(path, True), ["a", "u"])
-            assert error in want
-            for cached in (False, True):   # a miss, then a hit
-                assert self.cache_file(path).is_file() == cached
-                with mock.patch.object(social, "_reach_levels", side_effect=AssertionError):
-                    assert outcome(influence_scores, graph(path, True), ["a", "u"], "exact") == want
-                influence_scores(graph(path, False), ["a", "u"], mode="exact")
+        want = outcome(influence_table, graph(True), ["a", "u"])
+        assert "at least 2 users, got N=1" in want
+        for cached in (False, True):   # a miss, then a hit
+            assert self.cache_file(path).is_file() == cached
+            with mock.patch.object(social, "_reach_levels", side_effect=AssertionError):
+                assert outcome(influence_scores, graph(True), ["a", "u"], "exact") == want
+            influence_scores(graph(False), ["a", "u"], mode="exact")
 
     def test_only_exact_influence_scores_of_a_loaded_graph_write_the_cache(self, tmp_path,
                                                                            monkeypatch):
@@ -875,6 +903,31 @@ class TestFollowerCountInfluence:
         assert follower_count_influence(g, "u") == 1.0
 
 
+class TestCountFileEqualsEdgeList:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_same_scores_and_rows(self, data, tmp_path_factory):
+        """Any edge list, duplicates and self-follows included, and a count
+        file listing each of its users' direct followers in any order:
+        the same follower-count scores and explicit rows, for publishers
+        the graph may not know."""
+        user = st.sampled_from(USERS)
+        edges = data.draw(st.lists(st.tuples(user, user), max_size=30))
+        names = list(dict.fromkeys(u for edge in edges for u in edge))
+        direct = {u: len({a for a, b in edges if b == u != a}) for u in names}
+        path = tmp_path_factory.mktemp("counts") / "publishers.tsv"
+        path.write_text("".join(f"{u}\t{direct[u]}\n" for u in data.draw(st.permutations(names))))
+        articles = [art(pubs, Label.FAKE if i % 2 else Label.REAL, f"a{i}") for i, pubs in
+                    enumerate(data.draw(st.lists(st.lists(user, max_size=4), max_size=6)))]
+        pubs = [u for a in articles for u in a.publisher_ids]
+        ledger = tally_credit(articles)
+        want = influence_scores(graph_from_edges(edges), pubs)
+        got = influence_scores(load_follower_counts(path), pubs)
+        assert got == want
+        assert_same_bits(explicit_rows(articles, ledger, got),
+                         explicit_rows(articles, ledger, want))
+
+
 class TestMinMax:
     def test_frozen_example(self):
         scaler = fit_minmax(np.array([[2.0], [4.0], [10.0]]))
@@ -903,16 +956,7 @@ class TestMinMax:
 
 class TestArticleVectors:
     def ledger(self):
-        ledger = CreditLedger()
-        for _ in range(4):
-            ledger.record("u1", fake=False)
-        ledger.record("u1", fake=True)
-        for _ in range(6):
-            ledger.record("u2", fake=False)
-        for _ in range(3):
-            ledger.record("u2", fake=True)
-        # u1: (5, 1), u2: (9, 3)
-        return ledger
+        return {"u1": (5, 1), "u2": (9, 3)}
 
     def row(self, pubs, scores=None):
         """The explicit row of one article, by column name; influence
@@ -977,9 +1021,9 @@ class TestExplicitRows:
         user = st.sampled_from(USERS)
         articles = [art(pubs, art_id=f"a{i}") for i, pubs in
                     enumerate(data.draw(st.lists(st.lists(user, max_size=6), max_size=8)))]
-        ledger = CreditLedger()
-        for u, fake in data.draw(st.lists(st.tuples(user, st.booleans()), max_size=20)):
-            ledger.record(u, fake)
+        ledger = tally_credit(
+            [art([u], Label.FAKE if fake else Label.REAL)
+             for u, fake in data.draw(st.lists(st.tuples(user, st.booleans()), max_size=20))])
         edges = data.draw(st.lists(st.tuples(user, user).filter(lambda e: e[0] != e[1]),
                                    min_size=1, max_size=20))
         g = graph_from_edges(edges, p=data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: train, eval, ablate, coldstart, stats, synth.  Every config
-key has a matching flag; precedence is preset < config file < flag.
+Subcommands: train, eval, ablate, coldstart, stats, synth.  Every key of
+pipeline.CONFIG_SCHEMA has a matching flag; precedence is preset < config
+file < flag.
 """
 
 import argparse
@@ -9,34 +10,6 @@ import os
 import sys
 
 from . import corpus, pipeline, social
-
-# (flag dest, config key); flags are the keys' CLI spelling
-_CONFIG_FLAGS = [
-    ("train", "data.train", "training corpus (JSON lines)"),
-    ("test", "data.test", "test corpus (JSON lines)"),
-    ("embeddings", "data.embeddings", "word embeddings (text layout)"),
-    ("publishers", "data.publishers", "user_id<TAB>follower_count table"),
-    ("edges", "data.edges", "follower edge list (follower followed)"),
-    ("variant", "model.variant", "slcnn | slcnn_c | slcnn_i | full"),
-    ("filters", "model.filters", "filters per convolution"),
-    ("dense_width", "model.dense_width", "hidden layer width"),
-    ("dropout", "model.dropout", "dropout rate"),
-    ("t_s", "model.t_s", "max words per sentence"),
-    ("t_d", "model.t_d", "max body sentences (0 = derive from train)"),
-    ("lr", "train.lr", "Adam learning rate"),
-    ("epochs", "train.epochs", "fixed epoch count (-1 = early stopping)"),
-    ("max_epochs", "train.max_epochs", "early-stopping epoch cap"),
-    ("patience", "train.patience", "early-stopping patience"),
-    ("val_fraction", "train.val_fraction", "validation slice of train"),
-    ("batch_size", "train.batch_size", "mini-batch size"),
-    ("stop_at_train_acc", "train.stop_at_train_acc", "stop once train accuracy reached"),
-    ("seed", "train.seed", "master RNG seed"),
-    ("influence_mode", "influence.mode", "exact | follower_count"),
-    ("influence_p", "influence.p", "per-level share probability"),
-    ("influence_d_max", "influence.d_max", "influence depth bound (0 = none)"),
-    ("fraction", "coldstart.fraction", "cold-start perturbation fraction"),
-]
-
 
 # synth flags: (flag, SynthSpec field, help); each defaults to its field's default
 _SYNTH_FLAGS = [
@@ -50,23 +23,27 @@ _SYNTH_FLAGS = [
 ]
 
 
+def _flag_dest(key):
+    """The flag dest of a config key: its last part, with the influence
+    section kept.  `<section>.<name>` is --<name>, and `influence.<name>`
+    is --influence-<name>."""
+    return key.replace("influence.", "influence_").split(".")[-1]
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--preset", help="dataset preset: politifact | gossipcop")
     parser.add_argument("--out", default="run", help="run directory (default: run)")
-    for dest, key, help_text in _CONFIG_FLAGS:
-        flag = "--" + dest.replace("_", "-")
-        parser.add_argument(flag, dest=dest, help=f"{help_text} [{key}]")
+    for key, (_, _, _, help_text) in pipeline.CONFIG_SCHEMA.items():
+        dest = _flag_dest(key)
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, help=f"{help_text} [{key}]")
 
 
 def _config_from_args(args) -> pipeline.RunConfig:
     overrides = {}
-    for dest, key, _ in _CONFIG_FLAGS:
-        val = getattr(args, dest)
+    for key in pipeline.CONFIG_SCHEMA:
+        val = getattr(args, _flag_dest(key))
         if val is not None:
             overrides[key] = val
-    if args.preset:
-        overrides["data.preset"] = args.preset
     return pipeline.load_config(path=args.config, overrides=overrides)
 
 

@@ -30,31 +30,15 @@ import numpy as np
 
 from .fileio import ContentCache
 
-# Reference statistics for the two FakeNewsNet benchmarks.  The corpora are
-# not shipped, so their sentence-count thresholds are provided as presets
-# rather than recomputed from data.
+# Sentence-size thresholds of the two FakeNewsNet benchmarks.  The corpora
+# are not shipped, so their thresholds are provided as presets rather than
+# recomputed from data.
 DATASET_PRESETS = {
-    "politifact": {
-        "t_s": 46,
-        "t_d": 280,
-        "train_real": 192,
-        "train_fake": 188,
-        "test_real": 49,
-        "test_fake": 47,
-    },
-    "gossipcop": {
-        "t_s": 46,
-        "t_d": 85,
-        "train_real": 9342,
-        "train_fake": 3162,
-        "test_real": 2336,
-        "test_fake": 790,
-    },
+    "politifact": {"t_s": 46, "t_d": 280},
+    "gossipcop": {"t_s": 46, "t_d": 85},
 }
-FAKENEWSNET_PUBLISHER_COUNT = 512370
 
-DEFAULT_T_S = 46
-DEFAULT_OOV_RANGE = (-0.01, 0.01)
+OOV_RANGE = (-0.01, 0.01)
 
 
 class Label(Enum):
@@ -111,18 +95,15 @@ def split_article(article: NewsArticle) -> TokenizedArticle:
     return TokenizedArticle(_tokenize(article.headline), sentences)
 
 
-def compute_thresholds(train_bodies, t_s_fixed: int = DEFAULT_T_S) -> Thresholds:
-    """Size thresholds for the input tensor.
-
-    t_d = ceil(mean + population std) of body sentence counts over the
-    training split, which drops outlier sizes and keeps the tensors dense.
-    t_s is fixed (46 by default).
-    """
+def compute_thresholds(train_bodies, t_s: int) -> Thresholds:
+    """Size thresholds for the input tensor: the given t_s, and t_d =
+    ceil(mean + population std) of body sentence counts over the training
+    split, which drops outlier sizes and keeps the tensors dense."""
     if not train_bodies:
         raise ValueError("empty corpus")
     counts = np.array([len(t.body_sentences) for t in train_bodies], dtype=np.float64)
     t_d = math.ceil(counts.mean() + counts.std())
-    return Thresholds(t_s=t_s_fixed, t_d=max(t_d, 1))
+    return Thresholds(t_s=t_s, t_d=max(t_d, 1))
 
 
 class EmbeddingTable:
@@ -130,16 +111,15 @@ class EmbeddingTable:
 
     Stored vectors are the rows of one (n, E) float64 matrix, and
     ``rows[word]`` is the row of a word.  OOV words get a vector drawn
-    uniformly from ``oov_range``, seeded by (oov_seed, word) so the same
+    uniformly from OOV_RANGE, seeded by (oov_seed, word) so the same
     word always maps to the same vector, in this process or any other.
     """
 
-    def __init__(self, rows, matrix, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
+    def __init__(self, rows, matrix, oov_seed=0):
         self.rows = rows
         self.matrix = matrix
         self.dimension = matrix.shape[1]
         self.oov_seed = int(oov_seed)
-        self.oov_range = (float(oov_range[0]), float(oov_range[1]))
 
     def __contains__(self, word):
         return word in self.rows
@@ -155,8 +135,7 @@ class EmbeddingTable:
         word_key = int.from_bytes(digest, "big")
         seq = np.random.SeedSequence([self.oov_seed & 0xFFFFFFFFFFFFFFFF, word_key])
         rng = np.random.default_rng(seq)
-        lo, hi = self.oov_range
-        return rng.uniform(lo, hi, self.dimension)
+        return rng.uniform(*OOV_RANGE, self.dimension)
 
 
 def token_ids(toks, th: Thresholds, vocab: dict) -> np.ndarray:
@@ -277,7 +256,7 @@ def write_corpus(articles, path):
 _PARSE_CHUNK = 4096
 
 
-def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE, words=None) -> EmbeddingTable:
+def load_embeddings(path, oov_seed=0, words=None) -> EmbeddingTable:
     """Read whitespace-separated text embeddings (``word v1 ... vE``).
 
     The first non-blank line sets E.  With `words` (a set of words, or a
@@ -297,7 +276,7 @@ def load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE, words=None) -
         rows, matrix = _parse_embeddings(path, None)[:2]
     else:
         rows, matrix = _cached_vectors(path, words)
-    return EmbeddingTable(rows, matrix, oov_seed=oov_seed, oov_range=oov_range)
+    return EmbeddingTable(rows, matrix, oov_seed=oov_seed)
 
 
 def _parse_embeddings(path, words):

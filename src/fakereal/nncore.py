@@ -429,14 +429,16 @@ def softmax(logits):
 # optimization
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Adam accumulators for a flat parameter buffer."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step = 0
         self.m = np.zeros(np.shape(params))
         self.v = np.zeros(np.shape(params))
@@ -457,15 +459,15 @@ def adam_step(params, grads, state: AdamState):
                          f"{np.shape(params)}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grads * grads)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
     denom = np.sqrt(v / c2)
-    denom += state.eps
+    denom += ADAM_EPS
     step = m / c1
     step *= state.lr
     step /= denom

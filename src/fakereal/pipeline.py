@@ -37,41 +37,37 @@ CHECKPOINT_FORMAT_VERSION = 2
 # configuration
 
 
-# key -> (attribute, type, default)
+# key -> (attribute, type, default, help); each key is also a command-line
+# flag (see cli._flag_dest)
 CONFIG_SCHEMA = {
-    "data.train": ("train_path", str, ""),
-    "data.test": ("test_path", str, ""),
-    "data.embeddings": ("embeddings_path", str, ""),
-    "data.publishers": ("publishers_path", str, ""),
-    "data.edges": ("edges_path", str, ""),
-    "data.preset": ("preset", str, ""),
-    "model.variant": ("variant", str, "full"),
-    "model.filters": ("filters", int, 8),
-    "model.dense_width": ("dense_width", int, 64),
-    "model.dropout": ("dropout", float, 0.5),
-    "model.t_s": ("t_s", int, 46),
-    "model.t_d": ("t_d", int, 0),
-    "train.lr": ("lr", float, 0.001),
-    "train.epochs": ("epochs", int, -1),
-    "train.max_epochs": ("max_epochs", int, 200),
-    "train.patience": ("patience", int, 10),
-    "train.val_fraction": ("val_fraction", float, 0.1),
-    "train.batch_size": ("batch_size", int, 32),
-    "train.stop_at_train_acc": ("stop_at_train_acc", float, 0.0),
-    "train.seed": ("seed", int, 0),
-    "influence.mode": ("influence_mode", str, "follower_count"),
-    "influence.p": ("influence_p", float, 0.5),
-    "influence.d_max": ("influence_d_max", int, 0),
-    "coldstart.fraction": ("coldstart_fraction", float, 0.0),
+    "data.train": ("train_path", str, "", "training corpus (JSON lines)"),
+    "data.test": ("test_path", str, "", "test corpus (JSON lines)"),
+    "data.embeddings": ("embeddings_path", str, "", "word embeddings (text layout)"),
+    "data.publishers": ("publishers_path", str, "", "user_id<TAB>follower_count table"),
+    "data.edges": ("edges_path", str, "", "follower edge list (follower followed)"),
+    "data.preset": ("preset", str, "", "dataset preset: " + " | ".join(DATASET_PRESETS)),
+    "model.variant": ("variant", str, "full", "slcnn | slcnn_c | slcnn_i | full"),
+    "model.filters": ("filters", int, 8, "filters per convolution"),
+    "model.dense_width": ("dense_width", int, 64, "hidden layer width"),
+    "model.dropout": ("dropout", float, 0.5, "dropout rate"),
+    "model.t_s": ("t_s", int, 46, "max words per sentence"),
+    "model.t_d": ("t_d", int, 0, "max body sentences (0 = derive from train)"),
+    "train.lr": ("lr", float, 0.001, "Adam learning rate"),
+    "train.epochs": ("epochs", int, -1, "fixed epoch count (-1 = early stopping)"),
+    "train.max_epochs": ("max_epochs", int, 200, "early-stopping epoch cap"),
+    "train.patience": ("patience", int, 10, "early-stopping patience"),
+    "train.val_fraction": ("val_fraction", float, 0.1, "validation slice of train"),
+    "train.batch_size": ("batch_size", int, 32, "mini-batch size"),
+    "train.stop_at_train_acc": ("stop_at_train_acc", float, 0.0,
+                                "stop once train accuracy reached"),
+    "train.seed": ("seed", int, 0, "master RNG seed"),
+    "influence.mode": ("influence_mode", str, "follower_count", "exact | follower_count"),
+    "influence.p": ("influence_p", float, 0.5, "per-level share probability"),
+    "influence.d_max": ("influence_d_max", int, 0, "influence depth bound (0 = none)"),
+    "coldstart.fraction": ("coldstart_fraction", float, 0.0, "cold-start perturbation fraction"),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _, _) in CONFIG_SCHEMA.items()}
-
-# presets carry only the published dataset shape statistics
-PRESET_CONFIG = {
-    name: {"model.t_s": str(stats["t_s"]), "model.t_d": str(stats["t_d"])}
-    for name, stats in DATASET_PRESETS.items()
-}
+_ATTR_TO_KEY = {attr: key for key, (attr, *_) in CONFIG_SCHEMA.items()}
 
 
 class ConfigError(ValueError):
@@ -79,7 +75,7 @@ class ConfigError(ValueError):
 
 
 def _parse_value(key, raw):
-    _, typ, _ = CONFIG_SCHEMA[key]
+    typ = CONFIG_SCHEMA[key][1]
     if isinstance(raw, str):
         try:
             return typ(raw)
@@ -92,7 +88,7 @@ class RunConfig:
     """Typed view over the flat config keys; immutable by convention."""
 
     def __init__(self, values=None):
-        self._values = {key: default for key, (_, _, default) in CONFIG_SCHEMA.items()}
+        self._values = {key: default for key, (_, _, default, _) in CONFIG_SCHEMA.items()}
         for key, val in (values or {}).items():
             if key not in CONFIG_SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -220,12 +216,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
     overrides = dict(overrides or {})
     file_pairs = _read_config_file(path) if path else {}
     preset_name = overrides.get("data.preset") or file_pairs.get("data.preset") or ""
-    merged = {}
-    if preset_name:
-        if preset_name not in PRESET_CONFIG:
-            raise ConfigError(f"unknown preset {preset_name!r}")
-        merged.update(PRESET_CONFIG[preset_name])
-        merged["data.preset"] = preset_name
+    # an unknown name sets nothing here; RunConfig rejects it
+    merged = {f"model.{name}": value
+              for name, value in DATASET_PRESETS.get(preset_name, {}).items()}
     merged.update(file_pairs)
     merged.update(overrides)
     return RunConfig(merged)
@@ -303,7 +296,6 @@ class DataBundle:
     (V, E) word-vector table whose row 0 is padding; train_x is None when
     the training text was not tokenized (prepare_data's train_text)."""
     thresholds: corpus.Thresholds
-    embed_dim: int
     vectors: np.ndarray
     train_ids: list
     train_x: np.ndarray
@@ -368,7 +360,7 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     if config.t_d > 0:
         th = corpus.Thresholds(t_s=config.t_s, t_d=config.t_d)
     else:
-        th = corpus.compute_thresholds(train_tok, t_s_fixed=config.t_s)
+        th = corpus.compute_thresholds(train_tok, config.t_s)
 
     vocab = {}
     train_x = corpus.token_ids(train_tok, th, vocab) if train_text else None
@@ -386,7 +378,6 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
 
     return DataBundle(
         thresholds=th,
-        embed_dim=table.dimension,
         vectors=corpus.vocab_vectors(vocab, table),
         train_ids=[a.id for a in train_articles],
         train_x=train_x,
@@ -481,7 +472,7 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         rng_for(config.seed, "perturb_train"))
     explicit = _variant_explicit(explicit_full, config.variant)
 
-    model = fusion.init_model(config.variant, th.t_s, th.t_d, bundle.embed_dim,
+    model = fusion.init_model(config.variant, th.t_s, th.t_d, bundle.vectors.shape[1],
                               rng_for(config.seed, "init"), k=config.filters,
                               dense_width=config.dense_width,
                               dropout_rate=config.dropout)
@@ -589,7 +580,7 @@ def save_model(path, model: fusion.Model, bundle: DataBundle, config: RunConfig)
         "variant": model.variant,
         "t_s": bundle.thresholds.t_s,
         "t_d": bundle.thresholds.t_d,
-        "embed_dim": bundle.embed_dim,
+        "embed_dim": bundle.vectors.shape[1],
         "k": model.k,
         "dense_width": config.dense_width,
         "dropout": model.dropout_rate,
@@ -648,7 +639,7 @@ def evaluate(config: RunConfig, checkpoint_path, out_dir=None) -> EvalReport:
     bundle = prepare_data(config, train_text=False)
     if (meta["t_s"], meta["t_d"]) != (bundle.thresholds.t_s, bundle.thresholds.t_d):
         raise ValueError("checkpoint thresholds do not match the prepared data")
-    if meta["embed_dim"] != bundle.embed_dim:
+    if meta["embed_dim"] != bundle.vectors.shape[1]:
         raise ValueError("checkpoint embedding dimension does not match")
     if (not np.array_equal(np.array(meta["scaler_mins"]), bundle.scaler.mins)
             or not np.array_equal(np.array(meta["scaler_maxs"]), bundle.scaler.maxs)):

@@ -21,6 +21,7 @@ user_influence always sweep and never touch the disk.  fileio.ContentCache
 checks the bytes of both cache files, and this module what they mean.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,13 +203,16 @@ def _edges_from_cache(meta, arrays):
 
 # the largest follower count an in-degree holds
 _MAX_COUNT = np.iinfo(np.int64).max
+# ASCII digits only: int() would also take "1_000", "+7", " 7 " and other
+# scripts' digits.  A leading "-" parses, to be refused as negative.
+_COUNT = re.compile(r"-?[0-9]+")
 
 
 def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
     """Tab-separated `user_id<TAB>follower_count` table for count mode:
     a graph of the listed users, numbered in file order, each with its
     count of direct followers and no known edges.  Each user is listed
-    once, with a count that fits in int64."""
+    once, with a count of ASCII digits that fits in int64."""
     lines, counts = {}, []   # user -> line number, and the counts in that order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -222,10 +226,9 @@ def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph
             if user in lines:
                 raise ValueError(f"{path}: user {user!r} listed twice, on lines "
                                  f"{lines[user]} and {lineno}")
-            try:
-                count = int(count)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: count must be an integer") from None
+            if not _COUNT.fullmatch(count):
+                raise ValueError(f"{path}: line {lineno}: count must be an integer")
+            count = int(count)
             if count < 0:
                 raise ValueError(f"{path}: line {lineno}: negative follower count")
             if count > _MAX_COUNT:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fakereal import fusion, nncore, slcnn
-from fakereal.corpus import DEFAULT_OOV_RANGE, CorpusError, EmbeddingTable
+from fakereal.corpus import CorpusError, EmbeddingTable
 from fakereal.nncore import Tensor, _accum
 from fakereal.pipeline import RunConfig
 from fakereal.social import FollowerGraph
@@ -370,7 +370,7 @@ def article_token_ids(tok, th, vocab):
     return ids
 
 
-def float_load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
+def float_load_embeddings(path, oov_seed=0):
     """The reader corpus.load_embeddings replaced: every line split into
     components and parsed with a Python float() loop, and checked.  A word
     seen again keeps its first position and takes its last vector."""
@@ -396,7 +396,7 @@ def float_load_embeddings(path, oov_seed=0, oov_range=DEFAULT_OOV_RANGE):
     if not vectors:
         raise CorpusError(f"{path}: empty embeddings file")
     return EmbeddingTable(dict(zip(vectors, range(len(vectors)))), np.array(list(vectors.values())),
-                          oov_seed=oov_seed, oov_range=oov_range)
+                          oov_seed=oov_seed)
 
 
 def raw_article_credit(article, ledger):

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -10,11 +11,40 @@ import pytest
 
 import fakereal
 from fakereal import pipeline, social
-from fakereal.cli import build_parser, main
+from fakereal.cli import _config_from_args, build_parser, main
 from fakereal.fileio import CACHE_DIR
 
 FAST_FLAGS = ["--dense-width", "8", "--dropout", "0.0",
               "--batch-size", "8", "--epochs", "1"]
+
+# the flag of each config key, spelt out so that a change to the rule
+# that derives them shows here
+CONFIG_FLAGS = {
+    "data.train": "--train",
+    "data.test": "--test",
+    "data.embeddings": "--embeddings",
+    "data.publishers": "--publishers",
+    "data.edges": "--edges",
+    "data.preset": "--preset",
+    "model.variant": "--variant",
+    "model.filters": "--filters",
+    "model.dense_width": "--dense-width",
+    "model.dropout": "--dropout",
+    "model.t_s": "--t-s",
+    "model.t_d": "--t-d",
+    "train.lr": "--lr",
+    "train.epochs": "--epochs",
+    "train.max_epochs": "--max-epochs",
+    "train.patience": "--patience",
+    "train.val_fraction": "--val-fraction",
+    "train.batch_size": "--batch-size",
+    "train.stop_at_train_acc": "--stop-at-train-acc",
+    "train.seed": "--seed",
+    "influence.mode": "--influence-mode",
+    "influence.p": "--influence-p",
+    "influence.d_max": "--influence-d-max",
+    "coldstart.fraction": "--fraction",
+}
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +91,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_a_flag_for_each_config_key_and_no_other(self, capsys):
+        assert sorted(CONFIG_FLAGS) == sorted(pipeline.CONFIG_SCHEMA)
+        for command in ("train", "eval", "ablate", "coldstart", "stats"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+            extra = {"eval": {"--checkpoint"}}.get(command, set())
+            assert flags == {"--help", "--config", "--out", *CONFIG_FLAGS.values(), *extra}
+
+    @pytest.mark.parametrize("key", CONFIG_FLAGS)
+    def test_a_flag_sets_its_key(self, key):
+        args = build_parser().parse_args(["train", CONFIG_FLAGS[key], "V"])
+        with mock.patch.object(pipeline, "load_config",
+                               lambda path, overrides: overrides):
+            assert _config_from_args(args) == {key: "V"}
+
 
 class TestSynthCommand:
     def test_writes_the_full_layout(self, cli_corpus, capsys):
@@ -101,6 +147,11 @@ class TestTrainCommand:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "model.variant" in capsys.readouterr().err
+
+    def test_unknown_preset_exits_two(self, tmp_path, capsys):
+        code = main(["train", "--preset", "nope", "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown preset 'nope'" in capsys.readouterr().err
 
     def test_missing_data_exits_two(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path)])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fakereal import corpus, fileio
 from fakereal.corpus import (
     DATASET_PRESETS,
-    FAKENEWSNET_PUBLISHER_COUNT,
     CorpusError,
     EmbeddingTable,
     Label,
@@ -73,30 +72,30 @@ class TestComputeThresholds:
         # sentence counts 3,5,4,8,5: mean 5, population std sqrt(2.8),
         # so t_d = ceil(6.6733...) = 7
         toks = [TokenizedArticle([], [["w"]] * n) for n in (3, 5, 4, 8, 5)]
-        th = compute_thresholds(toks)
+        th = compute_thresholds(toks, 46)
         assert th.t_d == 7
         assert th.t_s == 46
 
     def test_zero_variance(self):
         toks = [TokenizedArticle([], [["w"]] * 4) for _ in range(3)]
-        assert compute_thresholds(toks).t_d == 4
+        assert compute_thresholds(toks, 46).t_d == 4
 
     def test_floor_of_one(self):
         toks = [TokenizedArticle([], []) for _ in range(2)]
-        assert compute_thresholds(toks).t_d == 1
+        assert compute_thresholds(toks, 46).t_d == 1
 
     def test_order_invariant(self):
         a = [TokenizedArticle([], [["w"]] * n) for n in (1, 9, 2, 7, 7, 3)]
         b = list(reversed(a))
-        assert compute_thresholds(a) == compute_thresholds(b)
+        assert compute_thresholds(a, 46) == compute_thresholds(b, 46)
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            compute_thresholds([])
+            compute_thresholds([], 46)
 
     def test_custom_t_s(self):
         toks = [TokenizedArticle([], [["w"]])]
-        assert compute_thresholds(toks, t_s_fixed=10).t_s == 10
+        assert compute_thresholds(toks, t_s=10).t_s == 10
 
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ValueError, match="thresholds must be >= 1"):
@@ -123,7 +122,7 @@ class TestEmbeddingTable:
         assert not np.array_equal(table.lookup("aard"), table.lookup("vark"))
 
     def test_oov_within_range(self):
-        table = EmbeddingTable({}, np.zeros((0, 16)), oov_range=(-0.01, 0.01))
+        table = EmbeddingTable({}, np.zeros((0, 16)))
         for word in ("one", "two", "three"):
             vec = table.lookup(word)
             assert np.all(vec >= -0.01) and np.all(vec <= 0.01)
@@ -694,12 +693,5 @@ class TestVocabVectors:
 
 
 def test_dataset_presets_pin_published_sizes():
-    p = DATASET_PRESETS["politifact"]
-    assert (p["t_s"], p["t_d"]) == (46, 280)
-    assert (p["train_real"], p["train_fake"]) == (192, 188)
-    assert (p["test_real"], p["test_fake"]) == (49, 47)
-    g = DATASET_PRESETS["gossipcop"]
-    assert (g["t_s"], g["t_d"]) == (46, 85)
-    assert (g["train_real"], g["train_fake"]) == (9342, 3162)
-    assert (g["test_real"], g["test_fake"]) == (2336, 790)
-    assert FAKENEWSNET_PUBLISHER_COUNT == 512370
+    assert DATASET_PRESETS == {"politifact": {"t_s": 46, "t_d": 280},
+                               "gossipcop": {"t_s": 46, "t_d": 85}}

@@ -332,7 +332,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("variant", ["slcnn", "full"])
     def test_logits_match_dense_oracle(self, bundle, dense_oracle, variant):
         th = bundle.thresholds
-        model = init_model(variant, th.t_s, th.t_d, bundle.embed_dim, rng_for(1, "init"))
+        model = init_model(variant, th.t_s, th.t_d, bundle.vectors.shape[1], rng_for(1, "init"))
         ids = bundle.train_x
         explicit = bundle.explicit_train if variant == "full" else None
         assert (~ids.any(axis=2)).any()           # the corpus has padding rows
@@ -342,7 +342,7 @@ class TestDenseOracle:
 
     def test_logits_do_not_depend_on_batch_neighbours(self, bundle):
         th = bundle.thresholds
-        model = init_model("full", th.t_s, th.t_d, bundle.embed_dim, rng_for(2, "init"))
+        model = init_model("full", th.t_s, th.t_d, bundle.vectors.shape[1], rng_for(2, "init"))
         ids, ex = bundle.train_x, bundle.explicit_train
         whole = forward_batch(model, ids, bundle.vectors, ex, "eval").data
         for picked in ([0, 1, 2], [5, 0, 3], [0]):

@@ -131,7 +131,7 @@ def run_configs(draw):
         "train.stop_at_train_acc": draw(st.floats(0.0, 1.0)),
         "train.epochs": draw(st.integers(-1, 10**6)),
     }
-    for key, (_, typ, _) in CONFIG_SCHEMA.items():
+    for key, (_, typ, _, _) in CONFIG_SCHEMA.items():
         if key in values:
             continue
         if typ is str:
@@ -255,6 +255,15 @@ class TestRunConfig:
         assert as_dict["model.filters"] == "8"
         assert as_dict["data.train"] == ""
 
+    def test_readme_table_lists_every_key_and_default(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            section = fh.read().split("\n## Configuration\n")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `([^`]+)` \| *(?:`([^`]*)`)? *\|", section, re.M)
+        assert dict(rows) == {key: str(default)
+                              for key, (_, _, default, _) in CONFIG_SCHEMA.items()}
+        assert len(rows) == len(CONFIG_SCHEMA)
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
@@ -342,7 +351,7 @@ class TestConfigFile:
         write_config_snapshot(config, path)
         back = load_config(path=path)
         assert back.to_pairs() == config.to_pairs()
-        for attr, _, _ in CONFIG_SCHEMA.values():
+        for attr, *_ in CONFIG_SCHEMA.values():
             assert type(getattr(back, attr)) is type(getattr(config, attr))
 
     @pytest.mark.parametrize("text", [
@@ -689,7 +698,7 @@ class TestPrepareData:
         b = small_bundle
         th = b.thresholds
         assert th.t_s == 10
-        assert b.embed_dim == 6
+        assert b.vectors.shape[1] == 6
         assert b.train_x.shape == (14, th.t_d + 1, 10)
         assert b.train_x.dtype == b.test_x.dtype == np.int32
         assert b.test_x.shape[0] == 6
@@ -779,7 +788,7 @@ class TestTraining:
         assert result.log_lines[-1] == "stopped: no epochs requested"
         th = small_bundle.thresholds
         fresh = fusion.init_model(config.variant, th.t_s, th.t_d,
-                                  small_bundle.embed_dim, rng_for(config.seed, "init"),
+                                  small_bundle.vectors.shape[1], rng_for(config.seed, "init"),
                                   k=config.filters, dense_width=config.dense_width,
                                   dropout_rate=config.dropout)
         for name, t in result.model.parameters().items():
@@ -1241,7 +1250,7 @@ class TestEvaluateTestSplitOnly:
         assert config.t_d == 0
         full = self.check(config, tmp_path)
         test_tok = [corpus.split_article(a) for a in articles]
-        assert corpus.compute_thresholds(test_tok, t_s_fixed=10).t_d > full.thresholds.t_d
+        assert corpus.compute_thresholds(test_tok, t_s=10).t_d > full.thresholds.t_d
 
     def test_test_split_without_words(self, synth_paths, tmp_path):
         articles = [NewsArticle(id=f"t{i}", headline="?!", body="... --- !!!",

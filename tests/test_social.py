@@ -169,9 +169,15 @@ class TestLoaders:
         with pytest.raises(ValueError, match="expected 'user<TAB>count'"):
             load_follower_counts(bad_tab)
         bad_int = tmp_path / "b.tsv"
-        bad_int.write_text("u1\tmany\n")
-        with pytest.raises(ValueError, match="count must be an integer"):
-            load_follower_counts(bad_int)
+        # int() takes all but the first; a count is ASCII digits alone
+        for count in ("many", "1_000", " +7 ", "+7", "7 ", "\u0667", "--3", ""):
+            bad_int.write_text(f"u1\t3\nu2\t{count}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="b.tsv: line 2: count must be an integer"):
+                load_follower_counts(bad_int)
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(b"u1\t7\r\nu2\t0\r\n")
+        assert [follower_count_influence(load_follower_counts(crlf), u)
+                for u in ("u1", "u2")] == [7.0, 0.0]
         negative = tmp_path / "c.tsv"
         negative.write_text("u1\t-3\n")
         with pytest.raises(ValueError, match="negative follower count"):

@@ -1,7 +1,6 @@
 """Fake/real news classification from article text and publisher history."""
 
 from .corpus import (
-    EmbeddingTable,
     Label,
     NewsArticle,
     Thresholds,
@@ -11,7 +10,6 @@ from .corpus import (
     load_embeddings,
     split_article,
     token_ids,
-    vocab_vectors,
 )
 from .fusion import Model, VARIANTS, init_model, predict_batch
 from .pipeline import (

@@ -15,7 +15,8 @@ is that id alone: no word gets id 0, and there is no ``<pad>`` token (the
 tokenizer's words are runs of ``[a-z0-9']``).  A prepared dataset keeps
 one vector table whose row i is the embedding of the word with id i (row
 0, padding, is all zeros), so each word vector is stored once rather than
-once per occurrence.
+once per occurrence.  load_embeddings reads that table straight from the
+embeddings file for the vocabulary token_ids assigned.
 """
 
 import json
@@ -106,38 +107,6 @@ def compute_thresholds(train_bodies, t_s: int) -> Thresholds:
     return Thresholds(t_s=t_s, t_d=max(t_d, 1))
 
 
-class EmbeddingTable:
-    """Word -> vector map with stable out-of-vocabulary handling.
-
-    Stored vectors are the rows of one (n, E) float64 matrix, and
-    ``rows[word]`` is the row of a word.  OOV words get a vector drawn
-    uniformly from OOV_RANGE, seeded by (oov_seed, word) so the same
-    word always maps to the same vector, in this process or any other.
-    """
-
-    def __init__(self, rows, matrix, oov_seed=0):
-        self.rows = rows
-        self.matrix = matrix
-        self.dimension = matrix.shape[1]
-        self.oov_seed = int(oov_seed)
-
-    def __contains__(self, word):
-        return word in self.rows
-
-    def __len__(self):
-        return len(self.rows)
-
-    def lookup(self, word):
-        row = self.rows.get(word)
-        if row is not None:
-            return self.matrix[row]
-        digest = blake2b(word.encode("utf-8"), digest_size=8).digest()
-        word_key = int.from_bytes(digest, "big")
-        seq = np.random.SeedSequence([self.oov_seed & 0xFFFFFFFFFFFFFFFF, word_key])
-        rng = np.random.default_rng(seq)
-        return rng.uniform(*OOV_RANGE, self.dimension)
-
-
 def token_ids(toks, th: Thresholds, vocab: dict) -> np.ndarray:
     """Fixed-shape (n, t_d+1, t_s) int32 id array for the articles `toks`.
 
@@ -162,22 +131,6 @@ def token_ids(toks, th: Thresholds, vocab: dict) -> np.ndarray:
     ids[np.arange(th.t_s) < lengths[..., None]] = np.fromiter(
         map(vocab.__getitem__, words), dtype=np.int32, count=len(words))
     return ids
-
-
-def vocab_vectors(vocab: dict, table: EmbeddingTable) -> np.ndarray:
-    """(len(vocab)+1, E) vector table for the ids `vocab` assigned: row 0
-    is zeros (padding), row i is table.lookup() of the word with id i,
-    stable-random vectors for OOV words included.  Stored vectors are
-    gathered from the table's matrix in one step."""
-    words = list(vocab)
-    ids = np.fromiter(vocab.values(), dtype=np.int64, count=len(words))
-    rows = np.fromiter(map(table.rows.get, words, repeat(-1)), dtype=np.int64, count=len(words))
-    stored = rows >= 0
-    vectors = np.zeros((len(words) + 1, table.dimension))
-    vectors[ids[stored]] = table.matrix[rows[stored]]
-    for j in np.flatnonzero(~stored):
-        vectors[ids[j]] = table.lookup(words[j])
-    return vectors
 
 
 def load_corpus(path) -> list:
@@ -251,49 +204,65 @@ def write_corpus(articles, path):
             )
 
 
+def load_embeddings(path, vocab, oov_seed=0) -> np.ndarray:
+    """The (len(vocab)+1, E) float64 vector table of the ids `vocab`
+    assigns (word -> id, the ids 1..len(vocab)), read from whitespace-
+    separated text embeddings (``word v1 ... vE``).  Row 0 is zeros, the
+    padding; row vocab[w] is the vector on w's last line in the file.  A
+    word the file lacks gets a vector drawn uniformly from OOV_RANGE,
+    seeded by (oov_seed, word), so the same word always maps to the same
+    vector, in this process or any other.
+
+    The first non-blank line sets E and is always parsed and checked;
+    besides it, only the lines of vocab's words are parsed and checked,
+    and every other line is skipped unparsed, whatever it holds.
+    Components are parsed in C by np.loadtxt, a chunk of lines per call,
+    which gives the same float64 as float() but rejects what float()
+    alone accepts, such as ``1_0``.
+
+    The parsed vectors are also kept in a cache file beside the
+    embeddings file (see VectorCache), so a later call whose words an
+    earlier call looked up in the same file content skips the parse; the
+    table is the same, bit for bit.
+    """
+    matrix, pos = _cached_vectors(path, vocab)
+    ids = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))
+    found = pos >= 0
+    vectors = np.zeros((len(vocab) + 1, matrix.shape[1]))
+    vectors[ids[found]] = matrix[pos[found]]
+    words = list(vocab)
+    for j in np.flatnonzero(~found):
+        vectors[ids[j]] = _oov_vector(words[j], oov_seed, matrix.shape[1])
+    return vectors
+
+
+def _oov_vector(word, seed, dim):
+    """The vector of a word the embeddings file lacks: `dim` draws from
+    OOV_RANGE, seeded by (seed, a blake2b digest of the word)."""
+    digest = blake2b(word.encode("utf-8"), digest_size=8).digest()
+    word_key = int.from_bytes(digest, "big")
+    seq = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, word_key])
+    rng = np.random.default_rng(seq)
+    return rng.uniform(*OOV_RANGE, dim)
+
+
 # kept embedding lines handed to one np.loadtxt call; bounds the text
 # held at once
 _PARSE_CHUNK = 4096
 
 
-def load_embeddings(path, oov_seed=0, words=None) -> EmbeddingTable:
-    """Read whitespace-separated text embeddings (``word v1 ... vE``).
-
-    The first non-blank line sets E.  With `words` (a set of words, or a
-    dict such as a vocabulary), only the lines of those words are parsed
-    and checked, plus that first line; every other line is skipped
-    unparsed, whatever it holds.  A word listed twice keeps its last
-    line.  Components are parsed in C by np.loadtxt, a chunk of lines per
-    call, which gives the same float64 as float() but rejects what
-    float() alone accepts, such as ``1_0``.
-
-    With `words`, the parsed vectors are also kept in a cache file beside
-    the embeddings file (see VectorCache), so a later call that asks for
-    words an earlier call parsed from the same file content skips the
-    parse; the table is the same, row order and bits.
-    """
-    if words is None:
-        rows, matrix = _parse_embeddings(path, None)[:2]
-    else:
-        rows, matrix = _cached_vectors(path, words)
-    return EmbeddingTable(rows, matrix, oov_seed=oov_seed)
-
-
 def _parse_embeddings(path, words):
-    """Parse the lines load_embeddings keeps; returns (rows, matrix,
-    lines, first).  rows maps word -> row of the (len(rows), E) matrix,
-    in the order of each word's first kept line; lines[i] is the number
-    of that line for row i; first is the vector on the file's first
-    non-blank line, which a later line of the same word may overwrite in
-    the matrix.  The vectors go straight into one matrix with a row for
-    each word that can be kept: len(words) + 1, or one per line."""
-    capacity = _line_count(path) if words is None else len(words) + 1
-    rows, lines, first = {}, [], None
-    pending, matrix = [], None    # pending: (word, lineno, text) not yet parsed
+    """Parse the lines load_embeddings keeps for `words`, a set or dict;
+    returns (rows, matrix).  rows maps each word of `words` the file has
+    to its row of the (len(rows), E) matrix, which holds the vector on
+    the word's last line.  The file's first non-blank line is parsed and
+    checked whatever its word.  The vectors go straight into one matrix
+    with a row for each word of `words`."""
+    rows, pending, matrix = {}, [], None    # pending: (word, lineno, text) not yet parsed
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split(None, 1)
-            if not parts or (words is not None and matrix is not None and parts[0] not in words):
+            if not parts or (matrix is not None and parts[0] not in words):
                 continue
             if len(parts) == 1:
                 if pending:   # an earlier bad line raises first
@@ -301,39 +270,26 @@ def _parse_embeddings(path, words):
                 raise CorpusError(f"{path}: line {lineno}: no vector components")
             pending.append((parts[0], lineno, parts[1]))
             if matrix is None or len(pending) == _PARSE_CHUNK:
-                matrix = _store_rows(path, pending, rows, lines, matrix, capacity)
-                if first is None:
-                    first = matrix[0].copy()
+                matrix = _store_rows(path, pending, words, rows, matrix)
                 pending = []
     if matrix is None:
         raise CorpusError(f"{path}: empty embeddings file")
     if pending:
-        matrix = _store_rows(path, pending, rows, lines, matrix, capacity)
-    return rows, matrix[: len(rows)], lines, first
+        matrix = _store_rows(path, pending, words, rows, matrix)
+    return rows, matrix[: len(rows)]
 
 
-def _line_count(path):
-    """An upper bound on the lines of a text file, whatever its line ends."""
-    count = 1
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            count += chunk.count(b"\n") + chunk.count(b"\r")
-    return count
-
-
-def _store_rows(path, pending, rows, lines, matrix, capacity):
-    """Parse `pending`, (word, lineno, text) triples, and write each
-    vector to its word's row of `matrix`, which the first call allocates
-    with `capacity` rows; a word seen again overwrites its row.  A new
-    word's line number is appended to `lines`."""
+def _store_rows(path, pending, words, rows, matrix):
+    """Parse `pending`, (word, lineno, text) triples, and write the vector
+    of each word of `words` to its row of `matrix`, which the first call
+    allocates with len(words) rows; a word seen again overwrites its
+    row."""
     block = _parse_components(path, pending, None if matrix is None else matrix.shape[1])
     if matrix is None:
-        matrix = np.empty((capacity, block.shape[1]))
-    for (word, lineno, _), vec in zip(pending, block):
-        row = rows.setdefault(word, len(rows))
-        if row == len(lines):
-            lines.append(lineno)
-        matrix[row] = vec
+        matrix = np.empty((len(words), block.shape[1]))
+    for (word, _, _), vec in zip(pending, block):
+        if word in words:   # false only for the file's first line
+            matrix[rows.setdefault(word, len(rows))] = vec
     return matrix
 
 
@@ -365,86 +321,73 @@ def _parse_components(path, lines, dim):
 
 
 # The vector cache: one fileio.ContentCache file per embeddings file, its
-# meta names, lines and absent, and its one array the matrix.
-_CACHE_MAGIC = b"fakereal vector cache 3\n"
+# meta names and absent, and its one array the matrix.
+_CACHE_MAGIC = b"fakereal vector cache 4\n"
 
 
 @dataclass
 class VectorCache:
-    """The vectors parsed so far from one embeddings file content.
+    """The vectors looked up so far in one embeddings file content.
 
-    Row 0 of `matrix` is the vector on the file's first non-blank line,
-    whose word is names[0] and line lines[0].  Rows 1.. are the words
-    looked up so far, each with the vector load_embeddings keeps for it
-    (its last line) and its first line number, in line order.  `absent`
-    lists looked-up words the file lacks.  Parts that do not fit together,
-    as a damaged cache file may hold, raise ValueError.
+    Row i of `matrix` is the vector load_embeddings keeps for names[i],
+    the one on that word's last line; the matrix has the file's E columns
+    even with no rows.  `absent` lists looked-up words the file lacks.
+    Parts that do not fit together, as a damaged cache file may hold,
+    raise ValueError.
     """
 
     names: list
-    lines: list
     matrix: np.ndarray
     absent: list
 
     def __post_init__(self):
-        if not self.names or len(self.lines) != len(self.names) or (
-                self.matrix.ndim != 2 or len(self.matrix) != len(self.names)):
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.names):
             raise ValueError("corrupt vector cache")
-        self.index = dict(zip(self.names[1:], range(1, len(self.names))))
+        self.index = dict(zip(self.names, range(len(self.names))))
         self.index.update(dict.fromkeys(self.absent, -1))
+        if len(self.index) != len(self.names) + len(self.absent):
+            raise ValueError("corrupt vector cache")   # a word listed twice
 
     def select(self, words):
-        """(rows, matrix) of load_embeddings(words=words), or None when a
-        word in `words` has not been looked up yet."""
+        """The matrix row of each word in `words`, -1 for one the file
+        lacks, or None when a word has not been looked up yet."""
         pos = np.fromiter(map(self.index.get, words, repeat(-2)), dtype=np.int64,
                           count=len(words))
-        if (pos == -2).any():
-            return None
-        # rows 1.. are in line order, and the first line's word comes first
-        keep = np.sort(pos[pos > 0])
-        if self.names[0] not in words:
-            keep = np.concatenate(([0], keep))
-        names = [self.names[i] for i in keep.tolist()]
-        return dict(zip(names, range(len(names)))), self.matrix[keep]
+        return None if (pos == -2).any() else pos
 
     @staticmethod
     def build(parsed, looked_up, old=None):
         """The cache `old` (None for an empty one) plus `parsed`, what
         _parse_embeddings(path, looked_up) returned for the same content."""
-        rows, matrix, lines, first = parsed
-        names = [w for w in rows if w in looked_up]
-        at = [lines[rows[w]] for w in names]
-        vectors = matrix[[rows[w] for w in names]]
-        absent = [w for w in looked_up if w not in rows]
+        rows, matrix = parsed
+        names, absent = list(rows), [w for w in looked_up if w not in rows]
         if old is not None:
-            names, at, absent = old.names[1:] + names, old.lines[1:] + at, old.absent + absent
-            vectors = np.concatenate([old.matrix[1:], vectors])
-        order = np.argsort(at, kind="stable").tolist()
-        return VectorCache([next(iter(rows))] + [names[i] for i in order],
-                           [lines[0]] + [at[i] for i in order],
-                           np.concatenate([first[None], vectors[order]]), absent)
+            names, absent = old.names + names, old.absent + absent
+            matrix = np.concatenate([old.matrix, matrix])
+        return VectorCache(names, matrix, absent)
 
 
 def _cached_vectors(path, words):
-    """(rows, matrix) of load_embeddings(path, words=words), read from the
-    cache when an earlier call parsed every word in `words` from the same
-    file content; otherwise the missing words are parsed and the cache is
-    rewritten."""
+    """(matrix, pos): a matrix holding the vector of each word in `words`
+    that the file has, and the row of each word in it, -1 for a word the
+    file lacks.  Read from the cache when earlier calls looked up every
+    word in `words` in the same file content; otherwise the missing words
+    are parsed and the cache is rewritten."""
     cache = ContentCache(path, ".vectors", _CACHE_MAGIC)
     cached = cache.load(lambda meta, arrays: VectorCache(**meta, matrix=arrays["matrix"]))
     missing = words
     if cached is not None:
-        hit = cached.select(words)
-        if hit is not None:
-            return hit
+        pos = cached.select(words)
+        if pos is not None:
+            return cached.matrix, pos
         missing = dict.fromkeys(w for w in words if w not in cached.index)
     parsed = _parse_embeddings(path, missing)
-    if not cache.unchanged():   # rewritten during the parse: cache nothing
-        return _parse_embeddings(path, words)[:2]
-    cached = VectorCache.build(parsed, missing, cached)
-    cache.store({"names": cached.names, "lines": cached.lines, "absent": cached.absent},
-                {"matrix": cached.matrix})
-    return cached.select(words)
+    if cache.unchanged():
+        cached = VectorCache.build(parsed, missing, cached)
+        cache.store({"names": cached.names, "absent": cached.absent}, {"matrix": cached.matrix})
+    else:   # rewritten during the parse: cache nothing
+        cached = VectorCache.build(_parse_embeddings(path, words), words)
+    return cached.matrix, cached.select(words)
 
 
 def write_embeddings(vectors, path):

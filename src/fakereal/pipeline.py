@@ -365,7 +365,7 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     vocab = {}
     train_x = corpus.token_ids(train_tok, th, vocab) if train_text else None
     test_x = corpus.token_ids(test_tok, th, vocab)
-    table = corpus.load_embeddings(config.embeddings_path, oov_seed=config.seed, words=vocab)
+    vectors = corpus.load_embeddings(config.embeddings_path, vocab, oov_seed=config.seed)
 
     ledger = social.tally_credit(train_articles)
     graph = load_graph(config)
@@ -378,7 +378,7 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
 
     return DataBundle(
         thresholds=th,
-        vectors=corpus.vocab_vectors(vocab, table),
+        vectors=vectors,
         train_ids=[a.id for a in train_articles],
         train_x=train_x,
         train_y=np.array([a.label.value for a in train_articles], dtype=np.int64),

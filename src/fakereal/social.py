@@ -52,10 +52,10 @@ class FollowerGraph:
     `users` numbers every user the graph holds, name -> id, in order of
     first appearance.  The edges are two int32 arrays, `follower` and
     `followed`: one entry per distinct (follower, followed) pair, sorted
-    by follower and then by followed.  N is the audience size used for
-    normalization (defaults to the number of users held).  p is the
-    reshare probability applied per extra level; d_max bounds the
-    traversal depth (None = until exhaustion, i.e. the graph diameter).
+    by follower and then by followed.  N, the audience size used for
+    normalization, is the number of users held.  p is the reshare
+    probability applied per extra level; d_max bounds the traversal
+    depth (None = until exhaustion, i.e. the graph diameter).
     graph_from_edges and load_edge_list build graphs with edges; add_user
     adds a user without any.  A graph of a follower-count file
     (load_follower_counts) has no known edges: `follower` and `followed`
@@ -66,8 +66,8 @@ class FollowerGraph:
     file is known to hold.
     """
 
-    def __init__(self, p=0.5, d_max=None, n_users=None, users=None,
-                 follower=_NO_EDGES, followed=_NO_EDGES, in_degree=None):
+    def __init__(self, p=0.5, d_max=None, users=None, follower=_NO_EDGES, followed=_NO_EDGES,
+                 in_degree=None):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"share probability must be in [0, 1], got {p}")
         self.p = float(p)
@@ -76,7 +76,6 @@ class FollowerGraph:
         self.follower = follower
         self.followed = followed
         self.influence_cache = None
-        self._n_override = n_users
         # direct followers of each user, a self-follow not counted; a graph
         # without edges is given them
         self._in_degree = (in_degree if follower is None else
@@ -87,13 +86,7 @@ class FollowerGraph:
 
     @property
     def n_users(self):
-        held = len(self.users)
-        if self._n_override is None:
-            return held
-        if self._n_override < held:
-            raise ValueError(f"n_users={self._n_override} is below the {held} users "
-                             f"the graph holds")
-        return self._n_override
+        return len(self.users)
 
     def direct_followers(self, user: str) -> int:
         """How many other users follow `user`; 0 for a user the graph
@@ -105,13 +98,13 @@ class FollowerGraph:
         return user in self.users
 
 
-def graph_from_edges(edges, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
+def graph_from_edges(edges, p=0.5, d_max=None) -> FollowerGraph:
     """Build from (follower, followed) pairs; duplicates collapse."""
     names = []
     for follower, followed in edges:
         names += (str(follower), str(followed))
     users = {}
-    return FollowerGraph(p, d_max, n_users, *_index_edges(users, [_number(names, users)]))
+    return FollowerGraph(p, d_max, *_index_edges(users, [_number(names, users)]))
 
 
 def _number(names, users):
@@ -146,7 +139,7 @@ _GRAPH_MAGIC = b"fakereal graph cache 2\n"
 _INFLUENCE_MAGIC = b"fakereal influence cache 2\n"
 
 
-def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
+def load_edge_list(path, p=0.5, d_max=None) -> FollowerGraph:
     """Edge-list text file: one `follower_id followed_id` pair per line.
 
     The users and edge arrays are kept in a cache file beside the edge
@@ -178,7 +171,7 @@ def load_edge_list(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
             text = "".join(u + "\n" for u in users).encode("utf-8")
             cache.store({"users": len(users)}, {"names": np.frombuffer(text, np.uint8),
                                                 "edges": np.stack(edges[1:])})
-    g = FollowerGraph(p, d_max, n_users, *edges)
+    g = FollowerGraph(p, d_max, *edges)
     if matches:
         g.influence_cache = cache.sibling(".influence", _INFLUENCE_MAGIC)
     return g
@@ -208,7 +201,7 @@ _MAX_COUNT = np.iinfo(np.int64).max
 _COUNT = re.compile(r"-?[0-9]+")
 
 
-def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph:
+def load_follower_counts(path, p=0.5, d_max=None) -> FollowerGraph:
     """Tab-separated `user_id<TAB>follower_count` table for count mode:
     a graph of the listed users, numbered in file order, each with its
     count of direct followers and no known edges.  Each user is listed
@@ -235,7 +228,7 @@ def load_follower_counts(path, p=0.5, d_max=None, n_users=None) -> FollowerGraph
                 raise ValueError(f"{path}: line {lineno}: follower count above {_MAX_COUNT}")
             lines[user] = lineno
             counts.append(count)
-    return FollowerGraph(p, d_max, n_users, dict(zip(lines, range(len(lines)))), None, None,
+    return FollowerGraph(p, d_max, dict(zip(lines, range(len(lines)))), None, None,
                          np.array(counts, dtype=np.int64))
 
 

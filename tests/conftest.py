@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fakereal import fusion, nncore, slcnn
-from fakereal.corpus import CorpusError, EmbeddingTable
+from fakereal import corpus, fusion, nncore, slcnn
+from fakereal.corpus import CorpusError
 from fakereal.nncore import Tensor, _accum
 from fakereal.pipeline import RunConfig
 from fakereal.social import FollowerGraph
@@ -103,6 +103,14 @@ def followers(g) -> dict:
     return {u: frozenset(fs) for u, fs in sets.items()}
 
 
+def with_users(g, users):
+    """g after add_user of each of `users` in order: how a test sets N,
+    the number of users a graph holds."""
+    for user in users:
+        g.add_user(user)
+    return g
+
+
 def count_graph(counts: dict, **kw) -> FollowerGraph:
     """The graph load_follower_counts reads from a file listing the
     {user: follower count} table in its order."""
@@ -141,21 +149,23 @@ class SetGraph:
     FollowerGraph attributes that influence_walk and level_followers read;
     followers() hands its mapping back as it is."""
 
-    def __init__(self, p=0.5, d_max=None, n_users=None):
+    def __init__(self, p=0.5, d_max=None):
         self.p = float(p)
         self.d_max = d_max
         self.followers = {}
         self.users = {}
-        self._n_override = n_users
 
     def add_edge(self, follower: str, followed: str):
         self.followers.setdefault(followed, set()).add(follower)
         self.users.setdefault(follower)
         self.users.setdefault(followed)
 
+    def add_user(self, user: str):
+        self.users.setdefault(user)
+
     @property
     def n_users(self):
-        return len(self.users) if self._n_override is None else self._n_override
+        return len(self.users)
 
     def known(self, user: str) -> bool:
         return user in self.users
@@ -164,9 +174,9 @@ class SetGraph:
         return float(len(self.followers.get(user, set()) - {user}))
 
 
-def load_set_graph(path, p=0.5, d_max=None, n_users=None) -> SetGraph:
+def load_set_graph(path, p=0.5, d_max=None) -> SetGraph:
     """Edge-list text file: one `follower_id followed_id` pair per line."""
-    g = SetGraph(p=p, d_max=d_max, n_users=n_users)
+    g = SetGraph(p=p, d_max=d_max)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -370,10 +380,11 @@ def article_token_ids(tok, th, vocab):
     return ids
 
 
-def float_load_embeddings(path, oov_seed=0):
+def float_load_embeddings(path):
     """The reader corpus.load_embeddings replaced: every line split into
-    components and parsed with a Python float() loop, and checked.  A word
-    seen again keeps its first position and takes its last vector."""
+    components and parsed with a Python float() loop, and checked.  Returns
+    {word: vector}; a word seen again keeps its first position and takes
+    its last vector."""
     vectors, dim = {}, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -395,8 +406,25 @@ def float_load_embeddings(path, oov_seed=0):
             vectors[word] = vec
     if not vectors:
         raise CorpusError(f"{path}: empty embeddings file")
-    return EmbeddingTable(dict(zip(vectors, range(len(vectors)))), np.array(list(vectors.values())),
-                          oov_seed=oov_seed)
+    return vectors
+
+
+def oracle_vector(vectors, word, oov_seed=0):
+    """The vector load_embeddings gives `word`, from float_load_embeddings'
+    {word: vector}: the word's own, or for a word the file lacks the OOV
+    draw that test_corpus pins."""
+    if word in vectors:
+        return vectors[word]
+    return corpus._oov_vector(word, oov_seed, len(next(iter(vectors.values()))))
+
+
+def oracle_table(vectors, vocab, oov_seed=0):
+    """load_embeddings(path, vocab, oov_seed) built word by word from
+    float_load_embeddings(path)."""
+    table = np.zeros((len(vocab) + 1, len(next(iter(vectors.values())))))
+    for word, i in vocab.items():
+        table[i] = oracle_vector(vectors, word, oov_seed)
+    return table
 
 
 def raw_article_credit(article, ledger):
@@ -539,21 +567,16 @@ class ArticleTensor:
     data: np.ndarray
 
 
-def embed_word(table, word):
-    """Vector for one word: stored if in vocabulary, stable-random if OOV,
-    zeros for the padding token."""
-    return table.lookup(word)
-
-
-def build_tensor(tok, th, table):
+def build_tensor(tok, th, vectors, oov_seed=0):
     """Fixed-shape (t_d+1, t_s, E) tensor for one article: row 0 the
     headline, rows 1..t_d the first t_d body sentences, each row the
-    vectors of its first t_s words; every other slot is zero."""
-    data = np.zeros((th.t_d + 1, th.t_s, table.dimension))
+    vectors of its first t_s words (oracle_vector of float_load_embeddings'
+    `vectors`); every other slot is zero."""
+    data = np.zeros((th.t_d + 1, th.t_s, len(next(iter(vectors.values())))))
     rows = [tok.headline_tokens] + tok.body_sentences[: th.t_d]
     for r, words in enumerate(rows):
         for c, word in enumerate(words[: th.t_s]):
-            data[r, c, :] = embed_word(table, word)
+            data[r, c, :] = oracle_vector(vectors, word, oov_seed)
     return ArticleTensor(data)
 
 
@@ -594,6 +617,6 @@ def as_tokens(x):
 
 @pytest.fixture(scope="session")
 def dense_oracle():
-    return types.SimpleNamespace(ArticleTensor=ArticleTensor, embed_word=embed_word,
-                                 build_tensor=build_tensor, block=dense_block,
-                                 latent=dense_latent, logits=dense_logits, as_tokens=as_tokens)
+    return types.SimpleNamespace(ArticleTensor=ArticleTensor, build_tensor=build_tensor,
+                                 block=dense_block, latent=dense_latent, logits=dense_logits,
+                                 as_tokens=as_tokens)

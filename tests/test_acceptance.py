@@ -26,7 +26,7 @@ from fakereal.pipeline import (
 from fakereal.seeds import rng_for
 from fakereal.slcnn import required_hcbs
 
-from conftest import grad_check, synth_config, width_trace
+from conftest import grad_check, synth_config, width_trace, with_users
 
 TRAIN_SEEDS = (0, 1, 2, 3, 4)
 
@@ -166,12 +166,12 @@ class TestInfluenceMatchesBruteforce:
     P_CYCLE = (0.0, 0.3, 0.5, 1.0)
 
     def check_graph(self, edges, n, p, oracle):
-        g = social.graph_from_edges(edges, p=p, n_users=n)
+        users = [f"u{i}" for i in range(n)]
+        g = with_users(social.graph_from_edges(edges, p=p), users)
         followers = {}
         for follower, followed in edges:
             followers.setdefault(followed, set()).add(follower)
         worst = 0.0
-        users = [f"u{i}" for i in range(n)]
         table = social.influence_table(g, users)   # every user in one sweep
         for u in users:
             got = social.user_influence(g, u)
@@ -191,7 +191,7 @@ class TestInfluenceMatchesBruteforce:
     def test_exhaustive_small_graphs(self, influence_oracle):
         # the one-node graph has no audience (N - 1 = 0) and is rejected
         with pytest.raises(ValueError, match="at least 2 users"):
-            social.user_influence(social.FollowerGraph(n_users=1), "u0")
+            social.user_influence(with_users(social.FollowerGraph(), ["u0"]), "u0")
         checks = 0
         for n in (2, 3, 4):
             pairs = [(f"u{i}", f"u{j}") for i in range(n) for j in range(n) if i != j]

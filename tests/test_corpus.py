@@ -3,6 +3,8 @@ file round-trips."""
 
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from fakereal import corpus, fileio
 from fakereal.corpus import (
     DATASET_PRESETS,
+    OOV_RANGE,
     CorpusError,
-    EmbeddingTable,
     Label,
     NewsArticle,
     Thresholds,
@@ -24,13 +26,18 @@ from fakereal.corpus import (
     load_embeddings,
     split_article,
     token_ids,
-    vocab_vectors,
     write_corpus,
     write_embeddings,
 )
 from fakereal.fileio import CACHE_DIR
 
-from conftest import article_token_ids, assert_same_bits, float_load_embeddings
+from conftest import (
+    article_token_ids,
+    assert_same_bits,
+    float_load_embeddings,
+    oracle_table,
+    oracle_vector,
+)
 
 
 def art(body, headline="Breaking News", label=Label.REAL, art_id="a1", pubs=None):
@@ -102,87 +109,127 @@ class TestComputeThresholds:
             Thresholds(t_s=0, t_d=5)
 
 
+# the OOV vector of "zyxxy" with seed 3 and E=8, in float.hex(): the draw
+# must give these bits in any process
+ZYXXY_SEED3_E8 = ["0x1.38afd14bd3463p-7", "-0x1.afe40296d285ap-8", "0x1.1df75643752a4p-8",
+                  "0x1.35d60b91598d4p-9", "-0x1.2c7e612d4d603p-8", "0x1.6598300e5feaap-8",
+                  "-0x1.7232f345ac4b0p-10", "0x1.7cd7250844e80p-13"]
+
+
+def numbered(words):
+    """A vocabulary of `words`: word -> id, the ids 1.. in order."""
+    return dict(zip(words, range(1, len(words) + 1)))
+
+
+def oov_table(tmp_path, words, oov_seed=0, dim=8):
+    """load_embeddings of `words` from a file that holds none of them:
+    row i is the OOV draw of words[i-1]."""
+    path = tmp_path / f"known{dim}.txt"
+    write_embeddings({"known": np.ones(dim)}, path)
+    return load_embeddings(path, numbered(words), oov_seed)
+
+
 class TestEmbeddingTable:
-    def test_known_word_returned_verbatim(self):
+    """The table load_embeddings returns: the file's vectors verbatim, and
+    a seeded draw for each word the file lacks."""
+
+    def test_known_word_returned_verbatim(self, tmp_path):
         vec = np.array([1.0, -2.0, 0.5])
-        table = EmbeddingTable({"cat": 0}, vec[None, :])
-        assert np.array_equal(table.lookup("cat"), vec)
+        path = tmp_path / "emb.txt"
+        write_embeddings({"dog": np.zeros(3), "cat": vec}, path)
+        table = load_embeddings(path, {"cat": 1})
+        assert table.shape == (2, 3) and not table[0].any()
+        assert np.array_equal(table[1], vec)
 
-    def test_oov_is_stable_within_and_across_tables(self):
-        a = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=3)
-        b = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=3)
-        first = a.lookup("zyxxy")
-        assert np.array_equal(first, a.lookup("zyxxy"))
-        assert np.array_equal(first, b.lookup("zyxxy"))
+    def test_oov_is_stable_within_and_across_tables(self, tmp_path):
+        first = oov_table(tmp_path, ["zyxxy"], oov_seed=3)[1]
+        assert np.array_equal(first, oov_table(tmp_path, ["aard", "zyxxy"], oov_seed=3)[2])
+        path = tmp_path / "other.txt"
+        write_embeddings({"cat": np.zeros(8), "dog": np.ones(8)}, path)
+        assert np.array_equal(first, load_embeddings(path, {"zyxxy": 1, "cat": 2}, 3)[1])
 
-    def test_oov_depends_on_seed_and_word(self):
-        table = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=0)
-        other_seed = EmbeddingTable({}, np.zeros((0, 8)), oov_seed=1)
-        assert not np.array_equal(table.lookup("aard"), other_seed.lookup("aard"))
-        assert not np.array_equal(table.lookup("aard"), table.lookup("vark"))
+    def test_oov_depends_on_seed_and_word(self, tmp_path):
+        table = oov_table(tmp_path, ["aard", "vark"], oov_seed=0)
+        other_seed = oov_table(tmp_path, ["aard", "vark"], oov_seed=1)
+        assert not np.array_equal(table[1], other_seed[1])
+        assert not np.array_equal(table[1], table[2])
 
-    def test_oov_within_range(self):
-        table = EmbeddingTable({}, np.zeros((0, 16)))
-        for word in ("one", "two", "three"):
-            vec = table.lookup(word)
-            assert np.all(vec >= -0.01) and np.all(vec <= 0.01)
+    def test_oov_draw_is_pinned(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        write_embeddings({"cat": np.zeros(8)}, path)
+        draw = f"[float(x).hex() for x in load_embeddings({str(path)!r}, {{'zyxxy': 1}}, 3)[1]]"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(corpus.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", "from fakereal.corpus import load_embeddings\n"
+                              f"print({draw})"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out == repr(ZYXXY_SEED3_E8) + "\n"
+        assert eval(draw) == ZYXXY_SEED3_E8
+
+    def test_oov_within_range(self, tmp_path):
+        table = oov_table(tmp_path, ["one", "two", "three"], dim=16)
+        assert np.all(table[1:] >= OOV_RANGE[0]) and np.all(table[1:] <= OOV_RANGE[1])
 
 
 class TestBuildTensor:
     """An article's token-id matrix, and the vector table it indexes, against
     the dense oracle's word-vector tensor."""
 
-    def table(self):
-        return EmbeddingTable({"a": 0, "b": 1, "c": 2},
-                              np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        write_embeddings({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
+                          "c": np.array([1.0, 1.0])}, path)
+        return path
 
-    def build(self, tok, th, dense_oracle, table=None):
-        table = table or self.table()
+    def build(self, tok, th, dense_oracle, path):
         vocab = {}
         ids = token_ids([tok], th, vocab)[0]
-        vectors = vocab_vectors(vocab, table)
+        vectors = load_embeddings(path, vocab)
         assert ids.dtype == np.int32 and ids.shape == (th.t_d + 1, th.t_s)
-        assert np.array_equal(vectors[ids], dense_oracle.build_tensor(tok, th, table).data)
+        want = dense_oracle.build_tensor(tok, th, float_load_embeddings(path)).data
+        assert np.array_equal(vectors[ids], want)
         return ids, vocab
 
-    def test_shape_and_layout(self, dense_oracle):
+    def test_shape_and_layout(self, dense_oracle, path):
         tok = TokenizedArticle(["a"], [["b", "c"], ["c"]])
-        ids, vocab = self.build(tok, Thresholds(t_s=3, t_d=2), dense_oracle)
+        ids, vocab = self.build(tok, Thresholds(t_s=3, t_d=2), dense_oracle, path)
         assert vocab == {"a": 1, "b": 2, "c": 3}      # ids in first-seen order
         assert ids.tolist() == [[1, 0, 0], [2, 3, 0], [3, 0, 0]]   # headline row first
 
-    def test_pads_missing_slots_with_zeros(self, dense_oracle):
+    def test_pads_missing_slots_with_zeros(self, dense_oracle, path):
         tok = TokenizedArticle(["a"], [["b"]])
-        ids, _ = self.build(tok, Thresholds(t_s=3, t_d=3), dense_oracle)
+        ids, _ = self.build(tok, Thresholds(t_s=3, t_d=3), dense_oracle, path)
         assert np.all(ids[1, 1:] == 0)
         assert np.all(ids[2:] == 0)
 
-    def test_crops_long_sentences_and_bodies(self, dense_oracle):
+    def test_crops_long_sentences_and_bodies(self, dense_oracle, path):
         tok = TokenizedArticle(["a", "b", "c"], [["a"], ["b"], ["c"]])
-        ids, vocab = self.build(tok, Thresholds(t_s=2, t_d=2), dense_oracle)
+        ids, vocab = self.build(tok, Thresholds(t_s=2, t_d=2), dense_oracle, path)
         # third headline word and third sentence fall off
         assert ids.tolist() == [[1, 2], [1, 0], [2, 0]]
         assert "c" not in vocab
 
-    def test_empty_article_is_all_zero(self, dense_oracle):
-        ids, vocab = self.build(TokenizedArticle([], []), Thresholds(t_s=4, t_d=3), dense_oracle)
+    def test_empty_article_is_all_zero(self, dense_oracle, path):
+        ids, vocab = self.build(TokenizedArticle([], []), Thresholds(t_s=4, t_d=3),
+                                dense_oracle, path)
         assert np.all(ids == 0) and vocab == {}
 
-    def test_vocabulary_is_shared_across_articles(self, dense_oracle):
-        table = self.table()
+    def test_vocabulary_is_shared_across_articles(self, dense_oracle, path):
         th = Thresholds(t_s=3, t_d=1)
         vocab = {}
         first = token_ids([TokenizedArticle(["b", "zed"], [])], th, vocab)[0]
         second = token_ids([TokenizedArticle(["zed", "a", "b"], [])], th, vocab)[0]
         assert first[0].tolist() == [1, 2, 0] and second[0].tolist() == [2, 3, 1]
-        vectors = vocab_vectors(vocab, table)
+        vectors = load_embeddings(path, vocab)
         assert np.all(vectors[0] == 0.0)
-        # every row is the table's own vector, bit for bit, OOV draw included
-        for word, i in vocab.items():
-            assert np.array_equal(vectors[i], table.lookup(word))
+        # every row is the oracle's vector, bit for bit, OOV draw included
+        assert_same_bits(vectors, oracle_table(float_load_embeddings(path), vocab))
         for tok, ids in ((TokenizedArticle(["b", "zed"], []), first),
                          (TokenizedArticle(["zed", "a", "b"], []), second)):
-            assert np.array_equal(vectors[ids], dense_oracle.build_tensor(tok, th, table).data)
+            want = dense_oracle.build_tensor(tok, th, float_load_embeddings(path)).data
+            assert np.array_equal(vectors[ids], want)
 
 
 class TestCorpusFiles:
@@ -271,39 +318,40 @@ class TestEmbeddingFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.txt"
         write_embeddings({"cat": np.array([0.25, -1.5]), "dog": np.array([3.0, 0.125])}, path)
-        table = load_embeddings(path)
-        assert table.dimension == 2
-        assert np.array_equal(table.lookup("cat"), [0.25, -1.5])
-        assert np.array_equal(table.lookup("dog"), [3.0, 0.125])
+        table = load_embeddings(path, {"dog": 1, "cat": 2})
+        assert table.shape == (3, 2)
+        assert np.array_equal(table[2], [0.25, -1.5])
+        assert np.array_equal(table[1], [3.0, 0.125])
 
     def test_dimension_inferred_from_first_row(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 2.0 3.0\n")
-        assert load_embeddings(path).dimension == 3
+        assert load_embeddings(path, {}).shape == (1, 3)
+        assert load_embeddings(path, {"b": 1}).shape == (2, 3)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 2.0\nb 1.0\n")
         with pytest.raises(CorpusError, match="line 2: expected 2 components, got 1"):
-            load_embeddings(path)
+            load_embeddings(path, {"b": 1})
 
     def test_non_numeric_component(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 oops\n")
         with pytest.raises(CorpusError, match="non-numeric vector component"):
-            load_embeddings(path)
+            load_embeddings(path, {})
 
     def test_word_only_row(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("lonely\n")
         with pytest.raises(CorpusError, match="no vector components"):
-            load_embeddings(path)
+            load_embeddings(path, {})
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("")
         with pytest.raises(CorpusError, match="empty embeddings file"):
-            load_embeddings(path)
+            load_embeddings(path, {"a": 1})
 
     @pytest.mark.parametrize("word", ["new york", "", "a\xa0b", "tab\tword", "line\nbreak",
                                       "\u2028"])
@@ -323,11 +371,11 @@ class TestEmbeddingFiles:
         vectors = data.draw(st.dictionaries(word, vector, min_size=1, max_size=6))
         path = tmp_path_factory.mktemp("emb") / "emb.txt"
         write_embeddings(vectors, path)
-        for words in (None, set(vectors)):
-            table = load_embeddings(path, words=words)
-            assert list(table.rows) == list(vectors)
-            for w, vec in vectors.items():
-                assert_same_bits(table.lookup(w), vec.astype(np.float64))
+        for words in (list(vectors), list(vectors)[::-1]):
+            table = load_embeddings(path, numbered(words))
+            assert table.shape == (len(words) + 1, dim)
+            for i, w in enumerate(words, 1):
+                assert_same_bits(table[i], vectors[w].astype(np.float64))
 
 
 # embeddings-file pieces the parser must read exactly as float() does
@@ -362,102 +410,6 @@ def embedding_files(draw):
     return "".join(lines)
 
 
-def bits(vec):
-    return np.asarray(vec, dtype=np.float64).view(np.uint64)
-
-
-class TestEmbeddingParser:
-    """load_embeddings against the per-component float() reader it
-    replaced (tests/conftest.py): the same words in the same order, and
-    bit-identical vectors."""
-
-    def write(self, tmp_path, text):
-        path = tmp_path / "emb.txt"
-        path.write_bytes(text.encode("utf-8"))
-        return path
-
-    @settings(max_examples=300, deadline=None)
-    @given(text=embedding_files(), words=st.one_of(st.none(), st.sets(st.sampled_from(
-        EMBED_WORDS + ("owl",)))))
-    def test_equals_the_float_reader(self, tmp_path_factory, text, words):
-        path = self.write(tmp_path_factory.mktemp("emb"), text)
-        want = float_load_embeddings(path, oov_seed=3)
-        got = load_embeddings(path, oov_seed=3, words=words)
-        assert got.dimension == want.dimension
-        first = text.split(None, 1)[0]
-        if words is None:
-            assert list(got.rows) == list(want.rows)
-        else:
-            # only the first line's word may come along outside `words`
-            assert set(got.rows) <= set(words) | {first}
-            assert [w for w in got.rows if w in words] == [w for w in want.rows if w in words]
-        for word in want.rows:
-            if words is None or word in words:
-                assert np.array_equal(bits(got.lookup(word)), bits(want.lookup(word)))
-        assert np.array_equal(got.lookup("owl"), want.lookup("owl"))   # OOV draw
-
-    def test_repeated_word_keeps_its_last_line(self, tmp_path):
-        path = self.write(tmp_path, "a 1 2\nb 3 4\na 5 6\n")
-        table = load_embeddings(path)
-        assert list(table.rows) == ["a", "b"]
-        assert table.lookup("a").tolist() == [5.0, 6.0]
-        assert load_embeddings(path, words={"a"}).lookup("a").tolist() == [5.0, 6.0]
-
-    def test_more_lines_than_one_parse_chunk(self, tmp_path):
-        vectors = {f"w{i}": np.array([i, -0.5 * i]) for i in range(5000)}
-        path = tmp_path / "emb.txt"
-        write_embeddings(vectors, path)
-        table = load_embeddings(path)
-        assert len(table) == 5000
-        for word in ("w0", "w4095", "w4096", "w4999"):
-            assert np.array_equal(table.lookup(word), vectors[word])
-
-    def test_bad_line_found_past_the_first_chunk(self, tmp_path):
-        lines = [f"w{i} 1.0 2.0\n" for i in range(5000)]
-        lines[4500] = "w4500 1.0\n"
-        path = self.write(tmp_path, "".join(lines))
-        with pytest.raises(CorpusError, match="line 4501: expected 2 components, got 1"):
-            load_embeddings(path)
-
-    def test_earlier_bad_line_reported_before_a_word_only_line(self, tmp_path):
-        path = self.write(tmp_path, "a 1.0 2.0\nb 1.0 oops\nlonely\n")
-        with pytest.raises(CorpusError, match="line 2: non-numeric vector component"):
-            load_embeddings(path)
-
-    @pytest.mark.parametrize("bad, error", [
-        ("b 1.0", "line 2: expected 2 components, got 1"),
-        ("c 1.0 oops", "line 2: non-numeric vector component"),
-        ("d", "line 2: no vector components"),
-    ])
-    def test_lines_of_other_words_are_not_checked(self, tmp_path, bad, error):
-        # a deliberate difference from the float() reader: with `words`, a
-        # line whose word is not wanted is skipped unparsed
-        path = self.write(tmp_path, f"a 1.0 2.0\n{bad}\ne 3.0 4.0\n")
-        with pytest.raises(CorpusError, match=error):
-            float_load_embeddings(path)
-        with pytest.raises(CorpusError, match=error):
-            load_embeddings(path)
-        table = load_embeddings(path, words={"e"})
-        assert table.lookup("e").tolist() == [3.0, 4.0]
-        assert list(table.rows) == ["a", "e"]
-
-    def test_first_line_is_always_checked(self, tmp_path):
-        path = self.write(tmp_path, "a 1.0 oops\nb 1.0 2.0\n")
-        with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
-            load_embeddings(path, words={"b"})
-        path = self.write(tmp_path, "a 1.0 2.0 3.0\nb 1.0 2.0\n")
-        with pytest.raises(CorpusError, match="line 2: expected 3 components, got 2"):
-            load_embeddings(path, words={"b"})
-
-    def test_underscore_digits_rejected(self, tmp_path):
-        # the other deliberate difference: float("1_0") is 10.0, but the C
-        # parser takes no digit separators
-        path = self.write(tmp_path, "a 1_0 2.0\n")
-        assert float_load_embeddings(path).lookup("a").tolist() == [10.0, 2.0]
-        with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
-            load_embeddings(path)
-
-
 BAD_LINE_TEXT = st.sampled_from(["", "1.0 oops", "1_0", "1 2 3 4 5 6"])
 
 
@@ -472,21 +424,32 @@ def maybe_faulty_files(draw):
     return "".join(lines)
 
 
-def parse_or_error(path, words):
-    """(rows, matrix) of an uncached parse, or the CorpusError text."""
+def expected(path, vocab):
+    """What load_embeddings(path, vocab, 3) must give: the CorpusError text
+    of an uncached parse, or else the table built from the float reader
+    over the lines load_embeddings reads (the first non-blank one and
+    those of vocab's words; the rest are blanked, keeping line numbers),
+    with the pinned OOV draw."""
     try:
-        return corpus._parse_embeddings(path, words)[:2]
+        corpus._parse_embeddings(path, vocab)
     except CorpusError as exc:
         return str(exc)
+    kept, first = [], True
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            kept.append(line if parts and (first or parts[0] in vocab) else "\n")
+            first = first and not parts
+    read = path.parent / "read_lines.txt"
+    read.write_text("".join(kept), encoding="utf-8")
+    return oracle_table(float_load_embeddings(read), vocab, 3)
 
 
-def load_or_error(path, words):
+def load_or_error(path, vocab):
     try:
-        table = load_embeddings(path, oov_seed=3, words=words)
+        return load_embeddings(path, vocab, 3)
     except CorpusError as exc:
         return str(exc)
-    assert table.dimension == table.matrix.shape[1]
-    return table.rows, table.matrix
 
 
 def assert_same_table(got, want):
@@ -494,15 +457,109 @@ def assert_same_table(got, want):
     if isinstance(want, str):
         assert got == want
     else:
-        assert list(got[0].items()) == list(want[0].items())
-        assert_same_bits(got[1], want[1])
+        assert_same_bits(got, want)
+
+
+class TestEmbeddingParser:
+    """load_embeddings against the per-component float() reader it
+    replaced (tests/conftest.py) and the pinned OOV draw: bit-identical
+    tables."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_float_reader(self, tmp_path_factory, data):
+        # over sequences of lookups, through the cache beside the file, and
+        # rewrites of the file between them: every table is the oracle's,
+        # and every error an uncached parse's
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        vocabs = st.lists(st.sampled_from(EMBED_WORDS + ("owl",)), unique=True).map(numbered)
+        path.write_bytes(data.draw(maybe_faulty_files()).encode("utf-8"))
+        for step in data.draw(st.lists(st.one_of(vocabs, maybe_faulty_files()),
+                                       min_size=1, max_size=8)):
+            if isinstance(step, str):
+                path.write_bytes(step.encode("utf-8"))
+                continue
+            want = expected(path, step)
+            assert_same_table(load_or_error(path, step), want)
+            if not isinstance(want, str):
+                # a repeated lookup, or one of fewer words, parses nothing
+                for vocab in (step, numbered(list(step)[:0:-1])):
+                    want = expected(path, vocab)
+                    with mock.patch.object(corpus, "_parse_embeddings",
+                                           side_effect=AssertionError):
+                        assert_same_table(load_or_error(path, vocab), want)
+        cache_dir = path.parent / CACHE_DIR
+        assert not cache_dir.exists() or os.listdir(cache_dir) == ["emb.txt.vectors"]
+
+    def test_repeated_word_keeps_its_last_line(self, tmp_path):
+        path = self.write(tmp_path, "a 1 2\nb 3 4\na 5 6\n")
+        assert load_embeddings(path, {"b": 1, "a": 2}).tolist() == [[0, 0], [3, 4], [5, 6]]
+        assert load_embeddings(path, {"a": 1})[1].tolist() == [5.0, 6.0]
+
+    def test_more_lines_than_one_parse_chunk(self, tmp_path):
+        vectors = {f"w{i}": np.array([i, -0.5 * i]) for i in range(5000)}
+        path = tmp_path / "emb.txt"
+        write_embeddings(vectors, path)
+        vocab = numbered(list(vectors))
+        table = load_embeddings(path, vocab)
+        assert table.shape == (5001, 2)
+        for word in ("w0", "w4095", "w4096", "w4999"):
+            assert np.array_equal(table[vocab[word]], vectors[word])
+
+    def test_bad_line_found_past_the_first_chunk(self, tmp_path):
+        lines = [f"w{i} 1.0 2.0\n" for i in range(5000)]
+        lines[4500] = "w4500 1.0\n"
+        path = self.write(tmp_path, "".join(lines))
+        with pytest.raises(CorpusError, match="line 4501: expected 2 components, got 1"):
+            load_embeddings(path, numbered([f"w{i}" for i in range(5000)]))
+
+    def test_earlier_bad_line_reported_before_a_word_only_line(self, tmp_path):
+        path = self.write(tmp_path, "a 1.0 2.0\nb 1.0 oops\nlonely\n")
+        with pytest.raises(CorpusError, match="line 2: non-numeric vector component"):
+            load_embeddings(path, {"b": 1, "lonely": 2})
+
+    @pytest.mark.parametrize("bad, error", [
+        ("b 1.0", "line 2: expected 2 components, got 1"),
+        ("c 1.0 oops", "line 2: non-numeric vector component"),
+        ("d", "line 2: no vector components"),
+    ])
+    def test_lines_of_other_words_are_not_checked(self, tmp_path, bad, error):
+        # a deliberate difference from the float() reader: a line whose
+        # word is not in the vocabulary is skipped unparsed
+        path = self.write(tmp_path, f"a 1.0 2.0\n{bad}\ne 3.0 4.0\n")
+        with pytest.raises(CorpusError, match=error):
+            float_load_embeddings(path)
+        with pytest.raises(CorpusError, match=error):
+            load_embeddings(path, {"e": 1, bad.split()[0]: 2})
+        assert load_embeddings(path, {"e": 1}).tolist() == [[0.0, 0.0], [3.0, 4.0]]
+
+    def test_first_line_is_always_checked(self, tmp_path):
+        path = self.write(tmp_path, "a 1.0 oops\nb 1.0 2.0\n")
+        with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
+            load_embeddings(path, {"b": 1})
+        path = self.write(tmp_path, "a 1.0 2.0 3.0\nb 1.0 2.0\n")
+        with pytest.raises(CorpusError, match="line 2: expected 3 components, got 2"):
+            load_embeddings(path, {"b": 1})
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # the other deliberate difference: float("1_0") is 10.0, but the C
+        # parser takes no digit separators
+        path = self.write(tmp_path, "a 1_0 2.0\n")
+        assert float_load_embeddings(path)["a"].tolist() == [10.0, 2.0]
+        with pytest.raises(CorpusError, match="line 1: non-numeric vector component"):
+            load_embeddings(path, {"a": 1})
 
 
 def recoded(change):
     """A spoil that stores, through the vector cache's codec, the (meta,
     matrix) that change(meta, matrix) makes of the cache's contents: the
-    CRC-32 holds, so only VectorCache.decode can refuse it.  A lambda, as
-    the other spoils are, so that the test ids number them all in one
+    CRC-32 holds, so only VectorCache can refuse it.  A lambda, as the
+    other spoils are, so that the test ids number them all in one
     sequence."""
     return lambda data, codec: _recode(codec, change)
 
@@ -516,46 +573,23 @@ def _recode(codec, change):
 
 
 class TestVectorCache:
-    """load_embeddings(words=...) through the cache beside the file
-    against an uncached parse: the same rows in the same order, the same
-    vector bits and the same CorpusError, over sequences of lookups and
-    rewrites of the file."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_equals_an_uncached_parse(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("emb") / "emb.txt"
-        word_sets = st.sets(st.sampled_from(EMBED_WORDS + ("owl",)))
-        path.write_bytes(data.draw(maybe_faulty_files()).encode("utf-8"))
-        for step in data.draw(st.lists(st.one_of(word_sets, maybe_faulty_files()),
-                                       min_size=1, max_size=8)):
-            if isinstance(step, str):
-                path.write_bytes(step.encode("utf-8"))
-                continue
-            want = parse_or_error(path, step)
-            assert_same_table(load_or_error(path, step), want)
-            if not isinstance(want, str):
-                # a repeated lookup, or one of fewer words, parses nothing
-                for words in (step, set(sorted(step)[1:])):
-                    want = parse_or_error(path, words)
-                    with mock.patch.object(corpus, "_parse_embeddings",
-                                           side_effect=AssertionError):
-                        assert_same_table(load_or_error(path, words), want)
-        cache_dir = path.parent / CACHE_DIR
-        assert not cache_dir.exists() or os.listdir(cache_dir) == ["emb.txt.vectors"]
+    """load_embeddings through the cache beside the file: the same table
+    as the oracle, whichever words earlier calls looked up, and any cache
+    file but a good one is a miss."""
 
     @pytest.mark.parametrize("text, lookups", [
-        # the first line always comes along; its word's later line counts
-        # only when the word is looked up
-        ("a 1 2\nb 3 4\na 5 6\n", [{"b"}, {"a", "b"}, {"b"}, {"a"}, set()]),
+        # the first line's word is read like any other, and only when
+        # looked up: its later line counts
+        ("a 1 2\nb 3 4\na 5 6\n", [["b"], ["a", "b"], ["b"], ["a"], []]),
         # words looked up later whose lines come earlier
-        ("x 0 0\na 1 2\nb 3 4\nc 5 6\n", [{"c"}, {"a"}, {"b", "owl"}, {"a", "b", "c"}]),
+        ("x 0 0\na 1 2\nb 3 4\nc 5 6\n", [["c"], ["a"], ["b", "owl"], ["a", "b", "c"]]),
     ])
     def test_lookups_in_any_order(self, tmp_path, text, lookups):
         path = tmp_path / "emb.txt"
         path.write_text(text)
         for words in lookups:
-            assert_same_table(load_or_error(path, words), parse_or_error(path, words))
+            vocab = numbered(words)
+            assert_same_table(load_or_error(path, vocab), expected(path, vocab))
 
     def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -567,9 +601,9 @@ class TestVectorCache:
             return parse(*args)
 
         with mock.patch.object(corpus, "_parse_embeddings", side_effect=rewrite_then_parse):
-            assert load_embeddings(path, words={"b"}).lookup("b").tolist() == [7.0, 8.0]
+            assert load_embeddings(path, {"b": 1})[1].tolist() == [7.0, 8.0]
         assert not (tmp_path / CACHE_DIR).exists()
-        assert load_embeddings(path, words={"b"}).lookup("b").tolist() == [7.0, 8.0]
+        assert load_embeddings(path, {"b": 1})[1].tolist() == [7.0, 8.0]
 
     def cache_file(self, path):
         return path.parent / CACHE_DIR / (path.name + ".vectors")
@@ -578,42 +612,42 @@ class TestVectorCache:
         lambda data, codec: data[: len(data) // 2],           # truncated
         lambda data, codec: data[:-3],                        # a partial last vector
         lambda data, codec: b"\x00" * len(data),              # overwritten
-        lambda data, codec: data.replace(b"cache 3\n", b"cache 2\n", 1),   # another version
+        lambda data, codec: data.replace(b"cache 4\n", b"cache 3\n", 1),   # another version
         # the recoded cases have a valid CRC-32 and reach the checks of
-        # VectorCache.decode: a header that lies about the rows
+        # VectorCache: a header that lies about the rows
         recoded(lambda meta, matrix: (meta, matrix[:-1])),
         lambda data, codec: b"",
         lambda data, codec: data[:-1] + bytes([data[-1] ^ 0x01]),   # c's 6.0 read as 393216.0
         lambda data, codec: data.replace(b'"owl"', b'"own"', 1),    # another absent word
-        recoded(lambda meta, matrix: ({**meta, "lines": meta["lines"][:-1]}, matrix)),
+        recoded(lambda meta, matrix: ({**meta, "names": meta["names"][:-1]}, matrix)),
         recoded(lambda meta, matrix: (meta, matrix[:, :1].ravel())),   # not a matrix
-        # no first line, and every word looked up absent
-        recoded(lambda meta, matrix: ({"names": [], "lines": [], "absent": ["b", "c", "owl"]},
-                                      matrix[:0])),
+        # a word both held and absent
+        recoded(lambda meta, matrix: ({**meta, "absent": meta["absent"] + meta["names"][:1]},
+                                      matrix)),
         recoded(lambda meta, matrix: ({**meta, "rows": 3}, matrix)),   # a field it lacks
     ])
     def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
         path = tmp_path / "emb.txt"
         path.write_text("a 1 2\nb 3 4\nc 5 6\n")
-        words = {"b", "c", "owl"}
-        want = parse_or_error(path, words)
-        assert_same_table(load_or_error(path, words), want)
+        vocab = {"c": 1, "owl": 2, "b": 3}
+        want = expected(path, vocab)
+        assert_same_table(load_or_error(path, vocab), want)
         cache = self.cache_file(path)
         good = cache.read_bytes()
         spoilt = spoil(good, fileio.ContentCache(path, ".vectors", corpus._CACHE_MAGIC))
         assert spoilt != good
         cache.write_bytes(spoilt)
-        assert_same_table(load_or_error(path, words), want)
+        assert_same_table(load_or_error(path, vocab), want)
         assert cache.read_bytes() == good
         with mock.patch.object(corpus, "_parse_embeddings", side_effect=AssertionError):
-            assert_same_table(load_or_error(path, words), want)
+            assert_same_table(load_or_error(path, vocab), want)
 
     def test_an_edited_file_overwrites_its_cache(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1 2\nb 3 4\n")
-        load_embeddings(path, words={"b"})
+        load_embeddings(path, {"b": 1})
         path.write_text("a 1 2\nb 3 5\n")
-        assert load_embeddings(path, words={"b"}).lookup("b").tolist() == [3.0, 5.0]
+        assert load_embeddings(path, {"b": 1})[1].tolist() == [3.0, 5.0]
         assert os.listdir(tmp_path / CACHE_DIR) == ["emb.txt.vectors"]
 
     def test_parse_errors_are_not_cached(self, tmp_path):
@@ -621,7 +655,7 @@ class TestVectorCache:
         path.write_text("a 1 2\nb 3 oops\n")
         for _ in range(2):
             with pytest.raises(CorpusError, match="line 2: non-numeric vector component"):
-                load_embeddings(path, words={"b"})
+                load_embeddings(path, {"b": 1})
         assert not (tmp_path / CACHE_DIR).exists()
 
     @pytest.mark.parametrize("block", ["file in the way", "read-only directory",
@@ -633,7 +667,7 @@ class TestVectorCache:
             (tmp_path / CACHE_DIR).write_text("")
         elif block == "cache path is a directory":
             self.cache_file(path).mkdir(parents=True)
-        want = parse_or_error(path, {"b"})
+        want = expected(path, {"b": 1})
         if block == "read-only directory":
             # what a directory without write permission does to the
             # temporary file; root would be allowed to write anyway
@@ -642,14 +676,8 @@ class TestVectorCache:
             refuse = mock.patch.object(fileio, "atomic_write", wraps=fileio.atomic_write)
         with refuse:
             for _ in range(2):
-                assert_same_table(load_or_error(path, {"b"}), want)
+                assert_same_table(load_or_error(path, {"b": 1}), want)
         assert not self.cache_file(path).is_file()
-
-    def test_words_none_uses_no_cache(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("a 1 2\nb 3 4\n")
-        load_embeddings(path)
-        assert not (tmp_path / CACHE_DIR).exists()
 
 
 class TestTokenIds:
@@ -682,14 +710,15 @@ class TestTokenIds:
 
 
 class TestVocabVectors:
-    def test_gathers_stored_rows_and_draws_the_rest(self):
-        table = EmbeddingTable({"a": 0, "b": 1}, np.array([[1.0, 2.0], [3.0, 4.0]]), oov_seed=5)
+    def test_gathers_stored_rows_and_draws_the_rest(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        write_embeddings({"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}, path)
         vocab = {"b": 1, "zed": 2, "a": 3}
-        vectors = vocab_vectors(vocab, table)
+        vectors = load_embeddings(path, vocab, oov_seed=5)
         assert vectors.shape == (4, 2)
         assert vectors[0].tolist() == [0.0, 0.0]
         assert vectors[1].tolist() == [3.0, 4.0] and vectors[3].tolist() == [1.0, 2.0]
-        assert np.array_equal(vectors[2], table.lookup("zed"))
+        assert np.array_equal(vectors[2], oracle_vector(float_load_embeddings(path), "zed", 5))
 
 
 def test_dataset_presets_pin_published_sizes():

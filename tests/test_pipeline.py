@@ -47,6 +47,7 @@ from conftest import (
     assert_same_bits,
     chain_depthwise_pool,
     count_graph,
+    float_load_embeddings,
     followers,
     list_adam_step,
     synth_config,
@@ -678,10 +679,9 @@ class TestSplitAndWrite:
         expected = social.graph_from_edges(data.edges)
         assert followers(ge) == followers(expected)
 
-        table = corpus.load_embeddings(synth_paths["embeddings"])
-        assert table.dimension == SMALL_SPEC.embed_dim
-        vec = table.lookup("realmark0")
-        assert np.array_equal(vec, data.embeddings["realmark0"])
+        table = corpus.load_embeddings(synth_paths["embeddings"], {"realmark0": 1})
+        assert table.shape == (2, SMALL_SPEC.embed_dim)
+        assert np.array_equal(table[1], data.embeddings["realmark0"])
 
     def test_synth_config_wires_paths(self, synth_paths):
         config = synth_config(synth_paths)
@@ -724,14 +724,14 @@ class TestPrepareData:
         assert not small_bundle.cold_test.any()
 
     def test_token_ids_index_the_dense_tensors(self, small_config, small_bundle, dense_oracle):
-        table = corpus.load_embeddings(small_config.embeddings_path, oov_seed=small_config.seed)
+        vectors = float_load_embeddings(small_config.embeddings_path)
         for path, ids in ((small_config.train_path, small_bundle.train_x),
                           (small_config.test_path, small_bundle.test_x)):
             articles = corpus.load_corpus(path)
             assert len(articles) == ids.shape[0]
             for art, art_ids in zip(articles, ids):
-                want = dense_oracle.build_tensor(corpus.split_article(art),
-                                                 small_bundle.thresholds, table).data
+                want = dense_oracle.build_tensor(corpus.split_article(art), small_bundle.thresholds,
+                                                 vectors, small_config.seed).data
                 assert np.array_equal(small_bundle.vectors[art_ids], want)
 
     @pytest.mark.parametrize("overrides", [{}, {"influence.p": "0.25", "influence.d_max": "2"}])

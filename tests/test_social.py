@@ -39,6 +39,7 @@ from conftest import (
     followers,
     level_followers,
     load_set_graph,
+    with_users,
 )
 
 
@@ -89,22 +90,6 @@ class TestFollowerGraph:
         assert followers(g)["bob"] == {"alice"}
         assert g.known("alice") and g.known("bob") and not g.known("carol")
         assert g.n_users == 2
-
-    def test_n_users_override(self):
-        g = graph_from_edges([("a", "b")], n_users=100)
-        assert g.n_users == 100
-
-    def test_n_users_override_below_the_users_held(self):
-        g = graph_from_edges([("a", "u"), ("b", "u"), ("c", "u"), ("d", "a")], n_users=2)
-        with pytest.raises(ValueError, match="n_users=2 is below the 5 users the graph holds"):
-            influence_table(g, ["u"])
-        # users added later count too
-        g = graph_from_edges([("a", "u")], n_users=3)
-        g.add_user("b")
-        assert user_influence(g, "u") == 0.5
-        g.add_user("c")
-        with pytest.raises(ValueError, match="n_users=3 is below the 4 users"):
-            user_influence(g, "u")
 
     def test_invalid_share_probability(self):
         with pytest.raises(ValueError, match="share probability"):
@@ -251,15 +236,14 @@ class TestEdgeListLoader:
                 assert outcome(load_edge_list, path, p, d_max) == want
             assert not (path.parent / CACHE_DIR).exists()   # parse errors are not cached
             return
-        override = data.draw(st.one_of(st.none(), st.integers(len(want.users),
-                                                              len(want.users) + 3)))
-        want = load_set_graph(path, p, d_max, override)
+        extra = [f"extra{i}" for i in range(data.draw(st.integers(0, 3)))]
+        want = with_users(load_set_graph(path, p, d_max), extra)
         names = [*EDGE_NAMES, "nobody"]
         chunk = data.draw(st.sampled_from([2, 6, social._NAME_CHUNK]))   # names numbered at once
         for parses in (True, False):
             with mock.patch.object(social, "_index_edges", wraps=social._index_edges) as index, \
                     mock.patch.object(social, "_NAME_CHUNK", chunk):
-                g = load_edge_list(path, p, d_max, override)
+                g = with_users(load_edge_list(path, p, d_max), extra)
             assert index.called == parses   # the second load is a cache hit
             assert list(g.users) == list(want.users)
             assert g.n_users == want.n_users
@@ -541,13 +525,13 @@ class TestUserInfluence:
             users = [f"u{i}" for i in range(6)]
             edges = [(a, b) for a in users for b in users
                      if a != b and rng.random() < 0.25]
-            g = graph_from_edges(edges, p=0.6, n_users=6)
+            g = with_users(graph_from_edges(edges, p=0.6), users)
             before = user_influence(g, "u0")
             outsider = [x for x in users if x not in followers(g).get("u0", set())]
             if not outsider or outsider == ["u0"]:
                 continue
             extra = next(x for x in outsider if x != "u0")
-            g = graph_from_edges(edges + [(extra, "u0")], p=0.6, n_users=6)
+            g = with_users(graph_from_edges(edges + [(extra, "u0")], p=0.6), users)
             assert user_influence(g, "u0") >= before - 1e-12
 
     def test_matches_naive_level_oracle(self, influence_oracle):
@@ -577,11 +561,10 @@ def influence_cases(draw, min_users=2, max_users=12, min_edges_per_user=0):
                           min_size=min_edges_per_user * n, max_size=4 * n))
     p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     d_max = draw(st.sampled_from([1, 2, 3, None]))
-    override = draw(st.one_of(st.none(), st.integers(n, 2 * n + 2)))
-    g = graph_from_edges([(f"u{a}", f"u{b}") for a, b in edges], p=p, d_max=d_max,
-                         n_users=override)
-    for i in range(n):
-        g.add_user(f"u{i}")
+    g = graph_from_edges([(f"u{a}", f"u{b}") for a, b in edges], p=p, d_max=d_max)
+    # every user, and up to n + 2 that no edge or user list names
+    with_users(g, [f"u{i}" for i in range(n)] + [f"x{i}" for i in range(draw(
+        st.integers(0, n + 2)))])
     users = [f"u{i}" for i in draw(st.permutations(range(n)))] + ["ghost", "u-1"]
     return g, users
 
@@ -634,7 +617,7 @@ class TestInfluenceTable:
 
     def test_checks_run_in_order(self, tmp_path):
         with pytest.raises(ValueError, match="at least 2 users"):
-            influence_table(FollowerGraph(n_users=1), ["u"])
+            influence_table(with_users(FollowerGraph(), ["u"]), ["u"])
         path = tmp_path / "p.tsv"
         path.write_text("u\t5\n")
         with pytest.raises(ValueError, match="at least 2 users"):
@@ -675,7 +658,7 @@ class TestInfluenceTable:
     def test_exact_scores_skip_unknown_publishers(self):
         # no graph at all: unknown publishers score 0 and nothing is walked
         assert influence_scores(FollowerGraph(), ["a", "b"], mode="exact") == {"a": 0.0, "b": 0.0}
-        g = graph_from_edges([("a", "u1"), ("b", "a")], p=0.5, n_users=4)
+        g = with_users(graph_from_edges([("a", "u1"), ("b", "a")], p=0.5), ["c"])
         assert influence_scores(g, ["u1", "ghost", "u1"], mode="exact") == {
             "u1": (1 + 0.5) / 3, "ghost": 0.0}
 
@@ -697,18 +680,19 @@ class TestInfluenceCache:
     def cache_file(self, path):
         return path.parent / CACHE_DIR / (path.name + ".influence")
 
-    def scores(self, path, users=USERS, p=0.5, d_max=None, n_users=None):
-        """influence_scores in exact mode on a fresh load of `path`, and
-        the users it swept (None for no sweep)."""
-        g = load_edge_list(path, p, d_max, n_users)
+    def scores(self, path, users=USERS, p=0.5, d_max=None, extra=()):
+        """influence_scores in exact mode on a fresh load of `path`, with
+        the users `extra` added, and the users it swept (None for no
+        sweep)."""
+        g = with_users(load_edge_list(path, p, d_max), extra)
         with mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
             got = influence_scores(g, users, mode="exact")
         assert sweep.call_count <= 1
         return got, sweep.call_args[0][1] if sweep.called else None
 
-    def want(self, p=0.5, d_max=None, n_users=None):
-        g = graph_from_edges([line.split() for line in self.TEXT.splitlines()], p, d_max, n_users)
-        return influence_table(g, self.USERS)
+    def want(self, p=0.5, d_max=None, extra=()):
+        g = graph_from_edges([line.split() for line in self.TEXT.splitlines()], p, d_max)
+        return influence_table(with_users(g, extra), self.USERS)
 
     def edge_file(self, directory, text=TEXT):
         directory.mkdir(exist_ok=True)
@@ -726,11 +710,9 @@ class TestInfluenceCache:
                                                max_size=2)))
             subset = users[lo:hi] + users[lo:lo + 1]
             p = data.draw(st.one_of(st.sampled_from([0.0, 1.0, g.p]), st.floats(0.0, 1.0)))
-            override = data.draw(st.one_of(st.none(), st.integers(len(g.users),
-                                                                  len(g.users) + 3)))
-            loaded = load_edge_list(path, p, g.d_max, override)
-            for u in g.users:   # the users no edge names
-                loaded.add_user(u)
+            # the users no edge names, and up to 3 more
+            extra = [f"y{i}" for i in range(data.draw(st.integers(0, 3)))]
+            loaded = with_users(load_edge_list(path, p, g.d_max), [*g.users, *extra])
             with mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
                 got = influence_scores(loaded, subset, mode="exact")
             # only the known users that no earlier call scored are swept
@@ -774,12 +756,12 @@ class TestInfluenceCache:
     def test_p_n_users_and_add_user_still_hit(self, tmp_path):
         path = self.edge_file(tmp_path)
         self.scores(path)
-        for p, n_users in [(0.5, None), (0.0, None), (1.0, 9), (0.3, 6)]:
-            assert self.scores(path, p=p, n_users=n_users) == (self.want(p, None, n_users), None)
+        for p, extra in [(0.5, ()), (0.0, ()), (1.0, ("e", "f", "g", "h")), (0.3, ("e",))]:
+            assert self.scores(path, p=p, extra=extra) == (self.want(p, None, extra), None)
         g = load_edge_list(path)
         g.add_user("e")
         # a user new to the cache is swept, and only it
-        want = self.want(n_users=6)
+        want = self.want(extra=("e",))
         for sweeps in (["e"], None):
             with mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
                 assert influence_scores(g, ["e", "u", "a"], mode="exact") == {
@@ -862,9 +844,7 @@ class TestInfluenceCache:
             """A graph of `path` that scores, or, spoilt, one of a single user."""
             if spoil:
                 return load_edge_list(path)
-            g = load_edge_list(path, n_users=3)
-            g.add_user("u")
-            return g
+            return with_users(load_edge_list(path), ["u", "v"])
 
         want = outcome(influence_table, graph(True), ["a", "u"])
         assert "at least 2 users, got N=1" in want
@@ -991,7 +971,7 @@ class TestArticleVectors:
         assert (vec["ni"], vec["num_p_influence"]) == (1.5, 2.0)
 
     def test_raw_influence_exact_mode_unknown_publisher_scores_zero(self):
-        g = graph_from_edges([("a", "u1"), ("b", "a")], p=0.5, n_users=4)
+        g = with_users(graph_from_edges([("a", "u1"), ("b", "a")], p=0.5), ["c"])
         scores = influence_scores(g, ["u1", "ghost"], mode="exact")
         vec = self.row(["u1", "ghost"], scores)
         assert vec["ni"] == pytest.approx(((1 + 0.5) / 3) / 2)

@@ -3,8 +3,10 @@ file round-trips."""
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -424,6 +426,9 @@ def maybe_faulty_files(draw):
     return "".join(lines)
 
 
+VOCABS = st.lists(st.sampled_from(EMBED_WORDS + ("owl",)), unique=True).map(numbered)
+
+
 def expected(path, vocab):
     """What load_embeddings(path, vocab, 3) must give: the CorpusError text
     of an uncached parse, or else the table built from the float reader
@@ -452,6 +457,16 @@ def load_or_error(path, vocab):
         return str(exc)
 
 
+def uncached(path, vocab):
+    """load_or_error(path, vocab) of a copy of the file in a directory of
+    its own, where no cache file is; an error names `path`."""
+    with tempfile.TemporaryDirectory() as cold:
+        copy = pathlib.Path(cold) / path.name
+        copy.write_bytes(path.read_bytes())
+        got = load_or_error(copy, vocab)
+    return got.replace(str(copy), str(path)) if isinstance(got, str) else got
+
+
 def assert_same_table(got, want):
     assert type(got) is type(want)
     if isinstance(want, str):
@@ -471,30 +486,10 @@ class TestEmbeddingParser:
         return path
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_equals_the_float_reader(self, tmp_path_factory, data):
-        # over sequences of lookups, through the cache beside the file, and
-        # rewrites of the file between them: every table is the oracle's,
-        # and every error an uncached parse's
-        path = tmp_path_factory.mktemp("emb") / "emb.txt"
-        vocabs = st.lists(st.sampled_from(EMBED_WORDS + ("owl",)), unique=True).map(numbered)
-        path.write_bytes(data.draw(maybe_faulty_files()).encode("utf-8"))
-        for step in data.draw(st.lists(st.one_of(vocabs, maybe_faulty_files()),
-                                       min_size=1, max_size=8)):
-            if isinstance(step, str):
-                path.write_bytes(step.encode("utf-8"))
-                continue
-            want = expected(path, step)
-            assert_same_table(load_or_error(path, step), want)
-            if not isinstance(want, str):
-                # a repeated lookup, or one of fewer words, parses nothing
-                for vocab in (step, numbered(list(step)[:0:-1])):
-                    want = expected(path, vocab)
-                    with mock.patch.object(corpus, "_parse_embeddings",
-                                           side_effect=AssertionError):
-                        assert_same_table(load_or_error(path, vocab), want)
-        cache_dir = path.parent / CACHE_DIR
-        assert not cache_dir.exists() or os.listdir(cache_dir) == ["emb.txt.vectors"]
+    @given(text=maybe_faulty_files(), vocab=VOCABS)
+    def test_equals_the_float_reader(self, tmp_path_factory, text, vocab):
+        path = self.write(tmp_path_factory.mktemp("emb"), text)
+        assert_same_table(load_or_error(path, vocab), expected(path, vocab))
 
     def test_repeated_word_keeps_its_last_line(self, tmp_path):
         path = self.write(tmp_path, "a 1 2\nb 3 4\na 5 6\n")
@@ -576,6 +571,30 @@ class TestVectorCache:
     """load_embeddings through the cache beside the file: the same table
     as the oracle, whichever words earlier calls looked up, and any cache
     file but a good one is a miss."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_an_uncached_parse(self, tmp_path_factory, data):
+        # over sequences of lookups and rewrites of the file between them:
+        # every table and every error is that of a parse with no cache
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_bytes(data.draw(maybe_faulty_files()).encode("utf-8"))
+        for step in data.draw(st.lists(st.one_of(VOCABS, maybe_faulty_files()),
+                                       min_size=1, max_size=8)):
+            if isinstance(step, str):
+                path.write_bytes(step.encode("utf-8"))
+                continue
+            want = uncached(path, step)
+            assert_same_table(load_or_error(path, step), want)
+            if not isinstance(want, str):
+                # a repeated lookup, or one of fewer words, parses nothing
+                for vocab in (step, numbered(list(step)[:0:-1])):
+                    want = uncached(path, vocab)
+                    with mock.patch.object(corpus, "_parse_embeddings",
+                                           side_effect=AssertionError):
+                        assert_same_table(load_or_error(path, vocab), want)
+        cache_dir = path.parent / CACHE_DIR
+        assert not cache_dir.exists() or os.listdir(cache_dir) == ["emb.txt.vectors"]
 
     @pytest.mark.parametrize("text, lookups", [
         # the first line's word is read like any other, and only when

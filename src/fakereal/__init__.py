@@ -27,7 +27,7 @@ from .pipeline import (
     prepare_data,
     train,
 )
-from .slcnn import SlcnnModel, required_hcbs, slcnn_apply
+from .slcnn import required_hcbs, slcnn_apply
 from .social import (
     FollowerGraph,
     explicit_rows,

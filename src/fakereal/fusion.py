@@ -7,6 +7,10 @@ row as one channel that the stack's first conv fans out to k.  The head
 flattens the matrix row-major and applies dense(64)+ReLU, dropout,
 dense(64)+ReLU, dropout, dense(2), softmax.
 
+A model's parameters are the (w, b) pairs its graph ops take: each stack
+is a list of blocks, each block [(w1, b1), (w2, b2)] (see slcnn), and the
+head is its three dense layers' [(w1, b1), (w2, b2), (w3, b3)].
+
 Variants select which explicit features exist:
   slcnn    - none; the integrator is skipped entirely
   slcnn_c  - credit only (nct, ncf, num_p)
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import nncore
 from .nncore import Tensor
-from .slcnn import SlcnnModel, init_hcb_stack, init_slcnn, slcnn_apply, stack_apply
+from .slcnn import _he_uniform, _param, init_hcb_stack, slcnn_apply, stack_apply
 from .social import EXPLICIT_ORDER
 
 VARIANTS = {
@@ -50,41 +54,22 @@ def integrator_apply(blocks: list, x: Tensor) -> Tensor:
     return stack_apply(blocks, nncore.reshape(x, (b, 1, rows, width)))
 
 
-@dataclass
-class ClassifierHead:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    w3: Tensor
-    b3: Tensor
-
-    def tensors(self):
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+def init_head(in_dim: int, hidden: int, rng) -> list:
+    """The dense layers in_dim -> hidden -> hidden -> 2 as three (w, b)
+    pairs: He-uniform weights drawn in layer order, zero biases."""
+    return [(_param(_he_uniform(rng, (fan_in, out), fan_in)), _param(np.zeros(out)))
+            for fan_in, out in ((in_dim, hidden), (hidden, hidden), (hidden, 2))]
 
 
-def init_head(in_dim: int, hidden: int, rng) -> ClassifierHead:
-    def he(shape, fan_in):
-        return rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in), shape)
-
-    return ClassifierHead(
-        w1=Tensor(he((in_dim, hidden), in_dim), requires_grad=True),
-        b1=Tensor(np.zeros(hidden), requires_grad=True),
-        w2=Tensor(he((hidden, hidden), hidden), requires_grad=True),
-        b2=Tensor(np.zeros(hidden), requires_grad=True),
-        w3=Tensor(he((hidden, 2), hidden), requires_grad=True),
-        b3=Tensor(np.zeros(2), requires_grad=True),
-    )
-
-
-def head_apply(head: ClassifierHead, flat: Tensor, dropout_rate: float,
+def head_apply(head: list, flat: Tensor, dropout_rate: float,
                mode: str, rng=None) -> Tensor:
     """(B, in_dim) flattened features -> (B, 2) logits."""
-    h = nncore.relu(nncore.linear(flat, head.w1, head.b1))
+    (w1, b1), (w2, b2), (w3, b3) = head
+    h = nncore.relu(nncore.linear(flat, w1, b1))
     h = nncore.dropout_t(h, dropout_rate, mode, rng)
-    h = nncore.relu(nncore.linear(h, head.w2, head.b2))
+    h = nncore.relu(nncore.linear(h, w2, b2))
     h = nncore.dropout_t(h, dropout_rate, mode, rng)
-    return nncore.linear(h, head.w3, head.b3)
+    return nncore.linear(h, w3, b3)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +79,11 @@ def head_apply(head: ClassifierHead, flat: Tensor, dropout_rate: float,
 @dataclass
 class Model:
     variant: str
-    slcnn: SlcnnModel
-    integrator: list
-    head: ClassifierHead
+    slcnn: list           # the text stack's blocks
+    integrator: list      # the integrator stack's blocks; [] for slcnn
+    head: list            # three (w, b) pairs
     rows: int
+    t_s: int
     k: int
     dropout_rate: float
     flat: np.ndarray = field(init=False, repr=False)   # every parameter's values
@@ -115,12 +101,14 @@ class Model:
         """Name -> leaf Tensor, in a stable order (drives Adam slots and
         checkpoints)."""
         params = {}
-        for stack, blocks in (("slcnn", self.slcnn.blocks), ("integrator", self.integrator)):
-            for i, blk in enumerate(blocks):
-                for name, t in zip(("conv1.w", "conv1.b", "conv2.w", "conv2.b"), blk.tensors()):
-                    params[f"{stack}.b{i}.{name}"] = t
-        for name, t in zip(("w1", "b1", "w2", "b2", "w3", "b3"), self.head.tensors()):
-            params[f"head.{name}"] = t
+        for stack, blocks in (("slcnn", self.slcnn), ("integrator", self.integrator)):
+            for i, block in enumerate(blocks):
+                for conv, (w, b) in enumerate(block, 1):
+                    params[f"{stack}.b{i}.conv{conv}.w"] = w
+                    params[f"{stack}.b{i}.conv{conv}.b"] = b
+        for layer, (w, b) in enumerate(self.head, 1):
+            params[f"head.w{layer}"] = w
+            params[f"head.b{layer}"] = b
         return params
 
     def param_tensors(self) -> list:
@@ -132,23 +120,21 @@ def init_model(variant: str, t_s: int, t_d: int, embed_dim: int, rng,
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     rows = t_d + 1
-    net = init_slcnn(t_s, embed_dim, k, rng)
+    text = init_hcb_stack(t_s, embed_dim, k, rng)
     m = len(VARIANTS[variant])
-    if m:
-        integrator = init_hcb_stack(k + m, None, k, rng)
-    else:
-        integrator = []
+    integrator = init_hcb_stack(k + m, None, k, rng) if m else []
     head = init_head(rows * k, dense_width, rng)
-    return Model(variant=variant, slcnn=net, integrator=integrator, head=head,
-                 rows=rows, k=k, dropout_rate=dropout_rate)
+    return Model(variant=variant, slcnn=text, integrator=integrator, head=head,
+                 rows=rows, t_s=t_s, k=k, dropout_rate=dropout_rate)
 
 
 def forward_batch(model: Model, ids: np.ndarray, vectors: np.ndarray, explicit, mode: str,
                   rng=None) -> Tensor:
     """Batched articles as token ids (B, rows, t_s) into the word-vector
     table (V, E) (+ explicit (B, m)) -> logits (B, 2)."""
-    if ids.shape[1] != model.rows:
-        raise ValueError(f"batch has {ids.shape[1]} rows, model expects {model.rows}")
+    if ids.shape[1:] != (model.rows, model.t_s):
+        raise ValueError(f"batch has articles of shape {ids.shape[1:]}, model expects "
+                         f"{(model.rows, model.t_s)} (rows, t_s)")
     latent = slcnn_apply(model.slcnn, ids, vectors)
     if model.integrator:
         if explicit is None or explicit.shape[1] != model.explicit_width:

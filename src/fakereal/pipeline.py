@@ -76,12 +76,14 @@ class ConfigError(ValueError):
 
 def _parse_value(key, raw):
     typ = CONFIG_SCHEMA[key][1]
-    if isinstance(raw, str):
-        try:
-            return typ(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {typ.__name__}") from None
-    return typ(raw)
+    try:
+        value = typ(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {typ.__name__}") from None
+    # int() would truncate 8.9 and read True as 1
+    if typ is int and not isinstance(raw, str) and (isinstance(raw, bool) or value != raw):
+        raise ConfigError(f"config key {key}: {raw!r} is not an integer")
+    return value
 
 
 class RunConfig:
@@ -212,10 +214,10 @@ def _check_reloads(key, text):
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Assemble a RunConfig with precedence preset < file < overrides; the
-    preset is named by data.preset, in the file or the overrides."""
+    preset is data.preset's override if there is one, "" included, else the file's."""
     overrides = dict(overrides or {})
     file_pairs = _read_config_file(path) if path else {}
-    preset_name = overrides.get("data.preset") or file_pairs.get("data.preset") or ""
+    preset_name = {**file_pairs, **overrides}.get("data.preset", "")
     # an unknown name sets nothing here; RunConfig rejects it
     merged = {f"model.{name}": value
               for name, value in DATASET_PRESETS.get(preset_name, {}).items()}
@@ -393,7 +395,7 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     )
 
 
-def cold_start_perturb(ids, features, fraction, rng, columns=_CREDIT_COLS):
+def cold_start_perturb(ids, features, fraction, rng):
     """Zero the credit columns for round(fraction*n) uniformly chosen rows.
 
     Returns (perturbed copy, affected ids in row order).  Other columns,
@@ -410,7 +412,7 @@ def cold_start_perturb(ids, features, fraction, rng, columns=_CREDIT_COLS):
     if count == 0:
         return out, []
     picked = np.sort(rng.choice(n, size=count, replace=False))
-    out[np.ix_(picked, columns)] = 0.0
+    out[np.ix_(picked, _CREDIT_COLS)] = 0.0
     return out, [ids[int(i)] for i in picked]
 
 

@@ -6,16 +6,17 @@ adjacent pairs.  One block maps row width w to (w-2)//2, so a stack sized
 by required_hcbs() reduces every row to a single k-vector.  Rows share
 weights, so the latent matrix is row-permutation-equivariant.
 
-The first convolution of the first block fans out to k channels; every
-other convolution is per-channel with an independent 1x2 kernel.  On
-article text that first conv is full-depth: it reads token ids and the
-frozen word-vector table and consumes the embedding axis
-(nncore.conv1x2_tokens).  The integrator's stack reads one channel, which
-its first conv fans out to k.  Every block's per-channel convolutions and
-its pooling run as one graph node (nncore.depthwise_pool).
+A block is its two convolutions' parameters as the list of (w, b) pairs
+that nncore.depthwise_pool takes, and a stack is a list of blocks.  The
+first convolution of the first block fans out to k channels; every other
+convolution is per-channel with an independent 1x2 kernel.  On article
+text that first conv is full-depth: it reads token ids and the frozen
+word-vector table and consumes the embedding axis, so its weight is
+(k, 2, E) (nncore.conv1x2_tokens).  The integrator's stack reads one
+channel, which its first conv fans out to k.  Every block's per-channel
+convolutions and its pooling run as one graph node
+(nncore.depthwise_pool).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +44,6 @@ def required_hcbs(width: int) -> int:
     return n
 
 
-@dataclass
-class HcbBlock:
-    """Parameters of one block: 1x2 kernels of shape (k, 2), one per
-    channel, except the text stack's first conv1, which spans the
-    embedding axis with weights (k, 2, E)."""
-    conv1_w: Tensor
-    conv1_b: Tensor
-    conv2_w: Tensor
-    conv2_b: Tensor
-
-    def tensors(self):
-        return [self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b]
-
-
 def _he_uniform(rng, shape, fan_in):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, shape)
@@ -69,34 +56,35 @@ def _depthwise_init(rng, k):
     return rng.uniform(0.25, 0.75, (k, 2))
 
 
+def _param(values) -> Tensor:
+    return Tensor(values, requires_grad=True)
+
+
 def init_hcb_stack(width: int, in_depth: int | None, k: int, rng) -> list:
-    """Build the parameter blocks for one reduction stack.
+    """Build the parameter blocks for one reduction stack, each block
+    [(w1, b1), (w2, b2)].
 
     Block 1's first conv fans out to k channels with He-uniform weights:
     (k, 2, in_depth) over an embedding axis, or (k, 2) over a one-channel
-    input when in_depth is None.  Everything after is per-channel with
-    positive init (see _depthwise_init).  The fan-out conv gets a small
-    positive bias so no output channel starts all-negative.
+    input when in_depth is None.  Everything after is per-channel (k, 2)
+    with positive init (see _depthwise_init).  The fan-out conv gets a
+    small positive bias so no output channel starts all-negative.
     """
     blocks = []
     for b in range(required_hcbs(width)):
         if b == 0 and in_depth is None:
-            w1 = Tensor(_he_uniform(rng, (k, 2), 2), requires_grad=True)
+            w1 = _he_uniform(rng, (k, 2), 2)
         elif b == 0:
-            w1 = Tensor(_he_uniform(rng, (k, 2, in_depth), 2 * in_depth), requires_grad=True)
+            w1 = _he_uniform(rng, (k, 2, in_depth), 2 * in_depth)
         else:
-            w1 = Tensor(_depthwise_init(rng, k), requires_grad=True)
-        w2 = Tensor(_depthwise_init(rng, k), requires_grad=True)
-        blocks.append(HcbBlock(
-            conv1_w=w1,
-            conv1_b=Tensor(np.full(k, CONV_BIAS_INIT), requires_grad=True),
-            conv2_w=w2,
-            conv2_b=Tensor(np.zeros(k), requires_grad=True),
-        ))
+            w1 = _depthwise_init(rng, k)
+        w2 = _depthwise_init(rng, k)
+        blocks.append([(_param(w1), _param(np.full(k, CONV_BIAS_INIT))),
+                       (_param(w2), _param(np.zeros(k)))])
     return blocks
 
 
-def hcb_apply(block: HcbBlock, x: Tensor) -> Tensor:
+def hcb_apply(block: list, x: Tensor) -> Tensor:
     """One block on a batched graph tensor: (B, k, R, W), or (B, 1, R, W)
     that conv1 fans out, to (B, k, R, (W-2)//2), as one
     nncore.depthwise_pool node.
@@ -104,8 +92,7 @@ def hcb_apply(block: HcbBlock, x: Tensor) -> Tensor:
     width = x.data.shape[3]
     if width < 4:
         raise ValueError(f"block cannot reduce input of width {width}")
-    return nncore.depthwise_pool(x, [(block.conv1_w, block.conv1_b),
-                                     (block.conv2_w, block.conv2_b)])
+    return nncore.depthwise_pool(x, block)
 
 
 def stack_apply(blocks: list, x: Tensor) -> Tensor:
@@ -120,25 +107,10 @@ def stack_apply(blocks: list, x: Tensor) -> Tensor:
     return nncore.transpose(h, (0, 2, 1))
 
 
-@dataclass
-class SlcnnModel:
-    """The text half of the classifier: an HCB stack sized for t_s."""
-    blocks: list
-    t_s: int
-    embed_dim: int
-
-    def tensors(self):
-        return [t for blk in self.blocks for t in blk.tensors()]
-
-
-def init_slcnn(t_s: int, embed_dim: int, k: int, rng) -> SlcnnModel:
-    blocks = init_hcb_stack(t_s, embed_dim, k, rng)
-    return SlcnnModel(blocks=blocks, t_s=t_s, embed_dim=embed_dim)
-
-
-def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:
-    """Graph forward: token ids (B, rows, t_s) into the frozen vector table
-    (V, E) -> latent (B, rows, k).  Id 0 is padding.
+def slcnn_apply(blocks: list, ids, vectors) -> Tensor:
+    """Graph forward of the text stack `blocks` (init_hcb_stack(t_s, E, k)):
+    token ids (B, rows, t_s) into the frozen vector table (V, E) -> latent
+    (B, rows, k).  Id 0 is padding.
 
     Rows never mix, and every all-padding row has the same latent, so the
     stack runs once on the rows holding a word plus one padding row; a
@@ -148,13 +120,14 @@ def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:
     ids = np.asarray(ids)
     if ids.ndim != 3:
         raise ValueError(f"token ids must be 3D (batch, rows, t_s), got shape {ids.shape}")
-    if ids.shape[2] != model.t_s:
-        raise ValueError(f"token id shape {ids.shape} does not match model (t_s={model.t_s})")
-    if np.ndim(vectors) != 2 or np.shape(vectors)[1] != model.embed_dim:
+    if required_hcbs(ids.shape[2]) != len(blocks):
+        raise ValueError(f"token id shape {ids.shape} does not match model block count "
+                         f"{len(blocks)}")
+    (w1, b1), *rest = blocks[0]
+    embed_dim = w1.data.shape[2]
+    if np.ndim(vectors) != 2 or np.shape(vectors)[1] != embed_dim:
         raise ValueError(f"vector table shape {np.shape(vectors)} does not match model "
-                         f"(E={model.embed_dim})")
-    if required_hcbs(model.t_s) != len(model.blocks):
-        raise ValueError("model block count does not match its t_s")
+                         f"(E={embed_dim})")
     batch, rows, width = ids.shape
     flat = ids.reshape(batch * rows, width)
     words = flat.any(axis=1)
@@ -163,9 +136,8 @@ def slcnn_apply(model: SlcnnModel, ids, vectors) -> Tensor:
     source[words] = np.arange(n_words)
     computed = np.concatenate([flat[words], np.zeros((1, width), dtype=ids.dtype)])
 
-    first = model.blocks[0]
-    h = nncore.conv1x2_tokens(computed[None], vectors, first.conv1_w, first.conv1_b)
-    h = nncore.depthwise_pool(h, [(first.conv2_w, first.conv2_b)])
-    latent = stack_apply(model.blocks[1:], h)
+    h = nncore.conv1x2_tokens(computed[None], vectors, w1, b1)
+    h = nncore.depthwise_pool(h, rest)
+    latent = stack_apply(blocks[1:], h)
     latent = nncore.reshape(latent, latent.data.shape[1:])
     return nncore.gather_rows(latent, source.reshape(batch, rows))

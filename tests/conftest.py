@@ -581,16 +581,17 @@ def build_tensor(tok, th, vectors, oov_seed=0):
 
 
 def dense_block(block, x):
-    """The text stack's first block on word vectors: (B, rows, t_s, E) ->
-    (B, k, rows, (t_s-2)//2), conv1 as conv1x2_full."""
-    h = conv1x2_full(Tensor(x), block.conv1_w, block.conv1_b)
-    return nncore.depthwise_pool(h, [(block.conv2_w, block.conv2_b)])
+    """The text stack's first block [(w1, b1), (w2, b2)] on word vectors:
+    (B, rows, t_s, E) -> (B, k, rows, (t_s-2)//2), conv1 as conv1x2_full."""
+    (w1, b1), conv2 = block
+    return nncore.depthwise_pool(conv1x2_full(Tensor(x), w1, b1), [conv2])
 
 
-def dense_latent(model, x):
+def dense_latent(blocks, x):
     """Word vectors (B, rows, t_s, E) -> latent (B, rows, k), every row,
-    padding included, through conv1x2_full and the rest of the stack."""
-    return slcnn.stack_apply(model.blocks[1:], dense_block(model.blocks[0], x))
+    padding included, through conv1x2_full and the rest of the text stack
+    `blocks`."""
+    return slcnn.stack_apply(blocks[1:], dense_block(blocks[0], x))
 
 
 def dense_logits(model, x, explicit, mode="eval", rng=None):

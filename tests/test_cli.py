@@ -107,6 +107,13 @@ class TestParser:
                                lambda path, overrides: overrides):
             assert _config_from_args(args) == {key: "V"}
 
+    def test_an_empty_preset_flag_clears_the_files_preset(self, tmp_path):
+        path = tmp_path / "f.cfg"
+        path.write_text("data.preset = politifact\n", encoding="utf-8")
+        args = build_parser().parse_args(["train", "--config", str(path), "--preset", ""])
+        config = _config_from_args(args)
+        assert (config.preset, config.t_d) == ("", 0)
+
 
 class TestSynthCommand:
     def test_writes_the_full_layout(self, cli_corpus, capsys):

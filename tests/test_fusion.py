@@ -3,6 +3,7 @@ integrator reduction, tie-breaking, end-to-end gradients, graph lifetime,
 and whole-model logits against the dense-input oracle."""
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fakereal.corpus import Label, NewsArticle
 from fakereal.fusion import (
     EXPLICIT_ORDER,
     VARIANTS,
-    ClassifierHead,
     forward_batch,
     head_apply,
     init_head,
@@ -33,11 +33,9 @@ EXPLICIT = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
 
 
 def zero_head(in_dim, hidden=4):
-    return ClassifierHead(
-        w1=Tensor(np.zeros((in_dim, hidden))), b1=Tensor(np.zeros(hidden)),
-        w2=Tensor(np.zeros((hidden, hidden))), b2=Tensor(np.zeros(hidden)),
-        w3=Tensor(np.zeros((hidden, 2))), b3=Tensor(np.zeros(2)),
-    )
+    """An all-zero head: the (w, b) pairs of in_dim -> hidden -> hidden -> 2."""
+    return [(Tensor(np.zeros((fan_in, out))), Tensor(np.zeros(out)))
+            for fan_in, out in ((in_dim, hidden), (hidden, hidden), (hidden, 2))]
 
 
 class TestExplicitFeatures:
@@ -126,9 +124,10 @@ class TestClassify:
 
     def test_fake_needs_strictly_greater_probability(self):
         head = zero_head(6)
-        head.b3.data[:] = [0.0, 0.3]
+        b3 = head[2][1]
+        b3.data[:] = [0.0, 0.3]
         assert self.predict(head)[1] is Label.FAKE
-        head.b3.data[:] = [0.3, 0.0]
+        b3.data[:] = [0.3, 0.0]
         assert self.predict(head)[1] is Label.REAL
 
     def test_features_must_be_vector(self):
@@ -141,7 +140,8 @@ class TestModelAssembly:
     def test_flatten_width_at_published_sizes(self):
         model = init_model("full", 46, 280, 4, rng_for(0, "init"))
         assert model.rows == 281
-        assert model.head.w1.data.shape == (281 * 8, 64)
+        assert model.t_s == 46
+        assert model.head[0][0].data.shape == (281 * 8, 64)
 
     def test_latent_only_variant_has_no_integrator(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(0, "init"), k=2, dense_width=8)
@@ -158,6 +158,34 @@ class TestModelAssembly:
             "integrator.b0.conv2.w", "integrator.b0.conv2.b",
             "head.w1", "head.b1", "head.w2", "head.b2", "head.w3", "head.b3",
         ]
+
+    @staticmethod
+    def stack_shapes(stack, conv1_w0):
+        shapes = []
+        for i, conv1_w in enumerate((conv1_w0, (8, 2))):
+            shapes += [(f"{stack}.b{i}.conv1.w", conv1_w), (f"{stack}.b{i}.conv1.b", (8,)),
+                       (f"{stack}.b{i}.conv2.w", (8, 2)), (f"{stack}.b{i}.conv2.b", (8,))]
+        return shapes
+
+    @pytest.mark.parametrize("variant,size,digest", [
+        ("slcnn", 6034, "9d4f03bbd53c1a941367458f8a652b06bb2a33dc873bd049a2d7ac53bfc67f4a"),
+        ("slcnn_c", 6130, "ef7ca030e42eb554a933ca46f352284caa4cfff1ac76d7f6b3cb25ecb6283eed"),
+        ("slcnn_i", 6130, "ef7ca030e42eb554a933ca46f352284caa4cfff1ac76d7f6b3cb25ecb6283eed"),
+        ("full", 6130, "ef7ca030e42eb554a933ca46f352284caa4cfff1ac76d7f6b3cb25ecb6283eed"),
+    ])
+    def test_initial_weights_are_pinned(self, variant, size, digest):
+        # every draw of init_hcb_stack and init_head, in order: checkpoints,
+        # Model.flat and Adam's slots all follow this layout
+        model = init_model(variant, 10, 2, 4, rng_for(5, "init"))
+        want = self.stack_shapes("slcnn", (8, 2, 4))
+        if variant != "slcnn":
+            # k + 3, k + 2 and k + 5 all reduce in two blocks
+            want += self.stack_shapes("integrator", (8, 2))
+        want += [("head.w1", (24, 64)), ("head.b1", (64,)), ("head.w2", (64, 64)),
+                 ("head.b2", (64,)), ("head.w3", (64, 2)), ("head.b3", (2,))]
+        assert [(name, t.data.shape) for name, t in model.parameters().items()] == want
+        assert model.flat.size == size
+        assert hashlib.sha256(model.flat.tobytes()).hexdigest() == digest
 
     def test_parameters_are_views_of_one_buffer(self):
         model = init_model("full", 10, 2, 4, rng_for(0, "init"))
@@ -199,8 +227,12 @@ class TestForward:
             forward_batch(model, ids, vectors, None, "eval")
         with pytest.raises(ValueError, match="needs explicit width 3"):
             forward_batch(model, ids, vectors, np.ones((4, 5)), "eval")
-        with pytest.raises(ValueError, match="batch has 2 rows, model expects 3"):
+        with pytest.raises(ValueError, match=r"shape \(2, 10\), model expects \(3, 10\)"):
             forward_batch(model, ids[:, :2], vectors, np.ones((4, 3)), "eval")
+        # 11 words also reduce in two blocks, so only the model's t_s rejects them
+        wide = np.concatenate([ids, ids[:, :, :1]], axis=2)
+        with pytest.raises(ValueError, match=r"shape \(3, 11\), model expects \(3, 10\)"):
+            forward_batch(model, wide, vectors, np.ones((4, 3)), "eval")
 
     def test_latent_only_variant_ignores_explicit(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)

@@ -210,10 +210,21 @@ class TestRunConfig:
         ("train.stop_at_train_acc", "-3", r"train.stop_at_train_acc must be in \[0, 1\]"),
         ("train.stop_at_train_acc", "7", r"train.stop_at_train_acc must be in \[0, 1\], got 7.0"),
         ("train.stop_at_train_acc", "-inf", r"train.stop_at_train_acc must be in \[0, 1\]"),
+        # a number that is not a string: an int key takes only an integral non-bool
+        ("model.filters", 8.9, "config key model.filters: 8.9 is not an integer"),
+        ("train.epochs", True, "config key train.epochs: True is not an integer"),
+        ("model.t_s", float("nan"), "config key model.t_s: cannot parse nan as int"),
+        ("model.t_s", float("inf"), "config key model.t_s: cannot parse inf as int"),
+        ("train.lr", float("nan"), "train.lr must be > 0 and finite, got nan"),
     ])
     def test_validation(self, key, value, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig({key: value})
+
+    def test_int_keys_take_integral_numbers(self):
+        config = RunConfig({"model.filters": 6.0, "train.epochs": np.int64(3)})
+        assert (config.filters, config.epochs) == (6, 3)
+        assert type(config.filters) is int
 
     @pytest.mark.parametrize("values,message", [
         ({"model.t_s": "6"}, "model.t_s: width 6 cannot reduce to 1"),
@@ -330,6 +341,12 @@ class TestConfigFile:
         config = load_config(path=path, overrides={"model.t_d": "7"})
         assert config.t_d == 7           # override beats file
         assert config.seed == 3
+
+    def test_empty_preset_override_clears_the_files_preset(self, tmp_path):
+        path = self.write(tmp_path, "data.preset = politifact\n")
+        config = load_config(path=path, overrides={"data.preset": ""})
+        assert config.preset == ""
+        assert config.t_d == 0           # the default, not the preset's 280
 
     def test_preset_via_overrides(self):
         config = load_config(overrides={"data.preset": "politifact"})
@@ -488,12 +505,6 @@ class TestColdStartPerturb:
                                       rng_for(9, "perturb_test"))
         assert first == again
         assert len(first) == 5
-
-    def test_custom_columns(self):
-        out, _ = cold_start_perturb(self.ids(), self.features(), 1.0,
-                                    rng_for(0, "perturb_test"), columns=(4,))
-        assert np.all(out[:, 4] == 0.0)
-        assert np.all(out[:, :4] > 0.0)
 
     def test_errors(self):
         with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\]"):

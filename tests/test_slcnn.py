@@ -10,16 +10,19 @@ from fakereal.nncore import Tensor
 from fakereal.seeds import rng_for
 from fakereal.slcnn import (
     CONV_BIAS_INIT,
-    HcbBlock,
     hcb_apply,
     init_hcb_stack,
-    init_slcnn,
     required_hcbs,
     slcnn_apply,
     stack_apply,
 )
 
 from conftest import grad_check, width_trace
+
+
+def tensors(blocks):
+    """A stack's parameters in block order: w1, b1, w2, b2 of each block."""
+    return [t for block in blocks for pair in block for t in pair]
 
 
 class TestRequiredHcbs:
@@ -75,43 +78,42 @@ class TestInitStack:
     def test_structure(self):
         blocks = init_hcb_stack(46, 5, 8, rng_for(0, "init"))
         assert len(blocks) == 4
-        assert blocks[0].conv1_w.data.shape == (8, 2, 5)
-        for b in blocks[1:]:
-            assert b.conv1_w.data.shape == (8, 2)
-        for b in blocks:
-            assert b.conv2_w.data.shape == (8, 2)
-            assert np.all(b.conv1_b.data == CONV_BIAS_INIT)
-            assert np.all(b.conv2_b.data == 0.0)
+        for i, [(w1, b1), (w2, b2)] in enumerate(blocks):
+            assert w1.data.shape == ((8, 2, 5) if i == 0 else (8, 2))
+            assert w2.data.shape == (8, 2)
+            assert np.all(b1.data == CONV_BIAS_INIT)
+            assert np.all(b2.data == 0.0)
+        assert all(t.requires_grad for t in tensors(blocks))
 
     def test_pair_kernels_start_positive(self):
         # per-channel kernels have no cross-channel mixing, so a kernel with
         # two non-positive taps would silence its channel permanently
         blocks = init_hcb_stack(46, 5, 8, rng_for(1, "init"))
-        for b in blocks[1:]:
-            assert np.all(b.conv1_w.data > 0.0)
-        for b in blocks:
-            assert np.all(b.conv2_w.data > 0.0)
+        for [(w1, _), _] in blocks[1:]:
+            assert np.all(w1.data > 0.0)
+        for [_, (w2, _)] in blocks:
+            assert np.all(w2.data > 0.0)
 
     def test_fan_out_stack_draws_the_depth_one_weights(self):
         # a one-channel stack's first conv is (k, 2): the He-uniform draws
         # of the (k, 2, 1) full-depth weight it replaced, in the same order
         for width in (13, 10, 46):
-            fan_out = init_hcb_stack(width, None, 8, rng_for(3, "init"))
-            full = init_hcb_stack(width, 1, 8, rng_for(3, "init"))
-            assert fan_out[0].conv1_w.data.shape == (8, 2)
-            assert np.array_equal(fan_out[0].conv1_w.data, full[0].conv1_w.data[:, :, 0])
-            for a, b in zip(fan_out, full):
-                for ta, tb in zip(a.tensors()[1:], b.tensors()[1:]):
-                    assert np.array_equal(ta.data, tb.data)
+            fan_out = tensors(init_hcb_stack(width, None, 8, rng_for(3, "init")))
+            full = tensors(init_hcb_stack(width, 1, 8, rng_for(3, "init")))
+            assert fan_out[0].data.shape == (8, 2)
+            assert np.array_equal(fan_out[0].data, full[0].data[:, :, 0])
+            assert len(fan_out) == len(full)
+            for ta, tb in zip(fan_out[1:], full[1:]):
+                assert np.array_equal(ta.data, tb.data)
         # an embedding axis of one stays full-depth
-        assert init_hcb_stack(10, 1, 4, rng_for(0, "init"))[0].conv1_w.data.shape == (4, 2, 1)
+        assert init_hcb_stack(10, 1, 4, rng_for(0, "init"))[0][0][0].data.shape == (4, 2, 1)
 
     def test_deterministic_for_seed(self):
-        a = init_hcb_stack(10, 3, 4, rng_for(7, "init"))
-        b = init_hcb_stack(10, 3, 4, rng_for(7, "init"))
-        for ba, bb in zip(a, b):
-            assert np.array_equal(ba.conv1_w.data, bb.conv1_w.data)
-            assert np.array_equal(ba.conv2_w.data, bb.conv2_w.data)
+        a = tensors(init_hcb_stack(10, 3, 4, rng_for(7, "init")))
+        b = tensors(init_hcb_stack(10, 3, 4, rng_for(7, "init")))
+        assert len(a) == len(b) == 8
+        for ta, tb in zip(a, b):
+            assert np.array_equal(ta.data, tb.data)
 
 
 class TestForward:
@@ -145,66 +147,67 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=(5, 10, 3))
         graph = dense_oracle.block(blk, x[None]).data[0]
         assert graph.shape == (4, 5, 4)
+        (w1, b1), (w2, b2) = blk
         for f in range(4):
-            h = plain_oracle.conv_1x2(x, blk.conv1_w.data[f], blk.conv1_b.data[f])
-            h = plain_oracle.conv_1x2(h[:, :, None], blk.conv2_w.data[f][:, None],
-                                      blk.conv2_b.data[f])
+            h = plain_oracle.conv_1x2(x, w1.data[f], b1.data[f])
+            h = plain_oracle.conv_1x2(h[:, :, None], w2.data[f][:, None], b2.data[f])
             assert np.allclose(graph[f], plain_oracle.maxpool2(h))
 
     def test_latent_shape_politifact_sizes(self, dense_oracle):
-        model = init_slcnn(46, 4, 8, rng_for(0, "init"))
+        blocks = init_hcb_stack(46, 4, 8, rng_for(0, "init"))
         ids, vectors = dense_oracle.as_tokens(np.random.default_rng(2).normal(size=(1, 281, 46, 4)))
-        latent = slcnn_apply(model, ids, vectors)
+        latent = slcnn_apply(blocks, ids, vectors)
         assert latent.data.shape == (1, 281, 8)
 
     def test_rows_processed_independently(self, dense_oracle):
         # shared weights and no row mixing: permuting input rows permutes
         # the latent rows and changes nothing else
-        model = init_slcnn(10, 3, 4, rng_for(4, "init"))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(4, "init"))
         ids, vectors = dense_oracle.as_tokens(np.random.default_rng(3).normal(size=(1, 7, 10, 3)))
         perm = np.random.default_rng(4).permutation(7)
-        assert np.allclose(slcnn_apply(model, ids, vectors).data[0][perm],
-                           slcnn_apply(model, ids[:, perm], vectors).data[0])
+        assert np.allclose(slcnn_apply(blocks, ids, vectors).data[0][perm],
+                           slcnn_apply(blocks, ids[:, perm], vectors).data[0])
 
     def test_zero_input_zero_bias_gives_zero_latent(self):
-        model = init_slcnn(10, 3, 4, rng_for(5, "init"))
-        for b in model.blocks:
-            b.conv1_b.data[...] = 0.0
-            b.conv2_b.data[...] = 0.0
-        latent = slcnn_apply(model, np.zeros((1, 3, 10), dtype=np.int32), np.zeros((1, 3)))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(5, "init"))
+        for [(_, b1), (_, b2)] in blocks:
+            b1.data[...] = 0.0
+            b2.data[...] = 0.0
+        latent = slcnn_apply(blocks, np.zeros((1, 3, 10), dtype=np.int32), np.zeros((1, 3)))
         assert np.all(latent.data == 0.0)
 
     def test_padding_rows_give_equal_latent_rows(self, dense_oracle):
-        model = init_slcnn(10, 3, 4, rng_for(6, "init"))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(6, "init"))
         x = np.zeros((1, 4, 10, 3))
         x[0, 0] = np.random.default_rng(5).normal(size=(10, 3))
-        latent = slcnn_apply(model, *dense_oracle.as_tokens(x)).data[0]
+        latent = slcnn_apply(blocks, *dense_oracle.as_tokens(x)).data[0]
         assert np.array_equal(latent[1], latent[2])
         assert np.array_equal(latent[2], latent[3])
         # the shared padding row is the latent the dense stack gives a zero row
-        assert np.allclose(latent, dense_oracle.latent(model, x).data[0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(latent, dense_oracle.latent(blocks, x).data[0], rtol=1e-12, atol=1e-12)
 
     def test_unreducible_t_s_rejected_at_init(self):
         with pytest.raises(ValueError, match="cannot reduce to 1"):
-            init_slcnn(8, 4, 2, rng_for(0, "init"))
+            init_hcb_stack(8, 4, 2, rng_for(0, "init"))
 
     def test_input_must_match_model(self):
-        model = init_slcnn(10, 3, 4, rng_for(0, "init"))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(0, "init"))
         vectors = np.ones((5, 3))
         with pytest.raises(ValueError, match="does not match model"):
-            slcnn_apply(model, np.ones((1, 3, 9), dtype=np.int32), vectors)
-        with pytest.raises(ValueError, match="does not match model"):
-            slcnn_apply(model, np.ones((1, 3, 10), dtype=np.int32), np.ones((5, 2)))
+            slcnn_apply(blocks, np.ones((1, 3, 4), dtype=np.int32), vectors)
+        with pytest.raises(ValueError, match="width 9 cannot reduce to 1"):
+            slcnn_apply(blocks, np.ones((1, 3, 9), dtype=np.int32), vectors)
+        with pytest.raises(ValueError, match=r"does not match model \(E=3\)"):
+            slcnn_apply(blocks, np.ones((1, 3, 10), dtype=np.int32), np.ones((5, 2)))
         with pytest.raises(ValueError, match="must be 3D"):
-            slcnn_apply(model, np.ones((3, 10), dtype=np.int32), vectors)
+            slcnn_apply(blocks, np.ones((3, 10), dtype=np.int32), vectors)
         with pytest.raises(ValueError, match="out of range"):
-            slcnn_apply(model, np.full((1, 3, 10), 5, dtype=np.int32), vectors)
+            slcnn_apply(blocks, np.full((1, 3, 10), 5, dtype=np.int32), vectors)
 
     def test_block_count_consistency_checked(self):
-        model = init_slcnn(10, 3, 4, rng_for(0, "init"))
-        model.blocks = model.blocks[:1]
-        with pytest.raises(ValueError, match="block count does not match"):
-            slcnn_apply(model, np.ones((1, 3, 10), dtype=np.int32), np.ones((2, 3)))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(0, "init"))
+        with pytest.raises(ValueError, match="does not match model block count 1"):
+            slcnn_apply(blocks[:1], np.ones((1, 3, 10), dtype=np.int32), np.ones((2, 3)))
 
 
 class TestTokenForward:
@@ -221,27 +224,27 @@ class TestTokenForward:
         return ids, vectors
 
     def test_matches_dense_oracle(self, dense_oracle):
-        model = init_slcnn(10, 3, 4, rng_for(7, "init"))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(7, "init"))
         ids, vectors = self.batch(0)
         assert (~ids.any(axis=2)).any() and ids.any(axis=2).any()
-        got = slcnn_apply(model, ids, vectors).data
-        want = dense_oracle.latent(model, vectors[ids]).data
+        got = slcnn_apply(blocks, ids, vectors).data
+        want = dense_oracle.latent(blocks, vectors[ids]).data
         assert got.shape == want.shape == (3, 6, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_latent_does_not_depend_on_batch_neighbours(self):
-        model = init_slcnn(10, 3, 4, rng_for(8, "init"))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(8, "init"))
         ids, vectors = self.batch(1, n=4)
-        together = slcnn_apply(model, ids, vectors).data
+        together = slcnn_apply(blocks, ids, vectors).data
         for i in range(4):
-            alone = slcnn_apply(model, ids[i:i + 1], vectors).data[0]
+            alone = slcnn_apply(blocks, ids[i:i + 1], vectors).data[0]
             assert np.array_equal(alone, together[i])
-        swapped = slcnn_apply(model, ids[[2, 0]], vectors).data
+        swapped = slcnn_apply(blocks, ids[[2, 0]], vectors).data
         assert np.array_equal(swapped[1], together[0])
 
     def test_all_padding_batch(self):
-        model = init_slcnn(10, 3, 4, rng_for(9, "init"))
-        latent = slcnn_apply(model, np.zeros((2, 3, 10), dtype=np.int32), np.zeros((4, 3))).data
+        blocks = init_hcb_stack(10, 3, 4, rng_for(9, "init"))
+        latent = slcnn_apply(blocks, np.zeros((2, 3, 10), dtype=np.int32), np.zeros((4, 3))).data
         assert np.all(latent == latent[0, 0])
 
     def test_gradients_match_dense_oracle(self, dense_oracle):
@@ -250,28 +253,28 @@ class TestTokenForward:
         grads = []
         for forward in (lambda m: slcnn_apply(m, ids, vectors),
                         lambda m: dense_oracle.latent(m, vectors[ids])):
-            model = init_slcnn(10, 3, 4, rng_for(10, "init"))
-            out = forward(model)
+            blocks = init_hcb_stack(10, 3, 4, rng_for(10, "init"))
+            out = forward(blocks)
             loss = nncore.linear(nncore.reshape(out, (1, out.data.size)),
                                  Tensor(upstream.reshape(-1, 1)), Tensor(np.zeros(1)))
             nncore.reshape(loss, ()).backward()
-            grads.append([t.grad for t in model.tensors()])
+            grads.append([t.grad for t in tensors(blocks)])
         for got, want in zip(*grads):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_grad_check_through_token_conv_and_row_gather(self):
-        model = init_slcnn(10, 3, 4, rng_for(11, "init"))
+        blocks = init_hcb_stack(10, 3, 4, rng_for(11, "init"))
         # conv2 starts with zero bias, so a channel fed by dead conv1 units
         # sits exactly on its relu kink, where finite differences average
         # the two one-sided slopes; move it off the kink
-        for blk in model.blocks:
-            blk.conv2_b.data[...] = 0.05
+        for [_, (_, b2)] in blocks:
+            b2.data[...] = 0.05
         ids, vectors = self.batch(4)
         upstream = Tensor(np.random.default_rng(5).normal(size=(3 * 6 * 4, 1)))
 
         def loss_fn():
-            out = slcnn_apply(model, ids, vectors)
+            out = slcnn_apply(blocks, ids, vectors)
             flat = nncore.reshape(out, (1, out.data.size))
             return nncore.reshape(nncore.linear(flat, upstream, Tensor(np.zeros(1))), ())
 
-        assert grad_check(loss_fn, model.tensors(), n_coords=80, seed=1) < 1e-6
+        assert grad_check(loss_fn, tensors(blocks), n_coords=80, seed=1) < 1e-6

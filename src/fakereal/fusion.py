@@ -11,7 +11,7 @@ A model's parameters are the (w, b) pairs its graph ops take: each stack
 is a list of blocks, each block [(w1, b1), (w2, b2)] (see slcnn), and the
 head is its three dense layers' [(w1, b1), (w2, b2), (w3, b3)].
 
-Variants select which explicit features exist:
+Every variant is handed full EXPLICIT_ORDER rows and reads its columns:
   slcnn    - none; the integrator is skipped entirely
   slcnn_c  - credit only (nct, ncf, num_p)
   slcnn_i  - influence only (ni, num_p)
@@ -34,6 +34,10 @@ VARIANTS = {
     "slcnn_i": ("ni", "num_p_influence"),
     "full": EXPLICIT_ORDER,
 }
+
+# each variant's columns of an EXPLICIT_ORDER row
+_COLUMNS = {variant: np.array([EXPLICIT_ORDER.index(name) for name in names], dtype=np.intp)
+            for variant, names in VARIANTS.items()}
 
 
 def integrate_batch(latent: Tensor, explicit: np.ndarray) -> Tensor:
@@ -93,10 +97,6 @@ class Model:
         # parameter Tensor's data is a view of its slice
         self.flat = nncore.pack_parameters(self.param_tensors())
 
-    @property
-    def explicit_width(self):
-        return len(VARIANTS[self.variant])
-
     def parameters(self) -> dict:
         """Name -> leaf Tensor, in a stable order (drives Adam slots and
         checkpoints)."""
@@ -128,29 +128,29 @@ def init_model(variant: str, t_s: int, t_d: int, embed_dim: int, rng,
                  rows=rows, t_s=t_s, k=k, dropout_rate=dropout_rate)
 
 
-def forward_batch(model: Model, ids: np.ndarray, vectors: np.ndarray, explicit, mode: str,
-                  rng=None) -> Tensor:
+def forward_batch(model: Model, ids: np.ndarray, vectors: np.ndarray, explicit: np.ndarray,
+                  mode: str, rng=None) -> Tensor:
     """Batched articles as token ids (B, rows, t_s) into the word-vector
-    table (V, E) (+ explicit (B, m)) -> logits (B, 2)."""
+    table (V, E) + full EXPLICIT_ORDER rows (B, 5) -> logits (B, 2)."""
     if ids.shape[1:] != (model.rows, model.t_s):
         raise ValueError(f"batch has articles of shape {ids.shape[1:]}, model expects "
                          f"{(model.rows, model.t_s)} (rows, t_s)")
+    if np.shape(explicit) != (ids.shape[0], len(EXPLICIT_ORDER)):
+        raise ValueError(f"explicit rows have shape {np.shape(explicit)}, expected "
+                         f"{(ids.shape[0], len(EXPLICIT_ORDER))} (EXPLICIT_ORDER columns)")
     latent = slcnn_apply(model.slcnn, ids, vectors)
     if model.integrator:
-        if explicit is None or explicit.shape[1] != model.explicit_width:
-            raise ValueError(f"variant {model.variant!r} needs explicit width {model.explicit_width}")
-        reduced = integrator_apply(model.integrator, integrate_batch(latent, explicit))
-    else:
-        reduced = latent
-    flat = nncore.reshape(reduced, (ids.shape[0], model.rows * model.k))
+        latent = integrator_apply(model.integrator,
+                                  integrate_batch(latent, explicit[:, _COLUMNS[model.variant]]))
+    flat = nncore.reshape(latent, (ids.shape[0], model.rows * model.k))
     return head_apply(model.head, flat, model.dropout_rate, mode, rng)
 
 
-def loss_batch(model: Model, ids, vectors, explicit, labels, mode: str, rng=None):
+def loss_batch(model: Model, ids, vectors, explicit, labels, mode: str, rng=None) -> Tensor:
     """Forward plus softmax cross-entropy; labels are 0=Real / 1=Fake ints.
-    Returns (probs ndarray, scalar loss Tensor)."""
+    Returns the scalar loss Tensor."""
     logits = forward_batch(model, ids, vectors, explicit, mode, rng)
-    return nncore.softmax_xent_batch(logits, labels)
+    return nncore.softmax_xent_batch(logits, labels)[1]
 
 
 def predict_batch(model: Model, ids, vectors, explicit):

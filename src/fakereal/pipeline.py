@@ -28,7 +28,7 @@ from .fileio import atomic_write
 from .fusion import VARIANTS
 from .seeds import rng_for
 from .slcnn import required_hcbs
-from .social import EXPLICIT_ORDER
+from .social import EXPLICIT_ORDER, INFLUENCE_MODES
 
 CHECKPOINT_FORMAT_VERSION = 2
 
@@ -46,7 +46,7 @@ CONFIG_SCHEMA = {
     "data.publishers": ("publishers_path", str, "", "user_id<TAB>follower_count table"),
     "data.edges": ("edges_path", str, "", "follower edge list (follower followed)"),
     "data.preset": ("preset", str, "", "dataset preset: " + " | ".join(DATASET_PRESETS)),
-    "model.variant": ("variant", str, "full", "slcnn | slcnn_c | slcnn_i | full"),
+    "model.variant": ("variant", str, "full", " | ".join(VARIANTS)),
     "model.filters": ("filters", int, 8, "filters per convolution"),
     "model.dense_width": ("dense_width", int, 64, "hidden layer width"),
     "model.dropout": ("dropout", float, 0.5, "dropout rate"),
@@ -61,7 +61,7 @@ CONFIG_SCHEMA = {
     "train.stop_at_train_acc": ("stop_at_train_acc", float, 0.0,
                                 "stop once train accuracy reached"),
     "train.seed": ("seed", int, 0, "master RNG seed"),
-    "influence.mode": ("influence_mode", str, "follower_count", "exact | follower_count"),
+    "influence.mode": ("influence_mode", str, "follower_count", " | ".join(INFLUENCE_MODES)),
     "influence.p": ("influence_p", float, 0.5, "per-level share probability"),
     "influence.d_max": ("influence_d_max", int, 0, "influence depth bound (0 = none)"),
     "coldstart.fraction": ("coldstart_fraction", float, 0.0, "cold-start perturbation fraction"),
@@ -108,8 +108,8 @@ class RunConfig:
         if v["model.variant"] not in VARIANTS:
             raise ConfigError(f"model.variant must be one of {sorted(VARIANTS)}, "
                               f"got {v['model.variant']!r}")
-        if v["influence.mode"] not in ("exact", "follower_count"):
-            raise ConfigError(f"influence.mode must be 'exact' or 'follower_count', "
+        if v["influence.mode"] not in INFLUENCE_MODES:
+            raise ConfigError(f"influence.mode must be one of {list(INFLUENCE_MODES)}, "
                               f"got {v['influence.mode']!r}")
         if v["data.preset"] and v["data.preset"] not in DATASET_PRESETS:
             raise ConfigError(f"unknown preset {v['data.preset']!r}")
@@ -132,12 +132,14 @@ class RunConfig:
             required_hcbs(v["model.t_s"])
         except ValueError as exc:
             raise ConfigError(f"model.t_s: {exc}") from None
+        if v["model.t_s"] == 1:
+            raise ConfigError("model.t_s: width 1 leaves the text stack no block to run")
         # the integrator reduces rows of the k latent values plus the
         # variant's explicit features
-        explicit_width = len(VARIANTS[v["model.variant"]])
-        if explicit_width:
+        n_columns = len(VARIANTS[v["model.variant"]])
+        if n_columns:
             try:
-                required_hcbs(v["model.filters"] + explicit_width)
+                required_hcbs(v["model.filters"] + n_columns)
             except ValueError as exc:
                 raise ConfigError(f"model.filters = {v['model.filters']} with variant "
                                   f"{v['model.variant']}: integrator {exc}") from None
@@ -318,10 +320,6 @@ _CREDIT_COLS = (EXPLICIT_ORDER.index("nct"), EXPLICIT_ORDER.index("ncf"))
 _NUM_P = EXPLICIT_ORDER.index("num_p_credit")
 
 
-def _variant_columns(variant):
-    return [EXPLICIT_ORDER.index(name) for name in VARIANTS[variant]]
-
-
 def _publishers(articles):
     return [u for art in articles for u in art.publisher_ids]
 
@@ -331,8 +329,7 @@ def load_graph(config) -> social.FollowerGraph:
     if config.edges_path:
         return social.load_edge_list(config.edges_path, p=config.influence_p, d_max=d_max)
     if config.publishers_path:
-        return social.load_follower_counts(config.publishers_path, p=config.influence_p,
-                                           d_max=d_max)
+        return social.load_follower_counts(config.publishers_path)
     return social.FollowerGraph(p=config.influence_p, d_max=d_max)
 
 
@@ -395,25 +392,19 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     )
 
 
-def cold_start_perturb(ids, features, fraction, rng):
-    """Zero the credit columns for round(fraction*n) uniformly chosen rows.
-
-    Returns (perturbed copy, affected ids in row order).  Other columns,
-    including the publisher counts, stay untouched.
+def cold_start_perturb(features, fraction, rng):
+    """A copy of the explicit rows `features` (n, 5) with the credit
+    columns zeroed in round(fraction*n) uniformly chosen rows.  Other
+    columns, including the publisher counts, stay untouched.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rng = np.random.default_rng(rng)
     out = np.array(features, dtype=np.float64)
-    n = len(ids)
-    if out.shape[0] != n:
-        raise ValueError(f"feature rows {out.shape[0]} != id count {n}")
-    count = int(round(fraction * n))
-    if count == 0:
-        return out, []
-    picked = np.sort(rng.choice(n, size=count, replace=False))
+    n = out.shape[0]
+    picked = rng.choice(n, size=int(round(fraction * n)), replace=False)
     out[np.ix_(picked, _CREDIT_COLS)] = 0.0
-    return out, [ids[int(i)] for i in picked]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +431,9 @@ def _predict_all(model, x, vectors, explicit):
     preds = []
     for start in range(0, x.shape[0], chunk):
         sl = slice(start, start + chunk)
-        ex = explicit[sl] if explicit is not None else None
-        _, p = fusion.predict_batch(model, x[sl], vectors, ex)
+        _, p = fusion.predict_batch(model, x[sl], vectors, explicit[sl])
         preds.append(p)
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
-
-
-def _variant_explicit(explicit_full, variant):
-    cols = _variant_columns(variant)
-    if not cols:
-        return None
-    return explicit_full[:, cols]
 
 
 def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainResult:
@@ -469,10 +452,8 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         bundle = prepare_data(config)
     th = bundle.thresholds
 
-    explicit_full, _ = cold_start_perturb(
-        bundle.train_ids, bundle.explicit_train, config.coldstart_fraction,
-        rng_for(config.seed, "perturb_train"))
-    explicit = _variant_explicit(explicit_full, config.variant)
+    explicit = cold_start_perturb(bundle.explicit_train, config.coldstart_fraction,
+                                  rng_for(config.seed, "perturb_train"))
 
     model = fusion.init_model(config.variant, th.t_s, th.t_d, bundle.vectors.shape[1],
                               rng_for(config.seed, "init"), k=config.filters,
@@ -500,9 +481,6 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         val_idx, fit_idx = np.zeros(0, dtype=np.int64), np.arange(n)
         max_epochs = config.epochs
 
-    def slice_ex(idx):
-        return explicit[idx] if explicit is not None else None
-
     history = []
     log_lines = [f"variant {config.variant} articles {n} "
                  f"(fit {len(fit_idx)} val {len(val_idx)}) seed {config.seed}"]
@@ -517,8 +495,8 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         for batch, start in enumerate(range(0, len(order), config.batch_size), 1):
             idx = order[start:start + config.batch_size]
             nncore.zero_grads(tensors)
-            _, loss = fusion.loss_batch(model, bundle.train_x[idx], bundle.vectors,
-                                        slice_ex(idx), y[idx], "train", rng_dropout)
+            loss = fusion.loss_batch(model, bundle.train_x[idx], bundle.vectors,
+                                     explicit[idx], y[idx], "train", rng_dropout)
             if not np.isfinite(loss.data):
                 raise ValueError(f"training diverged: loss {float(loss.data)} at epoch "
                                  f"{epoch} batch {batch} (lr {config.lr!r})")
@@ -532,13 +510,13 @@ def train(config: RunConfig, out_dir=None, bundle: DataBundle = None) -> TrainRe
         epoch_loss = loss_sum / len(order)
 
         train_acc = float(np.mean(
-            _predict_all(model, bundle.train_x[fit_idx], bundle.vectors, slice_ex(fit_idx))
+            _predict_all(model, bundle.train_x[fit_idx], bundle.vectors, explicit[fit_idx])
             == y[fit_idx]))
         entry = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc, "val_acc": None}
         line = f"epoch {epoch:4d} loss {epoch_loss:.6f} train_acc {train_acc:.4f}"
         if early_stopping:
             val_acc = float(np.mean(
-                _predict_all(model, bundle.train_x[val_idx], bundle.vectors, slice_ex(val_idx))
+                _predict_all(model, bundle.train_x[val_idx], bundle.vectors, explicit[val_idx])
                 == y[val_idx]))
             entry["val_acc"] = val_acc
             line += f" val_acc {val_acc:.4f}"
@@ -622,10 +600,8 @@ def evaluate_model(model: fusion.Model, bundle: DataBundle, config: RunConfig) -
     the test features (its own RNG stream, independent of training)."""
     if bundle.test_x.shape[0] == 0:
         raise ValueError("empty test set")
-    explicit_full, _ = cold_start_perturb(
-        bundle.test_ids, bundle.explicit_test, config.coldstart_fraction,
-        rng_for(config.seed, "perturb_test"))
-    explicit = _variant_explicit(explicit_full, config.variant)
+    explicit = cold_start_perturb(bundle.explicit_test, config.coldstart_fraction,
+                                  rng_for(config.seed, "perturb_test"))
     preds = _predict_all(model, bundle.test_x, bundle.vectors, explicit)
     return eval_report(bundle.test_y, preds)
 
@@ -702,13 +678,10 @@ def write_report_files(out_dir, config: RunConfig, report: EvalReport):
 # experiments
 
 
-ABLATION_VARIANTS = tuple(VARIANTS)
-
-
 def ablate(config: RunConfig, out_dir=None) -> dict:
     """Train and evaluate all four variants on one prepared dataset
     (tokenized once); returns variant -> EvalReport."""
-    return _sweep(config, "model.variant", ABLATION_VARIANTS, out_dir, "variant", "")
+    return _sweep(config, "model.variant", tuple(VARIANTS), out_dir, "variant", "")
 
 
 COLDSTART_FRACTIONS = (0.0, 0.1, 0.2, 0.3)

@@ -70,6 +70,8 @@ def init_hcb_stack(width: int, in_depth: int | None, k: int, rng) -> list:
     with positive init (see _depthwise_init).  The fan-out conv gets a
     small positive bias so no output channel starts all-negative.
     """
+    if width == 1:
+        raise ValueError("width 1 leaves the stack no block to run")
     blocks = []
     for b in range(required_hcbs(width)):
         if b == 0 and in_depth is None:

@@ -201,11 +201,12 @@ _MAX_COUNT = np.iinfo(np.int64).max
 _COUNT = re.compile(r"-?[0-9]+")
 
 
-def load_follower_counts(path, p=0.5, d_max=None) -> FollowerGraph:
+def load_follower_counts(path) -> FollowerGraph:
     """Tab-separated `user_id<TAB>follower_count` table for count mode:
     a graph of the listed users, numbered in file order, each with its
     count of direct followers and no known edges.  Each user is listed
-    once, with a count of ASCII digits that fits in int64."""
+    once, with a count of ASCII digits that fits in int64.  The graph
+    keeps the default p and d_max: follower-count scoring reads neither."""
     lines, counts = {}, []   # user -> line number, and the counts in that order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -228,8 +229,8 @@ def load_follower_counts(path, p=0.5, d_max=None) -> FollowerGraph:
                 raise ValueError(f"{path}: line {lineno}: follower count above {_MAX_COUNT}")
             lines[user] = lineno
             counts.append(count)
-    return FollowerGraph(p, d_max, dict(zip(lines, range(len(lines)))), None, None,
-                         np.array(counts, dtype=np.int64))
+    return FollowerGraph(users=dict(zip(lines, range(len(lines)))), follower=None, followed=None,
+                         in_degree=np.array(counts, dtype=np.int64))
 
 
 def user_influence(g: FollowerGraph, u: str) -> float:
@@ -365,6 +366,9 @@ def apply_minmax(scaler: MinMaxScaler, x) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+INFLUENCE_MODES = ("exact", "follower_count")
+
+
 def influence_scores(g: FollowerGraph, users, mode="follower_count") -> dict:
     """Influence of each of `users` under `mode`: the exact level-walk
     score (influence_table) or the plain follower count.  In exact mode a
@@ -373,7 +377,7 @@ def influence_scores(g: FollowerGraph, users, mode="follower_count") -> dict:
     counts of a graph's influence_cache are read, and the counts of the
     users it lacks added to it, so each publisher of an edge file is swept
     once.  The scores equal influence_table's either way."""
-    if mode not in ("exact", "follower_count"):
+    if mode not in INFLUENCE_MODES:
         raise ValueError(f"unknown influence mode {mode!r}")
     users = list(dict.fromkeys(users))
     if mode == "follower_count":

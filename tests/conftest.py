@@ -595,7 +595,9 @@ def dense_latent(blocks, x):
 
 
 def dense_logits(model, x, explicit, mode="eval", rng=None):
-    """fusion.forward_batch on word vectors (B, rows, t_s, E)."""
+    """fusion.forward_batch on word vectors (B, rows, t_s, E); `explicit`
+    holds only the model variant's columns (B, m), and a latent-only
+    model ignores it."""
     latent = dense_latent(model.slcnn, x)
     if model.integrator:
         latent = fusion.integrator_apply(model.integrator, fusion.integrate_batch(latent, explicit))

@@ -127,28 +127,30 @@ def test_end_to_end_gradient_check(dense_oracle):
     checked = 0
     worst = 0.0
 
-    def check(variant, k, data_seed, m_cols, n_coords, sample_seed):
+    def check(variant, k, data_seed, n_coords, sample_seed):
         rng = np.random.default_rng(data_seed)
         model = fusion.init_model(variant, 10, 2, 4, rng_for(0, "init"), k=k,
                                   dense_width=8, dropout_rate=0.0)
         # each word slot its own table row: the same inputs as dense rows
         ids, vectors = dense_oracle.as_tokens(rng.normal(size=(3, 3, 10, 4)) * 0.5 + 0.3)
-        explicit = 0.2 + 0.6 * rng.random((3, m_cols)) if m_cols else None
+        # full EXPLICIT_ORDER rows; only the variant's columns are drawn
+        cols = [fusion.EXPLICIT_ORDER.index(name) for name in fusion.VARIANTS[variant]]
+        explicit = np.zeros((3, 5))
+        explicit[:, cols] = 0.2 + 0.6 * rng.random((3, len(cols)))
         labels = np.array([0, 1, 0])
 
         def loss_fn():
-            _, loss = fusion.loss_batch(model, ids, vectors, explicit, labels, "eval")
-            return loss
+            return fusion.loss_batch(model, ids, vectors, explicit, labels, "eval")
 
         return grad_check(loss_fn, model.param_tensors(),
                                  n_coords=n_coords, seed=sample_seed)
 
-    for variant, k, data_seed, m_cols, n_coords, sample_seed in (
-            ("slcnn", 2, 1, 0, 100, 1),
-            ("slcnn_c", 2, 0, 3, 100, 1),
-            ("slcnn_i", 2, 0, 2, 100, 1),
-            ("full", 8, 1, 5, 150, 13)):
-        err = check(variant, k, data_seed, m_cols, n_coords, sample_seed)
+    for variant, k, data_seed, n_coords, sample_seed in (
+            ("slcnn", 2, 1, 100, 1),
+            ("slcnn_c", 2, 0, 100, 1),
+            ("slcnn_i", 2, 0, 100, 1),
+            ("full", 8, 1, 150, 13)):
+        err = check(variant, k, data_seed, n_coords, sample_seed)
         assert err <= 1e-3, f"{variant}: {err}"
         checked += n_coords
         worst = max(worst, err)

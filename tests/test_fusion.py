@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fakereal import nncore, pipeline, social
+from fakereal import nncore, social
 from fakereal.corpus import Label, NewsArticle
 from fakereal.fusion import (
     EXPLICIT_ORDER,
@@ -26,10 +26,15 @@ from fakereal.nncore import Tensor
 from fakereal.seeds import rng_for
 from fakereal.slcnn import init_hcb_stack
 
-from conftest import grad_check, synth_config
+from conftest import assert_same_bits, grad_check, synth_config
 
 # one full explicit row, EXPLICIT_ORDER columns
 EXPLICIT = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
+
+
+def columns(variant):
+    """The EXPLICIT_ORDER columns `variant` reads, by name."""
+    return [EXPLICIT_ORDER.index(name) for name in VARIANTS[variant]]
 
 
 def zero_head(in_dim, hidden=4):
@@ -44,12 +49,6 @@ class TestExplicitFeatures:
             "slcnn": 0, "slcnn_c": 3, "slcnn_i": 2, "full": 5}
         assert VARIANTS["full"] == EXPLICIT_ORDER
 
-    def test_row_layout_per_variant(self):
-        assert np.array_equal(pipeline._variant_explicit(EXPLICIT, "full"), EXPLICIT)
-        assert np.array_equal(pipeline._variant_explicit(EXPLICIT, "slcnn_c"), [[0.1, 0.2, 0.3]])
-        assert np.array_equal(pipeline._variant_explicit(EXPLICIT, "slcnn_i"), [[0.4, 0.5]])
-        assert pipeline._variant_explicit(EXPLICIT, "slcnn") is None
-
     def test_missing_vectors_become_zeros(self):
         cold = NewsArticle(id="a1", headline="h", body="b.", label=Label.REAL, publisher_ids=[])
         rows = social.explicit_rows([cold], {}, {})
@@ -57,18 +56,47 @@ class TestExplicitFeatures:
         assert np.array_equal(rows, np.zeros((1, 5)))
         assert flags.tolist() == [True]
 
-    def test_credit_columns_locate_history_features(self):
-        # the cold-start perturbation zeroes nct and ncf, wherever a variant keeps them
-        perturbed, _ = pipeline.cold_start_perturb(["a1"], np.ones((1, 5)), 1.0, 0)
+    @staticmethod
+    def logits_by_column(model, explicit):
+        """forward_batch's logits on `explicit`, then with each column in turn
+        raised by 0.7."""
+        rng = np.random.default_rng(7)
+        ids = rng.integers(0, 20, size=(explicit.shape[0], 3, 10)).astype(np.int32)
+        vectors = rng.normal(size=(20, 4))
+        base = forward_batch(model, ids, vectors, explicit, "eval").data
+        changed = []
+        for col in range(len(EXPLICIT_ORDER)):
+            moved = explicit.copy()
+            moved[:, col] += 0.7
+            changed.append(forward_batch(model, ids, vectors, moved, "eval").data)
+        return base, changed, ids, vectors
 
-        def zeroed(variant):
-            cols = pipeline._variant_explicit(perturbed, variant)
-            return () if cols is None else tuple(np.flatnonzero(cols[0] == 0.0))
+    @pytest.mark.parametrize("variant,read", [
+        ("slcnn", ()), ("slcnn_c", (0, 1, 2)), ("slcnn_i", (3, 4)), ("full", (0, 1, 2, 3, 4))])
+    def test_forward_reads_the_variant_columns_of_full_rows(self, variant, read):
+        # k + m = 10 reduces 10 -> 4 -> 1 without a pool dropping a slot, so
+        # every column the integrator reads reaches the logits
+        model = init_model(variant, 10, 2, 4, rng_for(3, "init"), k=10 - len(read),
+                           dense_width=8)
+        explicit = np.random.default_rng(8).random((4, 5))
+        base, changed, ids, vectors = self.logits_by_column(model, explicit)
+        for col, logits in enumerate(changed):
+            if col in read:
+                assert not np.array_equal(logits, base), EXPLICIT_ORDER[col]
+            else:
+                assert_same_bits(logits, base)
+        for bad in (explicit[:, :3], None):
+            with pytest.raises(ValueError, match="explicit rows have shape"):
+                forward_batch(model, ids, vectors, bad, "eval")
 
-        assert zeroed("full") == (0, 1)
-        assert zeroed("slcnn_c") == (0, 1)
-        assert zeroed("slcnn_i") == ()
-        assert zeroed("slcnn") == ()
+    @pytest.mark.xfail(strict=True, reason="at k = 8 the integrator's pools drop the last "
+                       "slots of 11- and 13-wide rows: slcnn_c never reads num_p, and full "
+                       "reads only nct and ncf")
+    @pytest.mark.parametrize("variant", ["slcnn_c", "full"])
+    def test_default_width_reads_every_variant_column(self, variant):
+        model = init_model(variant, 10, 2, 4, rng_for(3, "init"), dense_width=8)
+        base, changed, _, _ = self.logits_by_column(model, np.random.default_rng(8).random((4, 5)))
+        assert all(not np.array_equal(changed[col], base) for col in columns(variant))
 
 
 class TestIntegrate:
@@ -110,7 +138,8 @@ class TestClassify:
         model = init_model("slcnn", 10, 2, 4, rng_for(0, "init"), k=2, dense_width=4)
         model.head = head
         ids = np.random.default_rng(0).integers(0, 5, size=(1, 3, 10)).astype(np.int32)
-        probs, preds = predict_batch(model, ids, np.random.default_rng(1).normal(size=(5, 4)), None)
+        probs, preds = predict_batch(model, ids, np.random.default_rng(1).normal(size=(5, 4)),
+                                     np.zeros((1, 5)))
         return probs[0], Label(int(preds[0]))
 
     def test_probabilities_sum_to_one(self):
@@ -146,7 +175,6 @@ class TestModelAssembly:
     def test_latent_only_variant_has_no_integrator(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(0, "init"), k=2, dense_width=8)
         assert model.integrator == []
-        assert model.explicit_width == 0
 
     def test_parameter_names_are_stable(self):
         model = init_model("slcnn_c", 10, 2, 4, rng_for(0, "init"), k=2, dense_width=8)
@@ -201,6 +229,13 @@ class TestModelAssembly:
         for ta, tb in zip(a.param_tensors(), b.param_tensors()):
             assert np.array_equal(ta.data, tb.data)
 
+    def test_width_without_a_block_rejected_at_init(self):
+        # required_hcbs(1) is 0: a stack of no block could not run a forward
+        with pytest.raises(ValueError, match="width 1 leaves the stack no block"):
+            init_hcb_stack(1, 4, 2, rng_for(0, "init"))
+        with pytest.raises(ValueError, match="width 1 leaves the stack no block"):
+            init_model("slcnn", 1, 2, 4, rng_for(0, "init"))
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
             init_model("bert", 10, 2, 4, rng_for(0, "init"))
@@ -221,28 +256,31 @@ class TestForward:
     def test_shapes_and_explicit_checks(self):
         model = init_model("slcnn_c", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)
         ids, vectors = self.batch()
-        logits = forward_batch(model, ids, vectors, np.random.default_rng(1).random((4, 3)), "eval")
+        logits = forward_batch(model, ids, vectors, np.random.default_rng(1).random((4, 5)), "eval")
         assert logits.data.shape == (4, 2)
-        with pytest.raises(ValueError, match="needs explicit width 3"):
-            forward_batch(model, ids, vectors, None, "eval")
-        with pytest.raises(ValueError, match="needs explicit width 3"):
-            forward_batch(model, ids, vectors, np.ones((4, 5)), "eval")
+        # one full row per article, whichever variant
+        for bad in (None, np.ones((4, 3)), np.ones((3, 5)), np.ones(5)):
+            with pytest.raises(ValueError, match=r"explicit rows have shape .*, expected \(4, 5\)"):
+                forward_batch(model, ids, vectors, bad, "eval")
         with pytest.raises(ValueError, match=r"shape \(2, 10\), model expects \(3, 10\)"):
-            forward_batch(model, ids[:, :2], vectors, np.ones((4, 3)), "eval")
+            forward_batch(model, ids[:, :2], vectors, np.ones((4, 5)), "eval")
         # 11 words also reduce in two blocks, so only the model's t_s rejects them
         wide = np.concatenate([ids, ids[:, :, :1]], axis=2)
         with pytest.raises(ValueError, match=r"shape \(3, 11\), model expects \(3, 10\)"):
-            forward_batch(model, wide, vectors, np.ones((4, 3)), "eval")
+            forward_batch(model, wide, vectors, np.ones((4, 5)), "eval")
 
     def test_latent_only_variant_ignores_explicit(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)
-        logits = forward_batch(model, *self.batch(), None, "eval")
+        ids, vectors = self.batch()
+        logits = forward_batch(model, ids, vectors, np.zeros((4, 5)), "eval")
         assert logits.data.shape == (4, 2)
+        assert_same_bits(forward_batch(model, ids, vectors, np.ones((4, 5)), "eval").data,
+                         logits.data)
 
     def test_predict_batch_ties_to_real(self):
         model = init_model("slcnn", 10, 2, 4, rng_for(1, "init"), k=2, dense_width=8)
         model.head = zero_head(3 * 2)
-        probs, preds = predict_batch(model, *self.batch(), None)
+        probs, preds = predict_batch(model, *self.batch(), np.zeros((4, 5)))
         assert np.allclose(probs, 0.5)
         assert np.array_equal(preds, np.zeros(4, dtype=np.int64))
 
@@ -261,18 +299,18 @@ class TestEndToEndGradients:
     # meaningless; the tight threshold keeps any drift into one loud.
     # the default-width model is gradient-checked end to end on corpus
     # data in the acceptance suite.
-    def check(self, dense_oracle, variant, data_seed, m_cols=0):
+    def check(self, dense_oracle, variant, data_seed):
         rng = np.random.default_rng(data_seed)
         model = init_model(variant, 10, 2, 4, rng_for(0, "init"), k=2,
                            dense_width=8, dropout_rate=0.0)
         # each word slot its own table row: the same inputs as dense rows
         ids, vectors = dense_oracle.as_tokens(rng.normal(size=(3, 3, 10, 4)) * 0.5 + 0.3)
-        explicit = 0.2 + 0.6 * rng.random((3, m_cols)) if m_cols else None
+        explicit = np.zeros((3, 5))
+        explicit[:, columns(variant)] = 0.2 + 0.6 * rng.random((3, len(VARIANTS[variant])))
         labels = np.array([0, 1, 0])
 
         def loss_fn():
-            _, loss = loss_batch(model, ids, vectors, explicit, labels, "eval")
-            return loss
+            return loss_batch(model, ids, vectors, explicit, labels, "eval")
 
         return grad_check(loss_fn, model.param_tensors(), n_coords=60, seed=4)
 
@@ -280,10 +318,10 @@ class TestEndToEndGradients:
         assert self.check(dense_oracle, "slcnn", data_seed=1) < 1e-6
 
     def test_with_credit_features(self, dense_oracle):
-        assert self.check(dense_oracle, "slcnn_c", data_seed=0, m_cols=3) < 1e-6
+        assert self.check(dense_oracle, "slcnn_c", data_seed=0) < 1e-6
 
     def test_with_influence_features(self, dense_oracle):
-        assert self.check(dense_oracle, "slcnn_i", data_seed=0, m_cols=2) < 1e-6
+        assert self.check(dense_oracle, "slcnn_i", data_seed=0) < 1e-6
 
 
 class TestGraphLifetime:
@@ -319,8 +357,8 @@ class TestGraphLifetime:
 
         def step():
             nncore.zero_grads(self.model.param_tensors())
-            _, loss = loss_batch(self.model, self.ids, self.vectors, self.explicit, [0, 1, 0, 1],
-                                 "train", dropout_rng)
+            loss = loss_batch(self.model, self.ids, self.vectors, self.explicit, [0, 1, 0, 1],
+                              "train", dropout_rng)
             loss.backward()
 
         start, counts = self.live_tensors_after(step)
@@ -361,15 +399,14 @@ class TestDenseOracle:
                                          str(tmp_path_factory.mktemp("oracle")))
         return pipeline.prepare_data(synth_config(paths, {"model.t_d": "5"}))
 
-    @pytest.mark.parametrize("variant", ["slcnn", "full"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_logits_match_dense_oracle(self, bundle, dense_oracle, variant):
         th = bundle.thresholds
         model = init_model(variant, th.t_s, th.t_d, bundle.vectors.shape[1], rng_for(1, "init"))
-        ids = bundle.train_x
-        explicit = bundle.explicit_train if variant == "full" else None
+        ids, explicit = bundle.train_x, bundle.explicit_train
         assert (~ids.any(axis=2)).any()           # the corpus has padding rows
         got = forward_batch(model, ids, bundle.vectors, explicit, "eval").data
-        want = dense_oracle.logits(model, bundle.vectors[ids], explicit).data
+        want = dense_oracle.logits(model, bundle.vectors[ids], explicit[:, columns(variant)]).data
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_logits_do_not_depend_on_batch_neighbours(self, bundle):

@@ -15,7 +15,6 @@ from fakereal.corpus import Label, NewsArticle
 from fakereal.fileio import atomic_write
 from fakereal.fusion import EXPLICIT_ORDER
 from fakereal.pipeline import (
-    ABLATION_VARIANTS,
     CONFIG_SCHEMA,
     ConfigError,
     RunConfig,
@@ -104,7 +103,8 @@ def _reducible(width):
     return True
 
 
-REDUCIBLE = [w for w in range(1, 100) if _reducible(w)]
+# widths a stack of at least one block reduces
+REDUCIBLE = [w for w in range(2, 100) if _reducible(w)]
 # a config value the flat file format keeps: one line, no surrounding
 # whitespace, and no '#' that opens the value or follows whitespace
 FILE_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")) | st.just(" "),
@@ -196,6 +196,7 @@ class TestRunConfig:
         ("influence.p", "1.5", r"influence.p must be in \[0, 1\]"),
         ("model.filters", "0", "model.filters must be >= 1"),
         ("model.t_s", "0", "model.t_s must be >= 1"),
+        ("model.t_s", "1", "model.t_s: width 1 leaves the text stack no block"),
         ("train.batch_size", "0", "train.batch_size must be >= 1"),
         ("model.t_d", "-1", "model.t_d must be >= 0"),
         ("train.max_epochs", "-1", "train.max_epochs must be >= 0"),
@@ -464,53 +465,52 @@ class TestEvalReport:
 
 
 class TestColdStartPerturb:
+    """Every feature is nonzero, so the picked rows are the ones whose
+    credit columns (nct, ncf) read zero."""
+
     def features(self, n=10):
         return np.arange(n * 5, dtype=np.float64).reshape(n, 5) + 1.0
 
-    def ids(self, n=10):
-        return [f"a{i}" for i in range(n)]
+    @staticmethod
+    def picked(out):
+        return np.flatnonzero((out[:, :2] == 0.0).all(axis=1)).tolist()
 
     def test_zero_fraction_is_identity(self):
         feats = self.features()
-        out, affected = cold_start_perturb(self.ids(), feats, 0.0, rng_for(3, "perturb_test"))
-        assert affected == []
+        out = cold_start_perturb(feats, 0.0, rng_for(3, "perturb_test"))
+        assert self.picked(out) == []
         assert out is not feats
         assert np.array_equal(out, feats)
 
     def test_zeroes_credit_columns_only(self):
         feats = self.features()
-        ids = self.ids()
-        out, affected = cold_start_perturb(ids, feats, 0.2, rng_for(3, "perturb_test"))
-        assert len(affected) == 2
-        rows = [ids.index(a) for a in affected]
-        assert rows == sorted(rows)
+        out = cold_start_perturb(feats, 0.2, rng_for(3, "perturb_test"))
+        rows = self.picked(out)
+        assert len(rows) == 2
+        # the rows that rng.choice draws from the stream
+        assert rows == sorted(rng_for(3, "perturb_test").choice(10, size=2, replace=False))
         for i in range(10):
             if i in rows:
-                assert out[i, 0] == 0.0 and out[i, 1] == 0.0
                 assert np.array_equal(out[i, 2:], feats[i, 2:])
             else:
                 assert np.array_equal(out[i], feats[i])
 
     def test_full_fraction_hits_every_row(self):
-        out, affected = cold_start_perturb(self.ids(), self.features(), 1.0,
-                                           rng_for(0, "perturb_test"))
-        assert affected == self.ids()
-        assert np.all(out[:, :2] == 0.0)
+        out = cold_start_perturb(self.features(), 1.0, rng_for(0, "perturb_test"))
+        assert self.picked(out) == list(range(10))
         assert np.all(out[:, 2:] > 0.0)
 
     def test_repeatable_for_a_fixed_stream(self):
-        _, first = cold_start_perturb(self.ids(), self.features(), 0.5,
-                                      rng_for(9, "perturb_test"))
-        _, again = cold_start_perturb(self.ids(), self.features(), 0.5,
-                                      rng_for(9, "perturb_test"))
-        assert first == again
-        assert len(first) == 5
+        first = cold_start_perturb(self.features(), 0.5, rng_for(9, "perturb_test"))
+        again = cold_start_perturb(self.features(), 0.5, rng_for(9, "perturb_test"))
+        assert np.array_equal(first, again)
+        assert len(self.picked(first)) == 5
 
     def test_errors(self):
         with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\]"):
-            cold_start_perturb(self.ids(), self.features(), 1.5, rng_for(0, "perturb_test"))
-        with pytest.raises(ValueError, match="feature rows 9 != id count 10"):
-            cold_start_perturb(self.ids(), self.features(9), 0.5, rng_for(0, "perturb_test"))
+            cold_start_perturb(self.features(), 1.5, rng_for(0, "perturb_test"))
+        with pytest.raises(ValueError, match=r"fraction must be in \[0, 1\]"):
+            cold_start_perturb(self.features(), -0.1, rng_for(0, "perturb_test"))
 
 
 class TestLoadGraph:
@@ -532,11 +532,14 @@ class TestLoadGraph:
         assert g.follower is not None and not followers(g) and g.n_users == 0
 
     def test_p_and_depth_bound_plumbed(self, synth_paths):
-        config = synth_config(synth_paths, overrides={"influence.p": "0.25",
+        # to an edge list's graph; a count graph is scored only in
+        # follower_count mode, which reads neither
+        edges = {"data.edges": synth_paths["edges"]}
+        config = synth_config(synth_paths, overrides={**edges, "influence.p": "0.25",
                                                       "influence.d_max": "2"})
         g = load_graph(config)
         assert g.p == 0.25 and g.d_max == 2
-        g = load_graph(synth_config(synth_paths))
+        g = load_graph(synth_config(synth_paths, overrides=edges))
         assert g.d_max is None
 
 
@@ -1302,7 +1305,7 @@ class TestExperiments:
         config = small_config.with_overrides({"train.epochs": "1"})
         out = str(tmp_path / "ablate")
         results = pipeline.ablate(config, out_dir=out)
-        assert tuple(results) == ABLATION_VARIANTS
+        assert tuple(results) == tuple(fusion.VARIANTS)
         for variant, report in results.items():
             assert report.total == 6
             sub = os.path.join(out, variant)
@@ -1312,7 +1315,7 @@ class TestExperiments:
             snapshot = open(os.path.join(sub, "config.snapshot"), encoding="utf-8").read()
             assert f"model.variant = {variant}\n" in snapshot
         grid = open(os.path.join(out, "report.tsv"), encoding="utf-8").read()
-        for variant in ABLATION_VARIANTS:
+        for variant in fusion.VARIANTS:
             assert f"variant.{variant}\tmetric.accuracy\t" in grid
         table = open(os.path.join(out, "report.txt"), encoding="utf-8").read()
         assert table.splitlines()[0].split() == ["variant", "accuracy", "precision",

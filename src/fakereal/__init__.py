@@ -1,6 +1,7 @@
 """Fake/real news classification from article text and publisher history."""
 
 from .corpus import (
+    CorpusTokens,
     Label,
     NewsArticle,
     Thresholds,
@@ -8,6 +9,7 @@ from .corpus import (
     compute_thresholds,
     load_corpus,
     load_embeddings,
+    load_tokenized,
     split_article,
     token_ids,
 )

@@ -17,11 +17,18 @@ one vector table whose row i is the embedding of the word with id i (row
 0, padding, is all zeros), so each word vector is stored once rather than
 once per occurrence.  load_embeddings reads that table straight from the
 embeddings file for the vocabulary token_ids assigned.
+
+split_article is the only tokenizer.  load_tokenized keeps what it yields
+for each article of a corpus file as the arrays of a CorpusTokens, in
+`__fakereal_cache__/<name>.tokens` beside the file, keyed by the sha256 of
+the bytes the articles were parsed from; token_ids and compute_thresholds
+work on those arrays, so a corpus file is tokenized once per content.
 """
 
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b
@@ -29,7 +36,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .fileio import ContentCache
+from .fileio import ContentCache, hashed_text
 
 # Sentence-size thresholds of the two FakeNewsNet benchmarks.  The corpora
 # are not shipped, so their thresholds are provided as presets rather than
@@ -96,19 +103,67 @@ def split_article(article: NewsArticle) -> TokenizedArticle:
     return TokenizedArticle(_tokenize(article.headline), sentences)
 
 
-def compute_thresholds(train_bodies, t_s: int) -> Thresholds:
+@dataclass
+class CorpusTokens:
+    """What split_article yields for each article of a corpus, as arrays.
+
+    `words` lists the distinct words in order of first appearance, and
+    the int32 `index` holds each token's position in it: article by
+    article, each article's rows top to bottom (row 0 the headline, then
+    the body sentences), each row left to right.  `row_lengths` holds the
+    tokens of each row and `article_rows` the rows of each article.  Parts
+    that do not fit together, as a damaged cache file may hold, raise
+    ValueError.
+    """
+
+    words: list
+    index: np.ndarray
+    row_lengths: np.ndarray
+    article_rows: np.ndarray
+
+    def __post_init__(self):
+        parts = (self.index, self.row_lengths, self.article_rows)
+        if (any(a.dtype != np.int32 or a.ndim != 1 for a in parts)
+                or (self.index.size and (self.index.min() < 0
+                                         or self.index.max() >= len(self.words)))
+                or (self.row_lengths.size and self.row_lengths.min() < 0)
+                or (self.article_rows.size and self.article_rows.min() < 1)
+                or self.row_lengths.sum(dtype=np.int64) != len(self.index)
+                or self.article_rows.sum(dtype=np.int64) != len(self.row_lengths)
+                or len(set(self.words)) != len(self.words)):
+            raise ValueError("corrupt corpus tokens")
+
+    @staticmethod
+    def of(toks):
+        """The arrays of `toks`, an iterable of TokenizedArticle."""
+        words, row_lengths, article_rows = [], array("i"), array("i")
+        for tok in toks:
+            rows = [tok.headline_tokens] + tok.body_sentences
+            article_rows.append(len(rows))
+            row_lengths.extend(map(len, rows))
+            words.extend(chain.from_iterable(rows))
+        numbers = dict(zip(dict.fromkeys(words), range(len(words))))
+        return CorpusTokens(list(numbers),
+                            np.fromiter(map(numbers.__getitem__, words), np.int32, len(words)),
+                            np.array(row_lengths, dtype=np.int32),
+                            np.array(article_rows, dtype=np.int32))
+
+
+def compute_thresholds(tokens: CorpusTokens, t_s: int) -> Thresholds:
     """Size thresholds for the input tensor: the given t_s, and t_d =
     ceil(mean + population std) of body sentence counts over the training
-    split, which drops outlier sizes and keeps the tensors dense."""
-    if not train_bodies:
+    split's CorpusTokens, which drops outlier sizes and keeps the tensors
+    dense."""
+    if not len(tokens.article_rows):
         raise ValueError("empty corpus")
-    counts = np.array([len(t.body_sentences) for t in train_bodies], dtype=np.float64)
+    counts = (tokens.article_rows - 1).astype(np.float64)
     t_d = math.ceil(counts.mean() + counts.std())
     return Thresholds(t_s=t_s, t_d=max(t_d, 1))
 
 
-def token_ids(toks, th: Thresholds, vocab: dict) -> np.ndarray:
-    """Fixed-shape (n, t_d+1, t_s) int32 id array for the articles `toks`.
+def token_ids(tokens: CorpusTokens, th: Thresholds, vocab: dict) -> np.ndarray:
+    """Fixed-shape (n, t_d+1, t_s) int32 id array for the n articles of
+    `tokens`.
 
     Row 0 of an article is its headline, rows 1..t_d its first t_d body
     sentences; each row holds the ids of its first t_s words.  Slots past
@@ -116,20 +171,31 @@ def token_ids(toks, th: Thresholds, vocab: dict) -> np.ndarray:
     maps word -> id and is extended in place: words not in it yet get the
     next ids (len(vocab) + 1, ...) in order of first occurrence, article
     by article, each article's rows top to bottom and left to right.
+    Python runs once per distinct word kept, not once per token.
     """
-    lengths = np.zeros((len(toks), th.t_d + 1), dtype=np.int64)
-    words = []
-    for i, tok in enumerate(toks):
-        rows = [row[: th.t_s] for row in [tok.headline_tokens] + tok.body_sentences[: th.t_d]]
-        lengths[i, : len(rows)] = [len(row) for row in rows]
-        words.extend(chain.from_iterable(rows))
-    new = [word for word in dict.fromkeys(words) if word not in vocab]
-    vocab.update(zip(new, range(len(vocab) + 1, len(vocab) + 1 + len(new))))
-    ids = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
-    # the filled slots of each row are its first `length` ones, and a
-    # boolean mask visits them in the order `words` lists them
-    ids[np.arange(th.t_s) < lengths[..., None]] = np.fromiter(
-        map(vocab.__getitem__, words), dtype=np.int32, count=len(words))
+    rows, lengths, index = tokens.article_rows, tokens.row_lengths, tokens.index
+    n = len(rows)
+    # each row's place in its article, and the slots it fills: none past row t_d
+    first_row = np.cumsum(rows, dtype=np.int64) - rows
+    place = np.arange(len(lengths)) - np.repeat(first_row, rows)
+    kept = place <= th.t_d
+    fill = np.where(kept, np.minimum(lengths, th.t_s), 0)
+    # the tokens of those slots: each row's first `fill` ones
+    row_start = np.cumsum(lengths, dtype=np.int64) - lengths
+    used = index[np.arange(len(index)) < np.repeat(row_start + fill, lengths)]
+    # the words kept, in order of first use
+    first_use = np.full(len(tokens.words), len(used))
+    np.minimum.at(first_use, used, np.arange(len(used)))
+    order = np.flatnonzero(first_use < len(used))
+    order = order[np.argsort(first_use[order])].tolist()
+    id_of = np.zeros(len(tokens.words), dtype=np.int32)
+    id_of[order] = np.fromiter((vocab.setdefault(tokens.words[j], len(vocab) + 1) for j in order),
+                               dtype=np.int32, count=len(order))
+    widths = np.zeros((n, th.t_d + 1), dtype=np.int64)
+    widths[np.repeat(np.arange(n), rows)[kept], place[kept]] = fill[kept]
+    ids = np.zeros((n, th.t_d + 1, th.t_s), dtype=np.int32)
+    # a boolean mask visits the filled slots in the order `used` lists them
+    ids[np.arange(th.t_s) < widths[..., None]] = id_of[used]
     return ids
 
 
@@ -137,9 +203,15 @@ def load_corpus(path) -> list:
     """Read a JSON Lines corpus file.  Raises CorpusError naming the file
     and offending record on any malformed line, a field of another JSON
     type included."""
+    return _read_articles(path, open(path, "r", encoding="utf-8"))
+
+
+def _read_articles(path, fh):
+    """The articles of the corpus file `path`, read from `fh`, its text
+    opened for reading, which is closed when this returns."""
     articles = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -183,6 +255,42 @@ def load_corpus(path) -> list:
                 )
             )
     return articles
+
+
+# the first line of a corpus file's token cache (fileio.ContentCache)
+_TOKENS_MAGIC = b"fakereal tokens cache 1\n"
+
+
+def load_tokenized(path):
+    """(articles, tokens): load_corpus(path), and the CorpusTokens of what
+    split_article yields for those articles.
+
+    The tokens are kept in a cache file beside the corpus file,
+    `__fakereal_cache__/<name>.tokens`, keyed by the sha256 of the bytes
+    the articles were parsed from, so a later call on the same file
+    content tokenizes nothing; a cache file that does not hold the tokens
+    of as many articles is a miss."""
+    with hashed_text(path) as (fh, digest):
+        articles = _read_articles(path, fh)
+    cache = ContentCache(path, ".tokens", _TOKENS_MAGIC, digest.hexdigest())
+    tokens = cache.load(lambda meta, arrays: _tokens_from_cache(arrays, len(articles)))
+    if tokens is None:
+        tokens = CorpusTokens.of(map(split_article, articles))
+        text = "".join(w + "\n" for w in tokens.words).encode("utf-8")
+        cache.store({}, {"words": np.frombuffer(text, np.uint8), "index": tokens.index,
+                         "row_lengths": tokens.row_lengths, "article_rows": tokens.article_rows})
+    return articles, tokens
+
+
+def _tokens_from_cache(arrays, n_articles):
+    """The CorpusTokens of a token cache: the words newline-terminated
+    UTF-8, and the int32 arrays.  Raises ValueError or KeyError when they
+    are not the tokens of `n_articles` articles."""
+    *words, rest = arrays["words"].tobytes().decode("utf-8").split("\n")
+    tokens = CorpusTokens(words, arrays["index"], arrays["row_lengths"], arrays["article_rows"])
+    if rest or len(tokens.article_rows) != n_articles:
+        raise ValueError("corrupt token cache")
+    return tokens
 
 
 def write_corpus(articles, path):

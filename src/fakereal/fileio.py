@@ -1,6 +1,7 @@
-"""Output files that are replaced whole or not at all, and the cache files
-kept beside input files."""
+"""Output files that are replaced whole or not at all, input text read
+with the digest of its bytes, and the cache files kept beside input files."""
 
+import io
 import json
 import math
 import os
@@ -27,6 +28,33 @@ def atomic_write(path, binary=False):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+class _Hashing(io.RawIOBase):
+    """A binary file read through, each byte read fed to `digest`."""
+
+    def __init__(self, raw, digest):
+        self.raw, self.digest = raw, digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self.raw.readinto(buf)
+        self.digest.update(memoryview(buf)[:n])
+        return n
+
+
+@contextmanager
+def hashed_text(path):
+    """Open `path` as open(path, "r", encoding="utf-8") does, yielding
+    (fh, digest): a sha256 object fed every byte read.  Once fh has been
+    read to the end, digest.hexdigest() is the file_digest of the bytes
+    the text was decoded from, even if the file changed meanwhile."""
+    digest = sha256()
+    with open(path, "rb", buffering=0) as raw:
+        with io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest)), encoding="utf-8") as fh:
+            yield fh, digest
 
 
 # Cache files live in CACHE_DIR beside the file they were parsed from, as

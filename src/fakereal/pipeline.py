@@ -339,23 +339,25 @@ def prepare_data(config: RunConfig, train_text=True) -> DataBundle:
     on the training split only).
 
     The text is tokenized first, so the embeddings file is parsed only on
-    the lines of words the splits use.  With train_text=False the training
-    split gives only its publishers and labels (ledger, influence and
-    scaler) and, when model.t_d is 0, its sentence counts: train_x is
-    None, and the vocabulary and `vectors` cover the test split alone."""
+    the lines of words the splits use; a corpus file's tokens come from
+    its cache when an earlier call tokenized the same content
+    (corpus.load_tokenized).  With train_text=False the training split
+    gives only its publishers and labels (ledger, influence and scaler)
+    and, when model.t_d is 0, its sentence counts: train_x is None, and
+    the vocabulary and `vectors` cover the test split alone."""
     if not config.train_path or not config.test_path:
         raise ConfigError("data.train and data.test must be set")
     if not config.embeddings_path:
         raise ConfigError("data.embeddings must be set")
 
-    train_articles = corpus.load_corpus(config.train_path)
-    test_articles = corpus.load_corpus(config.test_path)
+    if train_text or config.t_d == 0:
+        train_articles, train_tok = corpus.load_tokenized(config.train_path)
+    else:
+        train_articles = corpus.load_corpus(config.train_path)
+    test_articles, test_tok = corpus.load_tokenized(config.test_path)
     if not train_articles:
         raise ValueError("empty corpus")
 
-    train_tok = ([corpus.split_article(a) for a in train_articles]
-                 if train_text or config.t_d == 0 else None)
-    test_tok = [corpus.split_article(a) for a in test_articles]
     if config.t_d > 0:
         th = corpus.Thresholds(t_s=config.t_s, t_d=config.t_d)
     else:

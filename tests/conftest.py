@@ -4,6 +4,7 @@ here (`from conftest import grad_check`)."""
 
 import types
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -377,6 +378,26 @@ def article_token_ids(tok, th, vocab):
     for r, words in enumerate(rows):
         for c, word in enumerate(words[: th.t_s]):
             ids[r, c] = vocab.setdefault(word, len(vocab) + 1)
+    return ids
+
+
+def split_token_ids(toks, th, vocab):
+    """The token_ids that corpus.token_ids replaced, over the list of
+    TokenizedArticle `toks` that split_article yields: the (n, t_d+1,
+    t_s) int32 ids, extending `vocab` in order of first occurrence."""
+    lengths = np.zeros((len(toks), th.t_d + 1), dtype=np.int64)
+    words = []
+    for i, tok in enumerate(toks):
+        rows = [row[: th.t_s] for row in [tok.headline_tokens] + tok.body_sentences[: th.t_d]]
+        lengths[i, : len(rows)] = [len(row) for row in rows]
+        words.extend(chain.from_iterable(rows))
+    new = [word for word in dict.fromkeys(words) if word not in vocab]
+    vocab.update(zip(new, range(len(vocab) + 1, len(vocab) + 1 + len(new))))
+    ids = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
+    # the filled slots of each row are its first `length` ones, and a
+    # boolean mask visits them in the order `words` lists them
+    ids[np.arange(th.t_s) < lengths[..., None]] = np.fromiter(
+        map(vocab.__getitem__, words), dtype=np.int32, count=len(words))
     return ids
 
 

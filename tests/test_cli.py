@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 import fakereal
-from fakereal import pipeline, social
+from fakereal import corpus, pipeline, social
 from fakereal.cli import _config_from_args, build_parser, main
 from fakereal.fileio import CACHE_DIR
 
@@ -287,7 +287,8 @@ class TestEdgeListRuns:
         for run in ("cold", "warm"):
             out = str(tmp_path / run)
             with mock.patch.object(social, "_index_edges", wraps=social._index_edges) as index, \
-                    mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep:
+                    mock.patch.object(social, "_reach_levels", wraps=social._reach_levels) as sweep, \
+                    mock.patch.object(corpus, "split_article", wraps=corpus.split_article) as split:
                 assert main(["train", *data_flags(data), *edges, *FAST_FLAGS,
                              "--out", out]) == 0
                 # the cold train sweeps every publisher once
@@ -295,12 +296,15 @@ class TestEdgeListRuns:
                 assert main(["eval", *data_flags(data), *edges, "--out", out]) == 0
                 assert main(["stats", "--train", os.path.join(data, "train.jsonl"), *edges,
                              "--out", os.path.join(out, "stats")]) == 0
-            # the cold run parses the edge list once, and the warm run not at
-            # all; eval, stats and the warm run sweep no publisher
+            # the cold run parses the edge list and tokenizes the 16 articles
+            # once, and the warm run not at all; eval, stats and the warm run
+            # sweep no publisher
             assert index.call_count == (run == "cold")
+            assert split.call_count == (16 if run == "cold" else 0)
             assert sweep.call_count == (run == "cold")
             assert sorted(os.listdir(os.path.join(data, CACHE_DIR))) == [
-                "edges.txt.graph", "edges.txt.influence", "embeddings.txt.vectors"]
+                "edges.txt.graph", "edges.txt.influence", "embeddings.txt.vectors",
+                "test.jsonl.tokens", "train.jsonl.tokens"]
         cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
         files = tree(cold)
         assert "report.tsv" in files and os.path.join("stats", "stats.tsv") in files

@@ -1,7 +1,9 @@
 """Tokenization, sizing thresholds, embeddings, token-id inputs, and corpus
 file round-trips."""
 
+import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -19,6 +21,7 @@ from fakereal.corpus import (
     DATASET_PRESETS,
     OOV_RANGE,
     CorpusError,
+    CorpusTokens,
     Label,
     NewsArticle,
     Thresholds,
@@ -26,6 +29,7 @@ from fakereal.corpus import (
     compute_thresholds,
     load_corpus,
     load_embeddings,
+    load_tokenized,
     split_article,
     token_ids,
     write_corpus,
@@ -39,6 +43,7 @@ from conftest import (
     float_load_embeddings,
     oracle_table,
     oracle_vector,
+    split_token_ids,
 )
 
 
@@ -81,30 +86,31 @@ class TestComputeThresholds:
         # sentence counts 3,5,4,8,5: mean 5, population std sqrt(2.8),
         # so t_d = ceil(6.6733...) = 7
         toks = [TokenizedArticle([], [["w"]] * n) for n in (3, 5, 4, 8, 5)]
-        th = compute_thresholds(toks, 46)
+        th = compute_thresholds(CorpusTokens.of(toks), 46)
         assert th.t_d == 7
         assert th.t_s == 46
 
     def test_zero_variance(self):
         toks = [TokenizedArticle([], [["w"]] * 4) for _ in range(3)]
-        assert compute_thresholds(toks, 46).t_d == 4
+        assert compute_thresholds(CorpusTokens.of(toks), 46).t_d == 4
 
     def test_floor_of_one(self):
         toks = [TokenizedArticle([], []) for _ in range(2)]
-        assert compute_thresholds(toks, 46).t_d == 1
+        assert compute_thresholds(CorpusTokens.of(toks), 46).t_d == 1
 
     def test_order_invariant(self):
         a = [TokenizedArticle([], [["w"]] * n) for n in (1, 9, 2, 7, 7, 3)]
         b = list(reversed(a))
-        assert compute_thresholds(a, 46) == compute_thresholds(b, 46)
+        assert (compute_thresholds(CorpusTokens.of(a), 46)
+                == compute_thresholds(CorpusTokens.of(b), 46))
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            compute_thresholds([], 46)
+            compute_thresholds(CorpusTokens.of([]), 46)
 
     def test_custom_t_s(self):
         toks = [TokenizedArticle([], [["w"]])]
-        assert compute_thresholds(toks, t_s=10).t_s == 10
+        assert compute_thresholds(CorpusTokens.of(toks), t_s=10).t_s == 10
 
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ValueError, match="thresholds must be >= 1"):
@@ -187,7 +193,7 @@ class TestBuildTensor:
 
     def build(self, tok, th, dense_oracle, path):
         vocab = {}
-        ids = token_ids([tok], th, vocab)[0]
+        ids = token_ids(CorpusTokens.of([tok]), th, vocab)[0]
         vectors = load_embeddings(path, vocab)
         assert ids.dtype == np.int32 and ids.shape == (th.t_d + 1, th.t_s)
         want = dense_oracle.build_tensor(tok, th, float_load_embeddings(path)).data
@@ -221,8 +227,9 @@ class TestBuildTensor:
     def test_vocabulary_is_shared_across_articles(self, dense_oracle, path):
         th = Thresholds(t_s=3, t_d=1)
         vocab = {}
-        first = token_ids([TokenizedArticle(["b", "zed"], [])], th, vocab)[0]
-        second = token_ids([TokenizedArticle(["zed", "a", "b"], [])], th, vocab)[0]
+        first = token_ids(CorpusTokens.of([TokenizedArticle(["b", "zed"], [])]), th, vocab)[0]
+        second = token_ids(CorpusTokens.of([TokenizedArticle(["zed", "a", "b"], [])]), th,
+                           vocab)[0]
         assert first[0].tolist() == [1, 2, 0] and second[0].tolist() == [2, 3, 1]
         vectors = load_embeddings(path, vocab)
         assert np.all(vectors[0] == 0.0)
@@ -700,8 +707,8 @@ class TestVectorCache:
 
 
 class TestTokenIds:
-    """The batched token_ids against the per-article loop it replaced
-    (tests/conftest.py): the same ids and the same vocabulary order."""
+    """token_ids over CorpusTokens against the per-article loop of
+    tests/conftest.py: the same ids and the same vocabulary order."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -717,15 +724,227 @@ class TestTokenIds:
         want = np.zeros((len(toks), th.t_d + 1, th.t_s), dtype=np.int32)
         for i, tok in enumerate(toks):
             want[i] = article_token_ids(tok, th, want_vocab)
-        got = token_ids(toks, th, vocab)
+        got = token_ids(CorpusTokens.of(toks), th, vocab)
         assert got.dtype == np.int32 and got.shape == want.shape
         assert np.array_equal(got, want)
         assert list(vocab.items()) == list(want_vocab.items())
 
     def test_no_articles(self):
         vocab = {"a": 1}
-        assert token_ids([], Thresholds(t_s=3, t_d=2), vocab).shape == (0, 3, 3)
+        assert token_ids(CorpusTokens.of([]), Thresholds(t_s=3, t_d=2), vocab).shape == (0, 3, 3)
         assert vocab == {"a": 1}
+
+
+# article text with words that repeat across articles, and what _WORD
+# splits, drops or lowercases: sentence breaks, other punctuation,
+# apostrophes inside and outside words, uppercase, digits, and letters
+# outside [a-z] (the dotted I lowercases to "i" and a combining dot)
+ARTICLE_TEXT = st.text(alphabet="abzAZ09'\u2019 .!?,-\u00e9\u00df\u03bb\u0130", max_size=30)
+
+
+@st.composite
+def corpora(draw, max_size=5):
+    """Articles of ARTICLE_TEXT, empty headlines and bodies among them."""
+    return [NewsArticle(id=str(i), headline=draw(ARTICLE_TEXT), body=draw(ARTICLE_TEXT),
+                        label=Label.FAKE if i % 2 else Label.REAL)
+            for i in range(draw(st.integers(0, max_size)))]
+
+
+def assert_same_tokens(got, want):
+    assert got.words == want.words
+    for name in ("index", "row_lengths", "article_rows"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def load_without_split(path):
+    with mock.patch.object(corpus, "split_article", side_effect=AssertionError):
+        return load_tokenized(path)
+
+
+def recoded_tokens(change):
+    """A spoil that stores, through the token cache's codec, what
+    change(words, arrays) makes of the cache's contents (words a
+    bytearray, arrays writable copies): the CRC-32 holds, so only the
+    CorpusTokens checks can refuse it."""
+    return lambda data, other, codec: _recode_tokens(codec, change)
+
+
+def _recode_tokens(codec, change):
+    arrays = codec.load(lambda meta, arrays: {k: a.copy() for k, a in arrays.items()})
+    words = bytearray(arrays.pop("words"))
+    change(words, arrays)
+    codec.store({}, {"words": np.frombuffer(words, np.uint8), **arrays})
+    assert codec.load(lambda meta, arrays: True)
+    with open(codec.path, "rb") as fh:
+        return fh.read()
+
+
+def _move_length(arrays, key, to, by):
+    """arrays[key][to] -= by, and the element after it += by: the sum holds."""
+    arrays[key][to] -= by
+    arrays[key][to + 1] += by
+
+
+class TestTokenCache:
+    """load_tokenized through the cache beside the corpus file: a hit
+    gives the tokens split_article yields, and anything else is a miss
+    that tokenizes and rewrites it."""
+
+    ARTICLES = [art("The cat sat. The dog ran!", headline="Big news", art_id="a1"),
+                art("Cat? Dog.", headline="", art_id="a2"),
+                art("", headline="Owl", art_id="a3")]
+
+    def cache_file(self, path):
+        return path.parent / CACHE_DIR / (path.name + ".tokens")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_split_article_and_the_list_token_ids(self, tmp_path_factory, data):
+        # train and test files tokenized cold and then warm: the ids, the
+        # vocabulary and the thresholds are those of split_article and the
+        # token_ids over its lists, under crops below and above the
+        # longest row and body, with a vocabulary carried from the train
+        # call into the test call that may already hold words
+        root = tmp_path_factory.mktemp("tokens")
+        splits = [data.draw(corpora()) for _ in range(2)]
+        paths = [root / "train.jsonl", root / "test.jsonl"]
+        for arts, path in zip(splits, paths):
+            write_corpus(arts, path)
+        toks = [[split_article(a) for a in arts] for arts in splits]
+        rows = [[t.headline_tokens] + t.body_sentences for t in toks[0] + toks[1]]
+        longest_row = max((len(row) for article in rows for row in article), default=0)
+        th = Thresholds(t_s=data.draw(st.integers(1, longest_row + 2)),
+                        t_d=data.draw(st.integers(1, max(map(len, rows), default=0) + 1)))
+        seed = data.draw(st.lists(st.sampled_from(["a", "z", "09", "b'a", "owl"]), unique=True,
+                                  max_size=3))
+        for load in (load_tokenized, load_without_split):
+            vocab, want_vocab = numbered(seed), numbered(seed)
+            for arts, path, want in zip(splits, paths, toks):
+                articles, tokens = load(path)
+                assert articles == arts
+                assert_same_bits(token_ids(tokens, th, vocab),
+                                 split_token_ids(want, th, want_vocab))
+                assert list(vocab.items()) == list(want_vocab.items())
+                if want:
+                    counts = np.array([len(t.body_sentences) for t in want], dtype=np.float64)
+                    assert compute_thresholds(tokens, 7) == Thresholds(
+                        t_s=7, t_d=max(1, math.ceil(counts.mean() + counts.std())))
+        assert sorted(os.listdir(root / CACHE_DIR)) == ["test.jsonl.tokens",
+                                                        "train.jsonl.tokens"]
+
+    def test_keyed_by_the_sha256_of_the_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+        load_tokenized(path)
+        head = self.cache_file(path).read_bytes().split(b"\n", 2)[:2]
+        assert head == [b"fakereal tokens cache 1",
+                        hashlib.sha256(path.read_bytes()).hexdigest().encode()]
+
+    def test_the_layout(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+        _, tokens = load_tokenized(path)
+        assert tokens.words == ["big", "news", "the", "cat", "sat", "dog", "ran", "owl"]
+        assert tokens.index.tolist() == [0, 1, 2, 3, 4, 2, 5, 6, 3, 5, 7]
+        assert tokens.row_lengths.tolist() == [2, 3, 3, 0, 1, 1, 1]
+        assert tokens.article_rows.tolist() == [3, 3, 1]
+        assert_same_tokens(load_without_split(path)[1], tokens)
+
+    def test_an_empty_corpus_is_cached(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n \n")
+        assert load_tokenized(path)[0] == []
+        articles, tokens = load_without_split(path)
+        assert articles == [] and tokens.words == [] and len(tokens.article_rows) == 0
+
+    OTHER = [art("The cat sat.", headline="Big news", art_id="a1")]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda data, other, codec: data[: len(data) // 2],     # truncated
+        lambda data, other, codec: data[:-3],                  # a partial last count
+        lambda data, other, codec: b"\x00" * len(data),        # overwritten
+        lambda data, other, codec: b"",
+        lambda data, other, codec: data[:-1] + bytes([data[-1] ^ 0x01]),   # a flipped byte
+        # another version
+        lambda data, other, codec: data.replace(b"cache 1\n", b"cache 0\n", 1),
+        lambda data, other, codec: other,                      # the cache of an edited corpus
+        # the recoded cases have a valid CRC-32 and reach the CorpusTokens
+        # checks: row lengths that do not sum to the token count
+        recoded_tokens(lambda words, arrays: arrays["row_lengths"].__setitem__(0, 1)),
+        # article row counts that do not sum to the row count
+        recoded_tokens(lambda words, arrays: arrays["article_rows"].__setitem__(-1, 2)),
+        # a word index past the last word, and a negative one
+        recoded_tokens(lambda words, arrays: arrays["index"].__setitem__(-1, 8)),
+        recoded_tokens(lambda words, arrays: arrays["index"].__setitem__(0, -1)),
+        # a word listed twice: "sat" renamed "cat"
+        recoded_tokens(lambda words, arrays: words.__setitem__(
+            slice(words.index(b"sat"), words.index(b"sat") + 3), b"cat")),
+        # a negative length, and an article of no rows, the sums holding
+        recoded_tokens(lambda words, arrays: _move_length(arrays, "row_lengths", 3, 1)),
+        recoded_tokens(lambda words, arrays: _move_length(arrays, "article_rows", 0, 3)),
+        # the tokens of fewer articles than the file holds
+        recoded_tokens(lambda words, arrays: arrays.update(
+            index=arrays["index"][:-1], row_lengths=arrays["row_lengths"][:-1],
+            article_rows=arrays["article_rows"][:-1])),
+        # bytes after the last word's newline
+        recoded_tokens(lambda words, arrays: words.extend(b"q")),
+        # an array of another type or shape
+        recoded_tokens(lambda words, arrays: arrays.update(index=arrays["index"].astype(float))),
+        recoded_tokens(lambda words, arrays: arrays.update(
+            row_lengths=arrays["row_lengths"][None])),
+        recoded_tokens(lambda words, arrays: arrays.pop("index")),   # a part missing
+    ])
+    def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
+        other = tmp_path / "other" / "c.jsonl"
+        other.parent.mkdir()
+        write_corpus(self.OTHER, other)
+        load_tokenized(other)
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+        want = CorpusTokens.of(map(split_article, self.ARTICLES))
+        assert_same_tokens(load_tokenized(path)[1], want)
+        cache = self.cache_file(path)
+        good = cache.read_bytes()
+        codec = fileio.ContentCache(path, ".tokens", corpus._TOKENS_MAGIC)
+        spoilt = spoil(good, self.cache_file(other).read_bytes(), codec)
+        assert spoilt != good
+        cache.write_bytes(spoilt)
+        articles, tokens = load_tokenized(path)
+        assert articles == self.ARTICLES
+        assert_same_tokens(tokens, want)
+        assert cache.read_bytes() == good
+        assert_same_tokens(load_without_split(path)[1], want)
+
+    def test_a_file_rewritten_during_the_parse_keys_its_cache_by_the_bytes_read(self, tmp_path):
+        # the articles and their tokens are those of the bytes read, and
+        # the cache stored is keyed by their digest: the new content misses
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+        split = corpus.split_article
+
+        def rewrite_then_split(article):
+            write_corpus(self.OTHER, path)
+            return split(article)
+
+        with mock.patch.object(corpus, "split_article", side_effect=rewrite_then_split):
+            articles, tokens = load_tokenized(path)
+        assert articles == self.ARTICLES
+        assert_same_tokens(tokens, CorpusTokens.of(map(split_article, self.ARTICLES)))
+        want = CorpusTokens.of(map(split_article, self.OTHER))
+        with mock.patch.object(corpus, "split_article", wraps=split) as counted:
+            articles, tokens = load_tokenized(path)
+        assert counted.call_count == len(self.OTHER)
+        assert articles == self.OTHER
+        assert_same_tokens(tokens, want)
+        assert_same_tokens(load_without_split(path)[1], want)
+
+    def test_a_corpus_error_is_not_cached(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a"}\n')
+        for _ in range(2):
+            with pytest.raises(CorpusError, match="line 1: missing field"):
+                load_tokenized(path)
+        assert not (tmp_path / CACHE_DIR).exists()
 
 
 class TestVocabVectors:

@@ -1,5 +1,5 @@
 """The cache codec: what ContentCache.store writes, load reads back bit
-for bit, and any other file is a miss."""
+for bit, and any other file is a miss; and text read with its digest."""
 
 import json
 import os
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fakereal.fileio import ContentCache
+from fakereal.fileio import ContentCache, file_digest, hashed_text
 
 from conftest import assert_same_bits
 
@@ -171,3 +171,29 @@ class TestMisses:
         with pytest.raises(ZeroDivisionError):
             cache.load(lambda meta, arrays: 1 / 0)
 
+
+
+class TestHashedText:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n", b" ", b"\xc3\xa9",
+                                          b"\xe2\x80\xa8", b"\x85", b"\xff"]), max_size=40)
+           .map(b"".join),
+           size=st.sampled_from([0, 1, 8191, 8192, 70000]))
+    def test_reads_as_open_does_with_the_file_digest(self, tmp_path_factory, data, size):
+        # the lines (universal newlines, strict UTF-8) or the error that
+        # open(path, "r", encoding="utf-8") gives, and the file's sha256
+        path = tmp_path_factory.mktemp("text") / "input.txt"
+        path.write_bytes(b"x" * size + data)
+
+        def lines(opener):
+            try:
+                with opener() as fh:
+                    return list(fh)
+            except UnicodeDecodeError as exc:
+                return exc.reason
+
+        with hashed_text(path) as (fh, digest):
+            got = lines(lambda: fh)
+        assert got == lines(lambda: open(path, "r", encoding="utf-8"))
+        if not isinstance(got, str):
+            assert digest.hexdigest() == file_digest(path)

@@ -1,8 +1,11 @@
 """Config handling, data preparation, training, evaluation, experiments,
 and the synthetic corpus generator."""
 
+import dataclasses
 import os
 import re
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -93,6 +96,24 @@ def trained_run(small_config, small_bundle, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("run"))
     result = train(small_config, out_dir=out, bundle=small_bundle)
     return result, out
+
+
+def copy_inputs(paths, root):
+    """The files of a write_synthetic() path map copied into `root`, where
+    no cache has been written yet; returns their path map."""
+    return {key: shutil.copy(path, root) for key, path in paths.items()}
+
+
+def assert_same_bundle(got, want):
+    """Two DataBundles hold the same values, arrays bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, social.MinMaxScaler):
+            a, b = np.stack([a.mins, a.maxs]), np.stack([b.mins, b.maxs])
+        if isinstance(b, np.ndarray):
+            assert_same_bits(a, b)
+        else:
+            assert a == b, f.name
 
 
 def _reducible(width):
@@ -786,11 +807,44 @@ class TestPrepareData:
             prepare_data(config)
 
     def test_empty_training_corpus(self, synth_paths, tmp_path):
+        # an empty or blank-line file, with a cold and then a warm cache
+        paths = copy_inputs(synth_paths, tmp_path)
+        for name, text in (("empty.jsonl", ""), ("blank.jsonl", "\n  \n\n")):
+            empty = tmp_path / name
+            empty.write_text(text, encoding="utf-8")
+            for t_d, train_text in (("0", True), ("3", True), ("3", False)):
+                config = synth_config(dict(paths, train=str(empty)), {"model.t_d": t_d})
+                with pytest.raises(ValueError, match="empty corpus"):
+                    prepare_data(config, train_text=train_text)
+                with mock.patch.object(corpus, "split_article", side_effect=AssertionError), \
+                        pytest.raises(ValueError, match="empty corpus"):
+                    prepare_data(config, train_text=train_text)
+
+    @pytest.mark.parametrize("t_d", ["0", "3"])
+    def test_empty_test_split(self, synth_paths, tmp_path, t_d):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
-        config = synth_config(dict(synth_paths, train=str(empty)))
-        with pytest.raises(ValueError, match="empty corpus"):
-            prepare_data(config)
+        config = synth_config(dict(copy_inputs(synth_paths, tmp_path), test=str(empty)),
+                              {"model.t_d": t_d})
+        for train_text in (True, False):
+            cold = prepare_data(config, train_text=train_text)
+            th = cold.thresholds
+            assert_same_bits(cold.test_x, np.zeros((0, th.t_d + 1, 10), dtype=np.int32))
+            with mock.patch.object(corpus, "split_article", side_effect=AssertionError):
+                assert_same_bundle(prepare_data(config, train_text=train_text), cold)
+
+    @pytest.mark.parametrize("t_d", ["0", "3"])
+    @pytest.mark.parametrize("train_text", [True, False])
+    def test_a_hit_never_tokenizes(self, synth_paths, tmp_path, train_text, t_d):
+        # a second prepare_data reads both corpus files' tokens from their
+        # caches, evaluate's form at model.t_d = 0 included
+        config = synth_config(copy_inputs(synth_paths, tmp_path), {"model.t_d": t_d})
+        with mock.patch.object(corpus, "split_article", wraps=corpus.split_article) as split:
+            cold = prepare_data(config, train_text=train_text)
+        n_train, n_test = len(cold.train_ids), len(cold.test_ids)
+        assert split.call_count == n_test + (n_train if train_text or t_d == "0" else 0)
+        with mock.patch.object(corpus, "split_article", side_effect=AssertionError):
+            assert_same_bundle(prepare_data(config, train_text=train_text), cold)
 
 
 class TestTraining:
@@ -1263,7 +1317,7 @@ class TestEvaluateTestSplitOnly:
         config = synth_config(dict(synth_paths, test=path), overrides=FAST_TRAIN)
         assert config.t_d == 0
         full = self.check(config, tmp_path)
-        test_tok = [corpus.split_article(a) for a in articles]
+        test_tok = corpus.CorpusTokens.of(map(corpus.split_article, articles))
         assert corpus.compute_thresholds(test_tok, t_s=10).t_d > full.thresholds.t_d
 
     def test_test_split_without_words(self, synth_paths, tmp_path):

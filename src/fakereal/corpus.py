@@ -36,7 +36,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .fileio import ContentCache, hashed_text
+from .fileio import ContentCache
 
 # Sentence-size thresholds of the two FakeNewsNet benchmarks.  The corpora
 # are not shipped, so their thresholds are provided as presets rather than
@@ -258,7 +258,7 @@ def _read_articles(path, fh):
 
 
 # the first line of a corpus file's token cache (fileio.ContentCache)
-_TOKENS_MAGIC = b"fakereal tokens cache 1\n"
+_TOKENS_MAGIC = b"fakereal tokens cache 2\n"
 
 
 def load_tokenized(path):
@@ -269,10 +269,11 @@ def load_tokenized(path):
     `__fakereal_cache__/<name>.tokens`, keyed by the sha256 of the bytes
     the articles were parsed from, so a later call on the same file
     content tokenizes nothing; a cache file that does not hold the tokens
-    of as many articles is a miss."""
-    with hashed_text(path) as (fh, digest):
-        articles = _read_articles(path, fh)
-    cache = ContentCache(path, ".tokens", _TOKENS_MAGIC, digest.hexdigest())
+    of as many articles is a miss.  While the file's stat matches the
+    stamp the cache holds, it is read without being hashed
+    (fileio.ContentCache.read)."""
+    cache = ContentCache(path, ".tokens", _TOKENS_MAGIC)
+    articles = cache.read(lambda fh: _read_articles(path, fh))
     tokens = cache.load(lambda meta, arrays: _tokens_from_cache(arrays, len(articles)))
     if tokens is None:
         tokens = CorpusTokens.of(map(split_article, articles))
@@ -404,20 +405,22 @@ def _store_rows(path, pending, words, rows, matrix):
 def _parse_components(path, lines, dim):
     """(len(lines), E) float64 rows from the component text of (word,
     lineno, text) triples; `dim` is E, or None when lines[0] sets it.
-    Raises the CorpusError of the first bad line."""
+    Raises the CorpusError of the first bad line: a component that is not
+    a number, or is nan or infinite (``1e400`` included), or a line of
+    another length."""
     try:
         block = np.loadtxt([text for _, _, text in lines], dtype=np.float64, comments=None,
                            ndmin=2)
     except ValueError:
         block = None
-    if block is not None and block.shape[0] == len(lines) and dim in (None, block.shape[1]):
+    if (block is not None and block.shape[0] == len(lines) and dim in (None, block.shape[1])
+            and np.isfinite(block).all()):
         return block
     # find the first bad line, checked as the per-component float() loop did
-    for _, lineno, text in lines:
+    for word, lineno, text in lines:
         values = text.split()
         try:
-            for v in values:
-                float(v)
+            floats = [float(v) for v in values]
             np.loadtxt([text], dtype=np.float64, comments=None)
         except ValueError:
             raise CorpusError(f"{path}: line {lineno}: non-numeric vector component") from None
@@ -425,12 +428,15 @@ def _parse_components(path, lines, dim):
         if len(values) != dim:
             raise CorpusError(f"{path}: line {lineno}: expected {dim} components, "
                               f"got {len(values)}")
+        if not all(map(math.isfinite, floats)):
+            raise CorpusError(f"{path}: line {lineno}: non-finite vector component in the "
+                              f"vector of {word!r}")
     raise CorpusError(f"{path}: lines {lines[0][1]}-{lines[-1][1]}: unparseable vector components")
 
 
 # The vector cache: one fileio.ContentCache file per embeddings file, its
 # meta names and absent, and its one array the matrix.
-_CACHE_MAGIC = b"fakereal vector cache 4\n"
+_CACHE_MAGIC = b"fakereal vector cache 5\n"
 
 
 @dataclass
@@ -501,10 +507,13 @@ def _cached_vectors(path, words):
 def write_embeddings(vectors, path):
     """Inverse of load_embeddings.  ``vectors`` maps word -> 1D array.
     Raises ValueError for a word the reader cannot read back: an empty
-    one, or one holding a character for which str.isspace() is true."""
-    for word in vectors:
+    one, one holding a character for which str.isspace() is true, or one
+    whose vector holds a nan or an infinity."""
+    for word, vec in vectors.items():
         if not word or any(ch.isspace() for ch in word):
             raise ValueError(f"embedding word {word!r} is empty or contains whitespace")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"the vector of embedding word {word!r} is not finite")
     with open(path, "w", encoding="utf-8") as fh:
         for word, vec in vectors.items():
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")

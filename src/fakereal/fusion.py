@@ -155,6 +155,7 @@ def loss_batch(model: Model, ids, vectors, explicit, labels, mode: str, rng=None
 
 def predict_batch(model: Model, ids, vectors, explicit):
     """Eval-mode predictions: (probs (B, 2), int labels (B,)); ties go Real.
+    Raises ValueError when a probability is not finite.
 
     The forward runs with the parameters not requiring grad, so it builds
     no graph: each activation is freed once the next layer has read it."""
@@ -168,5 +169,8 @@ def predict_batch(model: Model, ids, vectors, explicit):
         for t, flag in zip(params, trainable):
             t.requires_grad = flag
     probs = nncore.softmax(logits.data)
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite class probabilities: the model or its inputs hold "
+                         "a nan or an infinity")
     preds = (probs[:, 1] > probs[:, 0]).astype(np.int64)
     return probs, preds

@@ -135,8 +135,8 @@ _NAME_CHUNK = 8192
 
 # the first lines of the edge-list cache files (fileio.ContentCache): the
 # graph, and the per-level reach counts of its publishers
-_GRAPH_MAGIC = b"fakereal graph cache 2\n"
-_INFLUENCE_MAGIC = b"fakereal influence cache 2\n"
+_GRAPH_MAGIC = b"fakereal graph cache 3\n"
+_INFLUENCE_MAGIC = b"fakereal influence cache 3\n"
 
 
 def load_edge_list(path, p=0.5, d_max=None) -> FollowerGraph:

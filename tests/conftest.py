@@ -2,14 +2,19 @@
 and acceptance suites, and test-only helpers that test modules import from
 here (`from conftest import grad_check`)."""
 
+import os
+import shutil
+import time
 import types
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fakereal import corpus, fusion, nncore, slcnn
+from fakereal import corpus, fileio, fusion, nncore, slcnn
 from fakereal.corpus import CorpusError
 from fakereal.nncore import Tensor, _accum
 from fakereal.pipeline import RunConfig
@@ -63,6 +68,100 @@ def grad_check(loss_fn, params, n_coords=200, h=1e-4, seed=0):
         rel = abs(an - fd) / max(1e-8, abs(an) + abs(fd))
         worst = max(worst, rel)
     return worst
+
+
+@pytest.fixture
+def age(monkeypatch):
+    """age(): from then on, every file on disk is old enough for a trusted
+    stamp, as fileio's clock runs two margins ahead.  os.utime cannot do
+    this: it sets the ctime, which the stamp holds, to now."""
+    def age():
+        monkeypatch.setattr(fileio, "time_ns",
+                            lambda: time.time_ns() + 2 * fileio.STAMP_MARGIN_NS)
+    return age
+
+
+@contextmanager
+def no_hashing():
+    """A block in which hashing an input file raises."""
+    with mock.patch.object(fileio, "file_digest", side_effect=AssertionError("hashed")), \
+            mock.patch.object(fileio, "hashed_text", side_effect=AssertionError("hashed")):
+        yield
+
+
+def flip_line(data, line):
+    """`data` with the first byte of its line number `line` (0 the first)
+    flipped: line 1 of a cache file is its digest, line 2 its stamp."""
+    at = 0
+    for _ in range(line):
+        at = data.index(b"\n", at) + 1
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+def counted(load, parse):
+    """(load(), the calls it made to `parse`, a (module, name) pair, and
+    the input files it hashed)."""
+    with mock.patch.object(*parse, wraps=getattr(*parse)) as parsed, \
+            mock.patch.object(fileio, "file_digest", wraps=fileio.file_digest) as digests, \
+            mock.patch.object(fileio, "hashed_text", wraps=fileio.hashed_text) as texts:
+        got = load()
+    return got, parsed.call_count, digests.call_count + texts.call_count
+
+
+STAMP_CASES = ["younger than the margin", "a shutil.copy2 copy",
+               "a same-size rewrite with its mtime put back"]
+
+
+def check_stamp_case(case, path, load, parse, age, same_size_text):
+    """One of STAMP_CASES for the cache of the input file `path`: load()
+    gives what the cache holds as plain values, `parse` is the (module,
+    name) of what a miss runs, and `same_size_text` is another content of
+    the file's size.
+
+    - A file younger than the margin is hashed on every hit, and its
+      cache file is never rewritten.
+    - Once the file is old enough, the first hit is verified by the digest
+      and refreshes the stamp, and the next hashes nothing; so does a hit
+      after the file is replaced by a shutil.copy2 copy, a new inode with
+      the same mtime.
+    - A same-size rewrite whose mtime os.utime puts back is a miss: the
+      ctime differs."""
+    cache_dir = path.parent / fileio.CACHE_DIR
+
+    def cache_files():
+        return {name: (cache_dir / name).read_bytes() for name in os.listdir(cache_dir)}
+
+    want, parsed, hashed = counted(load, parse)
+    assert parsed and hashed
+    if case == STAMP_CASES[0]:
+        files = cache_files()
+        for _ in range(2):
+            assert counted(load, parse) == (want, 0, 1)
+        assert cache_files() == files
+        return
+    age()
+    assert counted(load, parse) == (want, 0, 1)
+    assert counted(load, parse) == (want, 0, 0)
+    before = os.stat(path)
+    if case == STAMP_CASES[1]:
+        copy = path.with_name(path.name + ".copy")
+        shutil.copy2(path, copy)
+        os.replace(copy, path)
+        assert os.stat(path).st_ino != before.st_ino
+        assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+        assert counted(load, parse) == (want, 0, 1)
+        assert counted(load, parse) == (want, 0, 0)
+        return
+    path.write_text(same_size_text, encoding="utf-8")
+    assert os.stat(path).st_size == before.st_size
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    while os.stat(path).st_ctime_ns == before.st_ctime_ns:   # within one tick of the stamp's
+        time.sleep(0.001)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    got, parsed, hashed = counted(load, parse)
+    assert parsed and hashed and got != want
+    shutil.rmtree(cache_dir)
+    assert got == load()
 
 
 def synth_config(paths, overrides=None) -> RunConfig:
@@ -403,7 +502,8 @@ def split_token_ids(toks, th, vocab):
 
 def float_load_embeddings(path):
     """The reader corpus.load_embeddings replaced: every line split into
-    components and parsed with a Python float() loop, and checked.  Returns
+    components and parsed with a Python float() loop, and checked (a nan
+    or infinite component is refused too).  Returns
     {word: vector}; a word seen again keeps its first position and takes
     its last vector."""
     vectors, dim = {}, None
@@ -424,6 +524,9 @@ def float_load_embeddings(path):
                 raise CorpusError(
                     f"{path}: line {lineno}: expected {dim} components, got {vec.shape[0]}"
                 )
+            if not np.isfinite(vec).all():
+                raise CorpusError(f"{path}: line {lineno}: non-finite vector component in the "
+                                  f"vector of {word!r}")
             vectors[word] = vec
     if not vectors:
         raise CorpusError(f"{path}: empty embeddings file")

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,8 +39,11 @@ from fakereal.corpus import (
 from fakereal.fileio import CACHE_DIR
 
 from conftest import (
+    STAMP_CASES,
     article_token_ids,
     assert_same_bits,
+    check_stamp_case,
+    flip_line,
     float_load_embeddings,
     oracle_table,
     oracle_vector,
@@ -370,13 +374,21 @@ class TestEmbeddingFiles:
             write_embeddings({"ok": np.array([1.0]), word: np.array([2.0])}, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_writer_rejects_vectors_the_reader_cannot_read(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError, match="the vector of embedding word 'b' is not finite"):
+            write_embeddings({"a": np.array([1.0, 2.0]), "b": np.array([3.0, value])}, path)
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_written_file_reads_back(self, tmp_path_factory, data):
         dim = data.draw(st.integers(1, 4))
         word = st.text(min_size=1, max_size=6).filter(
             lambda w: not any(ch.isspace() for ch in w))
-        vector = st.lists(st.floats(allow_nan=False), min_size=dim, max_size=dim).map(np.array)
+        vector = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim,
+                          max_size=dim).map(np.array)
         vectors = data.draw(st.dictionaries(word, vector, min_size=1, max_size=6))
         path = tmp_path_factory.mktemp("emb") / "emb.txt"
         write_embeddings(vectors, path)
@@ -548,6 +560,30 @@ class TestEmbeddingParser:
         with pytest.raises(CorpusError, match="line 2: expected 3 components, got 2"):
             load_embeddings(path, {"b": 1})
 
+    @pytest.mark.parametrize("component", ["nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_components_are_refused(self, tmp_path, component):
+        # on the first line, which is always checked, and on a looked-up
+        # word's line past it; float() reads each as a nan or an infinity
+        assert not math.isfinite(float(component))
+        for text, lineno, word in ((f"a {component} 2.0\nb 1.0 2.0\n", 1, "a"),
+                                   (f"a 1.0 2.0\nb 3.0 4.0\nb 1.0 {component}\n", 3, "b")):
+            path = self.write(tmp_path, text)
+            error = (f"{path}: line {lineno}: non-finite vector component in the vector of "
+                     f"{word!r}")
+            with pytest.raises(CorpusError, match=re.escape(error)):
+                load_embeddings(path, {"b": 1})
+            with pytest.raises(CorpusError, match=re.escape(error)):
+                float_load_embeddings(path)
+        assert not (tmp_path / CACHE_DIR).exists()
+
+    def test_a_vector_cache_written_before_the_check_is_a_miss(self, tmp_path):
+        # a cache of the previous format holding the nan row it once kept
+        path = self.write(tmp_path, "a 1.0 2.0\nb nan 4.0\n")
+        old = fileio.ContentCache(path, ".vectors", b"fakereal vector cache 4\n")
+        old.store({"names": ["b"], "absent": []}, {"matrix": np.array([[np.nan, 4.0]])})
+        with pytest.raises(CorpusError, match="line 2: non-finite vector component"):
+            load_embeddings(path, {"b": 1})
+
     def test_underscore_digits_rejected(self, tmp_path):
         # the other deliberate difference: float("1_0") is 10.0, but the C
         # parser takes no digit separators
@@ -566,8 +602,10 @@ def recoded(change):
     return lambda data, codec: _recode(codec, change)
 
 
-def _recode(codec, change):
-    meta, matrix = change(*codec.load(lambda meta, arrays: (meta, arrays["matrix"])))
+def _recode(codec, change, source=None):
+    """What `codec` holds after it stores change(meta, matrix) of the
+    contents of `source`, a codec, or of its own."""
+    meta, matrix = change(*(source or codec).load(lambda meta, arrays: (meta, arrays["matrix"])))
     codec.store(meta, {"matrix": matrix})
     assert codec.load(lambda meta, arrays: True)
     with open(codec.path, "rb") as fh:
@@ -638,7 +676,13 @@ class TestVectorCache:
         lambda data, codec: data[: len(data) // 2],           # truncated
         lambda data, codec: data[:-3],                        # a partial last vector
         lambda data, codec: b"\x00" * len(data),              # overwritten
-        lambda data, codec: data.replace(b"cache 4\n", b"cache 3\n", 1),   # another version
+        lambda data, codec: data.replace(b"cache 5\n", b"cache 4\n", 1),   # another version
+        lambda data, codec: flip_line(data, 1),               # a flipped byte in the digest
+        lambda data, codec: flip_line(data, 2),               # and in the stamp
+        # the previous version, holding a non-finite vector it did not check
+        lambda data, codec: _recode(fileio.ContentCache(
+            codec.source, ".vectors", b"fakereal vector cache 4\n"),
+            lambda meta, matrix: (meta, np.full_like(matrix, np.nan)), codec),
         # the recoded cases have a valid CRC-32 and reach the checks of
         # VectorCache: a header that lies about the rows
         recoded(lambda meta, matrix: (meta, matrix[:-1])),
@@ -667,6 +711,13 @@ class TestVectorCache:
         assert cache.read_bytes() == good
         with mock.patch.object(corpus, "_parse_embeddings", side_effect=AssertionError):
             assert_same_table(load_or_error(path, vocab), want)
+
+    @pytest.mark.parametrize("case", STAMP_CASES)
+    def test_the_stamp(self, tmp_path, age, case):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\nc 5 6\n")
+        check_stamp_case(case, path, lambda: load_embeddings(path, {"c": 1, "owl": 2}).tolist(),
+                         (corpus, "_parse_embeddings"), age, "a 1 2\nb 3 4\nc 5 7\n")
 
     def test_an_edited_file_overwrites_its_cache(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -837,7 +888,7 @@ class TestTokenCache:
         write_corpus(self.ARTICLES, path)
         load_tokenized(path)
         head = self.cache_file(path).read_bytes().split(b"\n", 2)[:2]
-        assert head == [b"fakereal tokens cache 1",
+        assert head == [b"fakereal tokens cache 2",
                         hashlib.sha256(path.read_bytes()).hexdigest().encode()]
 
     def test_the_layout(self, tmp_path):
@@ -866,7 +917,9 @@ class TestTokenCache:
         lambda data, other, codec: b"",
         lambda data, other, codec: data[:-1] + bytes([data[-1] ^ 0x01]),   # a flipped byte
         # another version
-        lambda data, other, codec: data.replace(b"cache 1\n", b"cache 0\n", 1),
+        lambda data, other, codec: data.replace(b"cache 2\n", b"cache 1\n", 1),
+        lambda data, other, codec: flip_line(data, 1),         # a flipped byte in the digest
+        lambda data, other, codec: flip_line(data, 2),         # and in the stamp
         lambda data, other, codec: other,                      # the cache of an edited corpus
         # the recoded cases have a valid CRC-32 and reach the CorpusTokens
         # checks: row lengths that do not sum to the token count
@@ -913,6 +966,42 @@ class TestTokenCache:
         assert articles == self.ARTICLES
         assert_same_tokens(tokens, want)
         assert cache.read_bytes() == good
+        assert_same_tokens(load_without_split(path)[1], want)
+
+    @pytest.mark.parametrize("case", STAMP_CASES)
+    def test_the_stamp(self, tmp_path, age, case):
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+
+        def load():
+            articles, tokens = load_tokenized(path)
+            return articles, tokens.words, [getattr(tokens, name).tolist() for name in
+                                            ("index", "row_lengths", "article_rows")]
+
+        text = path.read_text().replace("The cat sat", "The cow sat")
+        check_stamp_case(case, path, load, (corpus, "split_article"), age, text)
+
+    def test_a_trusted_stamp_that_breaks_during_the_read_is_read_again(self, tmp_path, age):
+        # the articles and tokens are those of the bytes hashed on the second
+        # read, and the cache is keyed by them
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+        age()
+        load_tokenized(path)
+        read, reads = corpus._read_articles, []
+
+        def rewrite_then_read(name, fh):
+            if not reads:
+                write_corpus(self.OTHER, path)
+            reads.append(name)
+            return read(name, fh)
+
+        with mock.patch.object(corpus, "_read_articles", side_effect=rewrite_then_read):
+            articles, tokens = load_tokenized(path)
+        assert len(reads) == 2   # the plain read, then the hashed one
+        want = CorpusTokens.of(map(split_article, self.OTHER))
+        assert articles == self.OTHER
+        assert_same_tokens(tokens, want)
         assert_same_tokens(load_without_split(path)[1], want)
 
     def test_a_file_rewritten_during_the_parse_keys_its_cache_by_the_bytes_read(self, tmp_path):

@@ -1,9 +1,12 @@
 """The cache codec: what ContentCache.store writes, load reads back bit
-for bit, and any other file is a miss; and text read with its digest."""
+for bit, and any other file is a miss; the stamp that lets a hit skip the
+hashing; and text read with its digest."""
 
+import hashlib
 import json
 import os
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fakereal import fileio
 from fakereal.fileio import ContentCache, file_digest, hashed_text
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, no_hashing
 
 MAGIC = b"test cache 1\n"
 
@@ -45,10 +49,20 @@ def forge(cache, spec, body=b""):
     """Write a cache file for `cache` whose CRC-32 matches: the JSON line
     `spec` (a JSON value, or bytes written as they are) and `body`."""
     line = spec if isinstance(spec, bytes) else json.dumps(spec).encode("ascii") + b"\n"
+    lines = cache.digest.encode() + b"\n" + cache.stamp
     rest = line + body
     os.makedirs(os.path.dirname(cache.path), exist_ok=True)
     with open(cache.path, "wb") as fh:
-        fh.write(cache.head + b"%08x\n" % zlib.crc32(rest) + rest)
+        fh.write(MAGIC + lines + b"%08x\n" % zlib.crc32(lines + rest) + rest)
+
+
+def stamp_of(path):
+    st = os.stat(path)
+    return b"%d %d %d %d\n" % (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+
+
+# the digest line's end, where the stamp line starts
+STAMP_AT = len(MAGIC) + 65
 
 
 @pytest.fixture
@@ -76,11 +90,13 @@ class TestRoundTrip:
             assert not got[name].flags.writeable
 
     def test_the_file_layout(self, stored):
+        # a source younger than the margin has the stamp "-"
         cache, data = stored
-        head, crc = data[:len(cache.head)], data[len(cache.head):len(cache.head) + 9]
-        spec, body = data[len(cache.head) + 9:].split(b"\n", 1)
-        assert head == MAGIC + cache.digest.encode() + b"\n"
-        assert crc == b"%08x\n" % zlib.crc32(spec + b"\n" + body)
+        magic, digest, stamp, crc, spec, body = data.split(b"\n", 5)
+        assert magic + b"\n" == MAGIC
+        assert digest == hashlib.sha256(b"the input file\n").hexdigest().encode()
+        assert stamp == b"-"
+        assert crc == b"%08x" % zlib.crc32(b"\n".join([digest, stamp, spec, body]))
         assert json.loads(spec) == {"meta": {"n": 3, "name": "é"}, "arrays": [
             ["ids", "<i4", [3]], ["text", "|u1", [3]], ["vectors", "<f8", [1, 2]]]}
         assert body == (np.array([1, -2, 3], "<i4").tobytes() + b"ab\n"
@@ -103,9 +119,15 @@ class TestMisses:
     def test_a_missing_file_is_a_miss(self, tmp_path):
         assert cache_of(tmp_path).load(contents) is None
 
-    def test_every_byte_change_after_the_digest_line_is_a_miss(self, stored):
-        cache, good = stored
-        for at in range(len(cache.head), len(good)):
+    def test_every_byte_change_after_the_digest_line_is_a_miss(self, tmp_path, age):
+        # the stamp line included, here one of the file's stat
+        age()
+        cache = cache_of(tmp_path)
+        cache.store({"n": 3}, {"ids": np.array([1, -2, 3], np.int32)})
+        with open(cache.path, "rb") as fh:
+            good = fh.read()
+        assert good[STAMP_AT:].startswith(stamp_of(cache.source))
+        for at in range(STAMP_AT, len(good)):
             for mask in (0x01, 0x80, 0xFF):
                 spoilt = bytearray(good)
                 spoilt[at] ^= mask
@@ -115,7 +137,7 @@ class TestMisses:
 
     def test_every_truncation_after_the_digest_line_is_a_miss(self, stored):
         cache, good = stored
-        for end in range(len(cache.head), len(good)):
+        for end in range(STAMP_AT, len(good)):
             with open(cache.path, "wb") as fh:
                 fh.write(good[:end])
             assert cache.load(contents) is None, end
@@ -171,6 +193,54 @@ class TestMisses:
         with pytest.raises(ZeroDivisionError):
             cache.load(lambda meta, arrays: 1 / 0)
 
+
+class TestStamp:
+    def test_trusted_only_past_the_margin(self, tmp_path, monkeypatch):
+        # the clock is read before the stat; a file whose mtime or ctime
+        # lies within the margin of it gets the stamp "-"
+        source = tmp_path / "input.txt"
+        source.write_text("x")
+        st = os.stat(source)
+        for mtime, ctime in ((st.st_mtime_ns, st.st_ctime_ns),
+                             (st.st_ctime_ns - 10 ** 10, st.st_ctime_ns)):
+            os.utime(source, ns=(st.st_atime_ns, mtime))
+            newest = max(mtime, os.stat(source).st_ctime_ns)
+            for now, trusted in ((newest + fileio.STAMP_MARGIN_NS, False),
+                                 (newest + fileio.STAMP_MARGIN_NS + 1, True)):
+                monkeypatch.setattr(fileio, "time_ns", lambda: now)
+                want = stamp_of(source) if trusted else b"-\n"
+                assert ContentCache(source, ".test", MAGIC).stamp == want
+
+    def test_a_hit_verified_by_the_digest_rewrites_the_stamp_once(self, stored, age):
+        # the payload as it was, under the new stamp and a CRC-32 over it
+        cache, young = stored
+        age()
+        cache = ContentCache(cache.source, ".test", MAGIC)
+        with mock.patch.object(fileio, "file_digest", wraps=file_digest) as hashed:
+            meta, _ = cache.load(contents)
+        assert hashed.call_count == 1 and meta == {"n": 3, "name": "é"}
+        with open(cache.path, "rb") as fh:
+            data = fh.read()
+        magic, digest, stamp, crc, rest = data.split(b"\n", 4)
+        assert young == b"\n".join([magic, digest, b"-", young.split(b"\n", 4)[3], rest])
+        assert stamp + b"\n" == stamp_of(cache.source)
+        assert crc == b"%08x" % zlib.crc32(b"\n".join([digest, stamp, rest]))
+        with no_hashing():
+            again = ContentCache(cache.source, ".test", MAGIC)
+            assert again.load(contents)[0] == meta
+            assert again.digest == digest.decode()
+        with open(cache.path, "rb") as fh:
+            assert fh.read() == data
+
+    def test_a_sibling_is_keyed_by_the_digest_without_a_stat(self, stored):
+        cache, _ = stored
+        with mock.patch.object(fileio, "_stamp", side_effect=AssertionError("stat")), \
+                no_hashing():
+            sibling = cache.sibling(".other", MAGIC)
+            assert sibling.load(contents) is None
+            sibling.store({"n": 2}, {})
+            assert sibling.load(contents) == ({"n": 2}, {})
+        assert sibling.stamp == cache.stamp and sibling.digest == cache.digest
 
 
 class TestHashedText:

@@ -284,6 +284,17 @@ class TestForward:
         assert np.allclose(probs, 0.5)
         assert np.array_equal(preds, np.zeros(4, dtype=np.int64))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_predict_batch_refuses_non_finite_probabilities(self, value):
+        # a non-finite vector would otherwise be predicted Real: nan > nan
+        # is False
+        model = init_model("full", 10, 2, 4, rng_for(1, "init"))
+        ids, vectors = self.batch()
+        vectors = vectors.copy()
+        vectors[ids[0, 0, 0]] = value
+        with pytest.raises(ValueError, match="non-finite class probabilities"):
+            predict_batch(model, ids, vectors, np.zeros((4, 5)))
+
     def test_eval_forward_is_deterministic(self):
         model = init_model("full", 10, 2, 4, rng_for(2, "init"))
         ids, vectors = self.batch()

@@ -52,6 +52,7 @@ from conftest import (
     float_load_embeddings,
     followers,
     list_adam_step,
+    no_hashing,
     synth_config,
 )
 
@@ -844,6 +845,19 @@ class TestPrepareData:
         n_train, n_test = len(cold.train_ids), len(cold.test_ids)
         assert split.call_count == n_test + (n_train if train_text or t_d == "0" else 0)
         with mock.patch.object(corpus, "split_article", side_effect=AssertionError):
+            assert_same_bundle(prepare_data(config, train_text=train_text), cold)
+
+    @pytest.mark.parametrize("train_text", [True, False])
+    def test_a_trusted_hit_never_hashes(self, synth_paths, tmp_path, age, train_text):
+        # once the inputs are older than the margin, one call verifies each
+        # cache by its digest and stamps it, and the next hashes no file
+        paths = copy_inputs(synth_paths, tmp_path)
+        config = synth_config(paths, {"model.t_d": "0", "data.edges": paths["edges"],
+                                      "influence.mode": "exact"})
+        cold = prepare_data(config, train_text=train_text)
+        age()
+        assert_same_bundle(prepare_data(config, train_text=train_text), cold)
+        with no_hashing():
             assert_same_bundle(prepare_data(config, train_text=train_text), cold)
 
 

@@ -32,13 +32,17 @@ from fakereal.social import (
 )
 
 from conftest import (
+    STAMP_CASES,
     SetGraph,
     article_explicit_rows,
     assert_same_bits,
+    check_stamp_case,
+    flip_line,
     followed_by_follower,
     followers,
     level_followers,
     load_set_graph,
+    no_hashing,
     with_users,
 )
 
@@ -312,7 +316,7 @@ class TestEdgeListCache:
         path.write_text(self.TEXT)
         load_edge_list(path)
         head = self.cache_file(path).read_bytes().split(b"\n", 2)[:2]
-        assert head == [b"fakereal graph cache 2",
+        assert head == [b"fakereal graph cache 3",
                         hashlib.sha256(self.TEXT.encode()).hexdigest().encode()]
 
     def test_an_empty_edge_list_is_cached(self, tmp_path):
@@ -328,8 +332,10 @@ class TestEdgeListCache:
         lambda data, other, codec: b"\x00" * len(data),        # overwritten
         lambda data, other, codec: b"",
         # another version
-        lambda data, other, codec: data.replace(b"cache 2\n", b"cache 1\n", 1),
+        lambda data, other, codec: data.replace(b"cache 3\n", b"cache 2\n", 1),
         lambda data, other, codec: other,                      # another file content
+        lambda data, other, codec: flip_line(data, 1),         # a flipped byte in the digest
+        lambda data, other, codec: flip_line(data, 2),         # and in the stamp
         # the recoded cases have a valid CRC-32 and reach the graph checks:
         # a head that lies
         recoded(lambda meta, names, edges: meta.update(users=5)),
@@ -367,6 +373,29 @@ class TestEdgeListCache:
         self.assert_same_graph(load_edge_list(path), want)
         assert cache.read_bytes() == good
         self.assert_same_graph(self.load_without_parse(path), want)
+
+    @pytest.mark.parametrize("case", STAMP_CASES)
+    def test_the_stamp(self, tmp_path, age, case):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+
+        def load():
+            g = load_edge_list(path)
+            return list(g.users), g.follower.tolist(), g.followed.tolist()
+
+        check_stamp_case(case, path, load, (social, "_index_edges"), age,
+                         self.TEXT.replace("c a", "c b"))
+
+    def test_a_trusted_hit_never_hashes(self, tmp_path, age):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        want = load_edge_list(path)
+        age()
+        self.assert_same_graph(load_edge_list(path), want)   # verified by the digest
+        with no_hashing():
+            g = self.load_without_parse(path)
+        self.assert_same_graph(g, want)
+        assert g.influence_cache.digest == hashlib.sha256(self.TEXT.encode()).hexdigest()
 
     def test_a_file_rewritten_between_calls_is_parsed_again(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -738,13 +767,16 @@ class TestInfluenceCache:
         assume(len(set(followers(g)).union(*followers(g).values())) > 64)
         self._merged_tables(tmp_path_factory, influence_walk, case, data)
 
-    def test_keyed_by_the_sha256_of_the_file_and_d_max(self, tmp_path):
+    def test_keyed_by_the_sha256_of_the_file_and_d_max(self, tmp_path, age):
         path = self.edge_file(tmp_path)
+        age()   # a stamp of the file's stat, not "-"
         assert self.scores(path, d_max=2) == (self.want(d_max=2), self.USERS[:5])
-        head, digest, crc, spec, arrays = self.cache_file(path).read_bytes().split(b"\n")
-        assert head == b"fakereal influence cache 2"
+        head, digest, stamp, crc, spec, arrays = self.cache_file(path).read_bytes().split(b"\n")
+        assert head == b"fakereal influence cache 3"
         assert digest == hashlib.sha256(self.TEXT.encode()).hexdigest().encode()
-        assert crc == b"%08x" % zlib.crc32(spec + b"\n")
+        st = os.stat(path)
+        assert stamp == b"%d %d %d %d" % (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+        assert crc == b"%08x" % zlib.crc32(b"\n".join([digest, stamp, spec, b""]))
         # integer counts per level (c's last level is one its sweep
         # mates reached), and no arrays; p and N are applied on read
         assert json.loads(spec) == {"meta": {"d_max": 2, "levels": {
@@ -791,8 +823,10 @@ class TestInfluenceCache:
         # a count flipped, 2 -> 3: still JSON, but not what the CRC-32 covers
         lambda data, other: data.replace(b'"u": [2', b'"u": [3', 1),
         lambda data, other: data[:-2] + bytes([data[-2] ^ 0x01]) + data[-1:],
-        lambda data, other: data.replace(b"cache 2\n", b"cache 1\n", 1),   # another version
+        lambda data, other: data.replace(b"cache 3\n", b"cache 2\n", 1),   # another version
         lambda data, other: other,                              # another file content
+        lambda data, other: flip_line(data, 1),                 # a flipped byte in the digest
+        lambda data, other: flip_line(data, 2),                 # and in the stamp
     ])
     def test_a_spoilt_cache_is_a_miss_and_is_rewritten(self, tmp_path, spoil):
         other = self.edge_file(tmp_path / "other", self.TEXT.replace("c a", "c b"))
@@ -807,6 +841,21 @@ class TestInfluenceCache:
         assert self.scores(path) == (self.want(), self.USERS[:5])
         assert cache.read_bytes() == good
         assert self.scores(path) == (self.want(), None)
+
+    @pytest.mark.parametrize("case", STAMP_CASES)
+    def test_the_stamp(self, tmp_path, age, case):
+        path = self.edge_file(tmp_path)
+        check_stamp_case(case, path,
+                         lambda: influence_scores(load_edge_list(path), self.USERS, mode="exact"),
+                         (social, "_reach_levels"), age, self.TEXT.replace("c a", "c b"))
+
+    def test_a_trusted_hit_never_hashes(self, tmp_path, age):
+        path = self.edge_file(tmp_path)
+        self.scores(path)
+        age()
+        assert self.scores(path) == (self.want(), None)   # verified by the digest
+        with no_hashing():
+            assert self.scores(path) == (self.want(), None)
 
     @pytest.mark.parametrize("block", ["read-only directory", "cache path is a directory"])
     def test_an_unwritable_cache_means_no_caching(self, tmp_path, block):

@@ -21,8 +21,9 @@ embeddings file for the vocabulary token_ids assigned.
 split_article is the only tokenizer.  load_tokenized keeps what it yields
 for each article of a corpus file as the arrays of a CorpusTokens, in
 `__fakereal_cache__/<name>.tokens` beside the file, keyed by the sha256 of
-the bytes the articles were parsed from; token_ids and compute_thresholds
-work on those arrays, so a corpus file is tokenized once per content.
+the file and kept only while the file holds those bytes, as every cache
+of fileio.ContentCache is; token_ids and compute_thresholds work on those
+arrays, so a corpus file is tokenized once per content.
 """
 
 import json
@@ -36,7 +37,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .fileio import ContentCache
+from .fileio import ContentCache, open_text
 
 # Sentence-size thresholds of the two FakeNewsNet benchmarks.  The corpora
 # are not shipped, so their thresholds are provided as presets rather than
@@ -202,16 +203,10 @@ def token_ids(tokens: CorpusTokens, th: Thresholds, vocab: dict) -> np.ndarray:
 def load_corpus(path) -> list:
     """Read a JSON Lines corpus file.  Raises CorpusError naming the file
     and offending record on any malformed line, a field of another JSON
-    type included."""
-    return _read_articles(path, open(path, "r", encoding="utf-8"))
-
-
-def _read_articles(path, fh):
-    """The articles of the corpus file `path`, read from `fh`, its text
-    opened for reading, which is closed when this returns."""
+    type included, or the line of a byte that is not UTF-8."""
     articles = []
     seen_ids = set()
-    with fh:
+    with open_text(path, CorpusError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -266,32 +261,34 @@ def load_tokenized(path):
     split_article yields for those articles.
 
     The tokens are kept in a cache file beside the corpus file,
-    `__fakereal_cache__/<name>.tokens`, keyed by the sha256 of the bytes
-    the articles were parsed from, so a later call on the same file
-    content tokenizes nothing; a cache file that does not hold the tokens
-    of as many articles is a miss.  While the file's stat matches the
-    stamp the cache holds, it is read without being hashed
-    (fileio.ContentCache.read)."""
+    `__fakereal_cache__/<name>.tokens`, keyed by the sha256 of the file,
+    so a later call on the same file content tokenizes nothing.  The
+    cache is loaded before the file is read, and its tokens are kept only
+    when they are those of as many articles and the file still holds the
+    bytes of that digest (fileio.ContentCache.unchanged), so the articles
+    and their tokens come from the same bytes; otherwise the articles read
+    are tokenized, and stored on the same check."""
     cache = ContentCache(path, ".tokens", _TOKENS_MAGIC)
-    articles = cache.read(lambda fh: _read_articles(path, fh))
-    tokens = cache.load(lambda meta, arrays: _tokens_from_cache(arrays, len(articles)))
-    if tokens is None:
-        tokens = CorpusTokens.of(map(split_article, articles))
+    tokens = cache.load(lambda meta, arrays: _tokens_from_cache(arrays))
+    articles = load_corpus(path)
+    if tokens is not None and len(tokens.article_rows) == len(articles) and cache.unchanged():
+        return articles, tokens
+    tokens = CorpusTokens.of(map(split_article, articles))
+    if cache.unchanged():
         text = "".join(w + "\n" for w in tokens.words).encode("utf-8")
         cache.store({}, {"words": np.frombuffer(text, np.uint8), "index": tokens.index,
                          "row_lengths": tokens.row_lengths, "article_rows": tokens.article_rows})
     return articles, tokens
 
 
-def _tokens_from_cache(arrays, n_articles):
+def _tokens_from_cache(arrays):
     """The CorpusTokens of a token cache: the words newline-terminated
     UTF-8, and the int32 arrays.  Raises ValueError or KeyError when they
-    are not the tokens of `n_articles` articles."""
+    make no CorpusTokens."""
     *words, rest = arrays["words"].tobytes().decode("utf-8").split("\n")
-    tokens = CorpusTokens(words, arrays["index"], arrays["row_lengths"], arrays["article_rows"])
-    if rest or len(tokens.article_rows) != n_articles:
+    if rest:
         raise ValueError("corrupt token cache")
-    return tokens
+    return CorpusTokens(words, arrays["index"], arrays["row_lengths"], arrays["article_rows"])
 
 
 def write_corpus(articles, path):
@@ -368,7 +365,7 @@ def _parse_embeddings(path, words):
     checked whatever its word.  The vectors go straight into one matrix
     with a row for each word of `words`."""
     rows, pending, matrix = {}, [], None    # pending: (word, lineno, text) not yet parsed
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, CorpusError) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split(None, 1)
             if not parts or (matrix is not None and parts[0] not in words):

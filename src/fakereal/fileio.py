@@ -1,9 +1,9 @@
-"""Output files that are replaced whole or not at all, input text read
-with the digest of its bytes, and the cache files kept beside input
+"""Output files that are replaced whole or not at all, input text whose
+bad bytes are named by line, and the cache files kept beside input
 files: each is keyed by the sha256 of its input file and carries a stat
-stamp of it, so that a hit whose stamp still holds hashes nothing."""
+stamp of it, so that a hit, and the check that a parse read what the
+digest names, hash nothing while that stamp holds."""
 
-import io
 import json
 import math
 import os
@@ -34,31 +34,37 @@ def atomic_write(path, binary=False):
         raise
 
 
-class _Hashing(io.RawIOBase):
-    """A binary file read through, each byte read fed to `digest`."""
-
-    def __init__(self, raw, digest):
-        self.raw, self.digest = raw, digest
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = self.raw.readinto(buf)
-        self.digest.update(memoryview(buf)[:n])
-        return n
-
-
 @contextmanager
-def hashed_text(path):
-    """Open `path` as open(path, "r", encoding="utf-8") does, yielding
-    (fh, digest): a sha256 object fed every byte read.  Once fh has been
-    read to the end, digest.hexdigest() is the file_digest of the bytes
-    the text was decoded from, even if the file changed meanwhile."""
-    digest = sha256()
-    with open(path, "rb", buffering=0) as raw:
-        with io.TextIOWrapper(io.BufferedReader(_Hashing(raw, digest)), encoding="utf-8") as fh:
-            yield fh, digest
+def open_text(path, error):
+    """open(path, "r", encoding="utf-8") for a with block, which raises
+    error("<path>: line <n>: invalid UTF-8") in place of the
+    UnicodeDecodeError of a byte strict UTF-8 does not decode, n the line
+    of that byte as the block counts lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(f"{path}: line {_first_bad_line(path)}: invalid UTF-8") from None
+
+
+# the line ends of a text read (universal newlines)
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _first_bad_line(path):
+    """The line of the first byte of the file `path` that is not UTF-8,
+    numbered as a text read numbers them: a line ends at CR LF, CR or LF.
+    Neither byte occurs within a UTF-8 sequence, so binary lines break no
+    character."""
+    lineno = 1
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno + len(_LINE_END.findall(line, 0, exc.start))
+            lineno += len(_LINE_END.findall(line))
+    return "?"   # the bad byte is gone: the file changed since the read
 
 
 # Cache files live in CACHE_DIR beside the file they were parsed from, as
@@ -104,6 +110,12 @@ class ContentCache:
         {"meta": ..., "arrays": [[name, dtype, shape], ...]}
         the arrays' bytes            little-endian, C order, in that order
 
+    A cache is used in these steps: load(decode); on a miss, parse the
+    input file; and store the result only if unchanged().  A caller that
+    reads the input file after load, as the token cache does, keeps a hit
+    only if unchanged() too.  A sibling's payload is derived from what
+    those steps kept, so it is stored as it is.
+
     The object stats the input file when it is made (_stamp).  When that
     stamp equals the cache file's, the cache file's digest is the input's
     and nothing is hashed: a trusted hit.  Otherwise the input file is
@@ -124,7 +136,6 @@ class ContentCache:
         self.magic = magic
         self.stamp = _stamp(path) if stamp is None else stamp
         self._digest = digest
-        self._entry = None   # the cache file as read() found it, for load
 
     @property
     def digest(self):
@@ -140,25 +151,6 @@ class ContentCache:
         the file again: what it holds must be derived from the bytes that
         digest names."""
         return ContentCache(self.source, suffix, magic, self.digest, self.stamp)
-
-    def read(self, parse):
-        """parse(fh), fh the input file opened as open(path, "r",
-        encoding="utf-8") does; afterwards `digest` names the bytes fh
-        gave.  On a trusted stamp that still holds after the read, the file
-        is read as it is, and the digest is the cache file's; otherwise the
-        file is read again through hashed_text, under a new stamp."""
-        self._entry = self._read()
-        if self._entry is not None and self._entry[2] == self.stamp != _UNTRUSTED:
-            with open(self.source, "r", encoding="utf-8") as fh:
-                result = parse(fh)
-            if _stamp(self.source) == self.stamp:
-                self._digest = self._entry[1][:-1].decode("ascii")
-                return result
-            self.stamp = _stamp(self.source)
-        with hashed_text(self.source) as (fh, digest):
-            result = parse(fh)
-        self._digest = digest.hexdigest()
-        return result
 
     def _read(self):
         """(data, digest line, stamp line, spec start) of the cache file,
@@ -183,8 +175,7 @@ class ContentCache:
         """decode(meta, arrays) of what store(meta, arrays) wrote, the arrays
         read-only views of the file's bytes, or None on a miss.  `decode`
         raises ValueError, KeyError or TypeError on data that means nothing."""
-        entry = self._entry or self._read()
-        self._entry = None
+        entry = self._read()
         if entry is not None and self._digest is None and entry[2] == self.stamp != _UNTRUSTED:
             self._digest = entry[1][:-1].decode("ascii")   # a trusted hit
         # a miss hashes too: what its caller parses next is stored under
@@ -214,7 +205,12 @@ class ContentCache:
     def unchanged(self):
         """Whether the input file still holds the bytes `digest` names; a
         payload parsed from a file that changed in between must not be
-        stored."""
+        stored.  True without hashing while a trusted stamp holds: the
+        stamp was taken before the digest, when the file's mtime and ctime
+        were already STAMP_MARGIN_NS old, so any write since gives the file
+        another stamp.  Otherwise the file is hashed again."""
+        if self.stamp != _UNTRUSTED and _stamp(self.source) == self.stamp:
+            return True
         return file_digest(self.source) == self.digest
 
     def store(self, meta, arrays):

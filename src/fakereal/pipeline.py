@@ -24,7 +24,7 @@ import numpy as np
 
 from . import corpus, fusion, nncore, social
 from .corpus import DATASET_PRESETS, Label
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 from .fusion import VARIANTS
 from .seeds import rng_for
 from .slcnn import required_hcbs
@@ -172,7 +172,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _read_config_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         return _config_pairs(fh, path)
 
 
@@ -610,12 +610,14 @@ def evaluate_model(model: fusion.Model, bundle: DataBundle, config: RunConfig) -
 
 def evaluate(config: RunConfig, checkpoint_path, out_dir=None) -> EvalReport:
     """Evaluate a stored checkpoint against the configured test data.
-    The checkpoint is loaded and its variant checked before any data is
-    read; only the test split's text is tokenized and embedded."""
+    The checkpoint is loaded, and its variant, filters and dense width
+    checked against the config, before any data is read; only the test
+    split's text is tokenized and embedded."""
     model, meta = load_model(checkpoint_path)
-    if meta["variant"] != config.variant:
-        raise ValueError(f"checkpoint is for variant {meta['variant']!r}, "
-                         f"config says {config.variant!r}")
+    for name, key in (("variant", "variant"), ("filters", "k"), ("dense_width", "dense_width")):
+        if meta[key] != getattr(config, name):
+            raise ValueError(f"checkpoint is for {name} {meta[key]!r}, "
+                             f"config says {getattr(config, name)!r}")
     bundle = prepare_data(config, train_text=False)
     if (meta["t_s"], meta["t_d"]) != (bundle.thresholds.t_s, bundle.thresholds.t_d):
         raise ValueError("checkpoint thresholds do not match the prepared data")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Label
-from .fileio import ContentCache
+from .fileio import ContentCache, open_text
 
 
 def tally_credit(train_articles) -> dict:
@@ -153,7 +153,7 @@ def load_edge_list(path, p=0.5, d_max=None) -> FollowerGraph:
     matches = edges is not None
     if edges is None:
         users, ids, names = {}, [], []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path, ValueError) as fh:
             for lineno, line in enumerate(fh, 1):
                 parts = line.split()
                 if not parts:
@@ -208,7 +208,7 @@ def load_follower_counts(path) -> FollowerGraph:
     once, with a count of ASCII digits that fits in int64.  The graph
     keeps the default p and d_max: follower-count scoring reads neither."""
     lines, counts = {}, []   # user -> line number, and the counts in that order
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ValueError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

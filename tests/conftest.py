@@ -83,9 +83,9 @@ def age(monkeypatch):
 
 @contextmanager
 def no_hashing():
-    """A block in which hashing an input file raises."""
-    with mock.patch.object(fileio, "file_digest", side_effect=AssertionError("hashed")), \
-            mock.patch.object(fileio, "hashed_text", side_effect=AssertionError("hashed")):
+    """A block in which hashing an input file raises: every digest fileio
+    takes starts with its sha256 constructor."""
+    with mock.patch.object(fileio, "sha256", side_effect=AssertionError("hashed")):
         yield
 
 
@@ -100,23 +100,53 @@ def flip_line(data, line):
 
 def counted(load, parse):
     """(load(), the calls it made to `parse`, a (module, name) pair, and
-    the input files it hashed)."""
+    the digests it took of input files)."""
     with mock.patch.object(*parse, wraps=getattr(*parse)) as parsed, \
-            mock.patch.object(fileio, "file_digest", wraps=fileio.file_digest) as digests, \
-            mock.patch.object(fileio, "hashed_text", wraps=fileio.hashed_text) as texts:
+            mock.patch.object(fileio, "sha256", wraps=fileio.sha256) as digests:
         got = load()
-    return got, parsed.call_count, digests.call_count + texts.call_count
+    return got, parsed.call_count, digests.call_count
+
+
+def rewrite(path, text, mtime=None):
+    """Write `text` to the file `path`, put its mtime back to `mtime` (ns)
+    with os.utime unless that is None, and make sure its ctime moved: a
+    write in the same timestamp tick as the last keeps its stat, which
+    only the stamp margin guards against, and `age` turns that off."""
+    before = os.stat(path)
+    path.write_text(text, encoding="utf-8")
+    if mtime is not None:
+        os.utime(path, ns=(before.st_atime_ns, mtime))
+    while os.stat(path).st_ctime_ns == before.st_ctime_ns:
+        time.sleep(0.001)
+        os.utime(path, ns=(before.st_atime_ns, os.stat(path).st_mtime_ns))   # moves the ctime
+
+
+REWRITES = ["younger than the margin", "older than the margin",
+            "older, with its mtime put back"]
+
+
+def rewriter(case, path, age, same_size_text):
+    """A function that rewrites the input file `path` with
+    `same_size_text`, another content of its size, as one of REWRITES
+    says; the two older cases age the clock first, so that the stamp is
+    trusted and only a stamp that no longer holds can tell the rewrite."""
+    if case == REWRITES[0]:
+        return lambda: rewrite(path, same_size_text)
+    age()
+    mtime = os.stat(path).st_mtime_ns if case == REWRITES[2] else None
+    return lambda: rewrite(path, same_size_text, mtime)
 
 
 STAMP_CASES = ["younger than the margin", "a shutil.copy2 copy",
                "a same-size rewrite with its mtime put back"]
 
 
-def check_stamp_case(case, path, load, parse, age, same_size_text):
+def check_stamp_case(case, path, load, parse, age, same_size_text, young_hashes=1):
     """One of STAMP_CASES for the cache of the input file `path`: load()
     gives what the cache holds as plain values, `parse` is the (module,
-    name) of what a miss runs, and `same_size_text` is another content of
-    the file's size.
+    name) of what a miss runs, `same_size_text` is another content of
+    the file's size, and `young_hashes` the digests a hit takes of a file
+    younger than the margin.
 
     - A file younger than the margin is hashed on every hit, and its
       cache file is never rewritten.
@@ -136,7 +166,7 @@ def check_stamp_case(case, path, load, parse, age, same_size_text):
     if case == STAMP_CASES[0]:
         files = cache_files()
         for _ in range(2):
-            assert counted(load, parse) == (want, 0, 1)
+            assert counted(load, parse) == (want, 0, young_hashes)
         assert cache_files() == files
         return
     age()
@@ -152,12 +182,8 @@ def check_stamp_case(case, path, load, parse, age, same_size_text):
         assert counted(load, parse) == (want, 0, 1)
         assert counted(load, parse) == (want, 0, 0)
         return
-    path.write_text(same_size_text, encoding="utf-8")
+    rewrite(path, same_size_text, before.st_mtime_ns)
     assert os.stat(path).st_size == before.st_size
-    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-    while os.stat(path).st_ctime_ns == before.st_ctime_ns:   # within one tick of the stamp's
-        time.sleep(0.001)
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     got, parsed, hashed = counted(load, parse)
     assert parsed and hashed and got != want
     shutil.rmtree(cache_dir)

@@ -14,8 +14,9 @@ from fakereal import corpus, pipeline, social
 from fakereal.cli import _config_from_args, build_parser, main
 from fakereal.fileio import CACHE_DIR
 
-FAST_FLAGS = ["--dense-width", "8", "--dropout", "0.0",
-              "--batch-size", "8", "--epochs", "1"]
+# the model flags of FAST_FLAGS, which eval of its checkpoints takes too
+MODEL_FLAGS = ["--dense-width", "8"]
+FAST_FLAGS = [*MODEL_FLAGS, "--dropout", "0.0", "--batch-size", "8", "--epochs", "1"]
 
 # the flag of each config key, spelt out so that a change to the rule
 # that derives them shows here
@@ -168,7 +169,7 @@ class TestTrainCommand:
 
 class TestEvalCommand:
     def test_reads_default_checkpoint(self, cli_corpus, cli_run, capsys):
-        code = main(["eval", *data_flags(cli_corpus), "--out", cli_run])
+        code = main(["eval", *data_flags(cli_corpus), *MODEL_FLAGS, "--out", cli_run])
         out = capsys.readouterr().out
         assert code == 0
         assert "test articles: 4" in out
@@ -177,7 +178,7 @@ class TestEvalCommand:
         assert out == read(cli_run, "report.txt")
 
     def test_explicit_checkpoint_flag(self, cli_corpus, cli_run, tmp_path, capsys):
-        code = main(["eval", *data_flags(cli_corpus), "--out", str(tmp_path),
+        code = main(["eval", *data_flags(cli_corpus), *MODEL_FLAGS, "--out", str(tmp_path),
                      "--checkpoint", os.path.join(cli_run, "checkpoint.bin")])
         assert code == 0
         assert os.path.exists(os.path.join(str(tmp_path), "report.txt"))
@@ -293,7 +294,8 @@ class TestEdgeListRuns:
                              "--out", out]) == 0
                 # the cold train sweeps every publisher once
                 assert sweep.call_count == (run == "cold")
-                assert main(["eval", *data_flags(data), *edges, "--out", out]) == 0
+                assert main(["eval", *data_flags(data), *edges, *MODEL_FLAGS,
+                             "--out", out]) == 0
                 assert main(["stats", "--train", os.path.join(data, "train.jsonl"), *edges,
                              "--out", os.path.join(out, "stats")]) == 0
             # the cold run parses the edge list and tokenizes the 16 articles

@@ -39,14 +39,18 @@ from fakereal.corpus import (
 from fakereal.fileio import CACHE_DIR
 
 from conftest import (
+    REWRITES,
     STAMP_CASES,
     article_token_ids,
     assert_same_bits,
     check_stamp_case,
+    counted,
     flip_line,
     float_load_embeddings,
     oracle_table,
     oracle_vector,
+    rewrite,
+    rewriter,
     split_token_ids,
 )
 
@@ -655,19 +659,29 @@ class TestVectorCache:
             vocab = numbered(words)
             assert_same_table(load_or_error(path, vocab), expected(path, vocab))
 
-    def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path):
+    @pytest.mark.parametrize("case", REWRITES)
+    def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path, age, case):
         path = tmp_path / "emb.txt"
         path.write_text("a 1 2\nb 3 4\n")
+        edit = rewriter(case, path, age, "a 1 2\nb 7 8\n")
         parse = corpus._parse_embeddings
 
         def rewrite_then_parse(*args):
-            path.write_text("a 1 2\nb 7 8\n")
+            edit()
             return parse(*args)
 
         with mock.patch.object(corpus, "_parse_embeddings", side_effect=rewrite_then_parse):
             assert load_embeddings(path, {"b": 1})[1].tolist() == [7.0, 8.0]
         assert not (tmp_path / CACHE_DIR).exists()
         assert load_embeddings(path, {"b": 1})[1].tolist() == [7.0, 8.0]
+
+    def test_a_cold_miss_of_an_old_file_hashes_it_once(self, tmp_path, age):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        age()
+        _, parsed, hashed = counted(lambda: load_embeddings(path, {"b": 1}),
+                                    (corpus, "_parse_embeddings"))
+        assert (parsed, hashed) == (1, 1)
 
     def cache_file(self, path):
         return path.parent / CACHE_DIR / (path.name + ".vectors")
@@ -968,6 +982,11 @@ class TestTokenCache:
         assert cache.read_bytes() == good
         assert_same_tokens(load_without_split(path)[1], want)
 
+    def same_size_rewrite(self, path):
+        """The text of `path` with one body edited: as many bytes and as
+        many articles."""
+        return path.read_text().replace("The cat sat", "The cow sat")
+
     @pytest.mark.parametrize("case", STAMP_CASES)
     def test_the_stamp(self, tmp_path, age, case):
         path = tmp_path / "c.jsonl"
@@ -978,54 +997,69 @@ class TestTokenCache:
             return articles, tokens.words, [getattr(tokens, name).tolist() for name in
                                             ("index", "row_lengths", "article_rows")]
 
-        text = path.read_text().replace("The cat sat", "The cow sat")
-        check_stamp_case(case, path, load, (corpus, "split_article"), age, text)
+        # a young hit hashes the file before and after the read
+        check_stamp_case(case, path, load, (corpus, "split_article"), age,
+                         self.same_size_rewrite(path), young_hashes=2)
 
     def test_a_trusted_stamp_that_breaks_during_the_read_is_read_again(self, tmp_path, age):
-        # the articles and tokens are those of the bytes hashed on the second
-        # read, and the cache is keyed by them
+        # a trusted hit, then a rewrite before the read: the hit's tokens
+        # count as many articles, but the stamp no longer holds, so the
+        # articles read are tokenized and nothing is stored; the next call
+        # reads the file again
         path = tmp_path / "c.jsonl"
         write_corpus(self.ARTICLES, path)
+        text = self.same_size_rewrite(path)
         age()
         load_tokenized(path)
-        read, reads = corpus._read_articles, []
+        good = self.cache_file(path).read_bytes()
+        read, reads = corpus.load_corpus, []
 
-        def rewrite_then_read(name, fh):
-            if not reads:
-                write_corpus(self.OTHER, path)
+        def rewrite_then_read(name):
+            rewrite(path, text)
             reads.append(name)
-            return read(name, fh)
+            return read(name)
 
-        with mock.patch.object(corpus, "_read_articles", side_effect=rewrite_then_read):
+        with mock.patch.object(corpus, "load_corpus", side_effect=rewrite_then_read):
             articles, tokens = load_tokenized(path)
-        assert len(reads) == 2   # the plain read, then the hashed one
-        want = CorpusTokens.of(map(split_article, self.OTHER))
-        assert articles == self.OTHER
-        assert_same_tokens(tokens, want)
-        assert_same_tokens(load_without_split(path)[1], want)
+        assert len(reads) == 1
+        assert articles == load_corpus(path) != self.ARTICLES
+        assert_same_tokens(tokens, CorpusTokens.of(map(split_article, articles)))
+        assert self.cache_file(path).read_bytes() == good
 
-    def test_a_file_rewritten_during_the_parse_keys_its_cache_by_the_bytes_read(self, tmp_path):
+    @pytest.mark.parametrize("case", REWRITES)
+    def test_a_file_rewritten_during_the_parse_keys_its_cache_by_the_bytes_read(
+            self, tmp_path, age, case):
         # the articles and their tokens are those of the bytes read, and
-        # the cache stored is keyed by their digest: the new content misses
+        # nothing is stored under the new content: it misses
         path = tmp_path / "c.jsonl"
         write_corpus(self.ARTICLES, path)
+        edit = rewriter(case, path, age, self.same_size_rewrite(path))
         split = corpus.split_article
 
         def rewrite_then_split(article):
-            write_corpus(self.OTHER, path)
+            edit()
             return split(article)
 
         with mock.patch.object(corpus, "split_article", side_effect=rewrite_then_split):
             articles, tokens = load_tokenized(path)
         assert articles == self.ARTICLES
         assert_same_tokens(tokens, CorpusTokens.of(map(split_article, self.ARTICLES)))
-        want = CorpusTokens.of(map(split_article, self.OTHER))
-        with mock.patch.object(corpus, "split_article", wraps=split) as counted:
+        assert not (tmp_path / CACHE_DIR).exists()
+        other = load_corpus(path)
+        want = CorpusTokens.of(map(split_article, other))
+        with mock.patch.object(corpus, "split_article", wraps=split) as splits:
             articles, tokens = load_tokenized(path)
-        assert counted.call_count == len(self.OTHER)
-        assert articles == self.OTHER
+        assert splits.call_count == len(other)
+        assert articles == other != self.ARTICLES
         assert_same_tokens(tokens, want)
         assert_same_tokens(load_without_split(path)[1], want)
+
+    def test_a_cold_miss_of_an_old_file_hashes_it_once(self, tmp_path, age):
+        path = tmp_path / "c.jsonl"
+        write_corpus(self.ARTICLES, path)
+        age()
+        _, parsed, hashed = counted(lambda: load_tokenized(path), (corpus, "split_article"))
+        assert (parsed, hashed) == (len(self.ARTICLES), 1)
 
     def test_a_corpus_error_is_not_cached(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -1,10 +1,12 @@
 """The cache codec: what ContentCache.store writes, load reads back bit
 for bit, and any other file is a miss; the stamp that lets a hit skip the
-hashing; and text read with its digest."""
+hashing; and the line a text read names for a byte that is not UTF-8."""
 
 import hashlib
+import io
 import json
 import os
+import re
 import zlib
 from unittest import mock
 
@@ -14,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fakereal import fileio
-from fakereal.fileio import ContentCache, file_digest, hashed_text
+from fakereal import corpus, fileio, pipeline, social
+from fakereal.fileio import ContentCache, file_digest, open_text
 
 from conftest import assert_same_bits, no_hashing
 
@@ -243,27 +245,52 @@ class TestStamp:
         assert sibling.stamp == cache.stamp and sibling.digest == cache.digest
 
 
-class TestHashedText:
+class BadText(Exception):
+    pass
+
+
+class TestOpenText:
     @settings(max_examples=200, deadline=None)
     @given(data=st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n", b" ", b"\xc3\xa9",
-                                          b"\xe2\x80\xa8", b"\x85", b"\xff"]), max_size=40)
+                                          b"\xe2\x80\xa8", b"\x85", b"\xff", b"\xe9",
+                                          b"\xc3"]), max_size=40)
            .map(b"".join),
            size=st.sampled_from([0, 1, 8191, 8192, 70000]))
-    def test_reads_as_open_does_with_the_file_digest(self, tmp_path_factory, data, size):
-        # the lines (universal newlines, strict UTF-8) or the error that
-        # open(path, "r", encoding="utf-8") gives, and the file's sha256
+    def test_reads_as_open_does_or_names_the_line_of_the_bad_byte(self, tmp_path_factory,
+                                                                   data, size):
+        # the lines open(path, "r", encoding="utf-8") gives (universal
+        # newlines), or the given error naming the line of the first byte
+        # strict UTF-8 does not decode, as a text read counts lines
         path = tmp_path_factory.mktemp("text") / "input.txt"
-        path.write_bytes(b"x" * size + data)
+        raw = b"x" * size + data
+        path.write_bytes(raw)
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = raw[:exc.start].decode("utf-8") + "?"
+            line = len(io.StringIO(before, newline=None).readlines())
+            with pytest.raises(BadText, match=f"^{re.escape(str(path))}: line {line}: "
+                                              "invalid UTF-8$"):
+                with open_text(path, BadText) as fh:
+                    list(fh)
+        else:
+            with open_text(path, BadText) as fh, open(path, "r", encoding="utf-8") as want:
+                assert list(fh) == list(want)
 
-        def lines(opener):
-            try:
-                with opener() as fh:
-                    return list(fh)
-            except UnicodeDecodeError as exc:
-                return exc.reason
-
-        with hashed_text(path) as (fh, digest):
-            got = lines(lambda: fh)
-        assert got == lines(lambda: open(path, "r", encoding="utf-8"))
-        if not isinstance(got, str):
-            assert digest.hexdigest() == file_digest(path)
+    @pytest.mark.parametrize("read, good, error", [
+        (corpus.load_corpus, json.dumps({"id": "a", "headline": "h", "body": "b",
+                                         "label": "real"}) + "\n", corpus.CorpusError),
+        (lambda path: corpus.load_embeddings(path, {"a": 1}), "a 1 2\n", corpus.CorpusError),
+        (social.load_edge_list, "a b\n", ValueError),
+        (social.load_follower_counts, "a\t1\n", ValueError),
+        (pipeline.load_config, "train.lr = 0.1\n", pipeline.ConfigError),
+    ])
+    def test_every_reader_names_the_file_and_the_line(self, tmp_path, read, good, error):
+        # the error each reader raises, on a byte past the text reader's
+        # first chunk; blank lines are skipped by every reader
+        path = tmp_path / "input.txt"
+        path.write_bytes(good.encode("utf-8") + b"\n" * 10000 + b"# \xe9\n")
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: line 10002: invalid UTF-8$") \
+                as raised:
+            read(path)
+        assert type(raised.value) is error

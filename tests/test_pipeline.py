@@ -1218,6 +1218,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="checkpoint is for variant 'full'"):
             evaluate(config, os.path.join(out, "checkpoint.bin"))
 
+    @pytest.mark.parametrize("key, name, value", [("model.filters", "filters", "6"),
+                                                  ("model.dense_width", "dense_width", "16")])
+    def test_architecture_mismatch(self, small_config, trained_run, tmp_path, monkeypatch,
+                                   key, name, value):
+        # checked beside the variant, before any data is read, and nothing
+        # is written: the checkpoint was trained at 8 filters and width 8
+        _, out = trained_run
+        monkeypatch.setattr(pipeline, "prepare_data", mock.Mock(side_effect=AssertionError))
+        config = small_config.with_overrides({key: value})
+        eval_dir = tmp_path / "eval"
+        with pytest.raises(ValueError, match=f"^checkpoint is for {name} 8, config says {value}$"):
+            evaluate(config, os.path.join(out, "checkpoint.bin"), out_dir=str(eval_dir))
+        assert not eval_dir.exists()
+
     def test_checkpoint_is_checked_before_setup(self, small_config, trained_run, tmp_path,
                                                 monkeypatch):
         _, out = trained_run

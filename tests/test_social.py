@@ -32,17 +32,20 @@ from fakereal.social import (
 )
 
 from conftest import (
+    REWRITES,
     STAMP_CASES,
     SetGraph,
     article_explicit_rows,
     assert_same_bits,
     check_stamp_case,
+    counted,
     flip_line,
     followed_by_follower,
     followers,
     level_followers,
     load_set_graph,
     no_hashing,
+    rewriter,
     with_users,
 )
 
@@ -407,19 +410,28 @@ class TestEdgeListCache:
         assert os.listdir(tmp_path / CACHE_DIR) == ["edges.txt.graph"]
         self.assert_same_graph(self.load_without_parse(path), g)
 
-    def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path):
+    @pytest.mark.parametrize("case", REWRITES)
+    def test_a_file_rewritten_during_the_parse_is_not_cached(self, tmp_path, age, case):
         path = tmp_path / "edges.txt"
         path.write_text(self.TEXT)
+        edit = rewriter(case, path, age, self.TEXT.replace("c a", "c b"))
         index = social._index_edges
 
         def rewrite_then_index(*args):
-            path.write_text("x y\n")
+            edit()
             return index(*args)
 
         with mock.patch.object(social, "_index_edges", side_effect=rewrite_then_index):
-            assert followers(load_edge_list(path))["u"] == {"a", "b"}
+            assert followers(load_edge_list(path)) == {"u": {"a", "b"}, "a": {"c", "u"}}
         assert not (tmp_path / CACHE_DIR).exists()
-        assert followers(load_edge_list(path)) == {"y": {"x"}}
+        assert followers(load_edge_list(path)) == {"u": {"a", "b"}, "a": {"u"}, "b": {"c"}}
+
+    def test_a_cold_miss_of_an_old_file_hashes_it_once(self, tmp_path, age):
+        path = tmp_path / "edges.txt"
+        path.write_text(self.TEXT)
+        age()
+        _, parsed, hashed = counted(lambda: load_edge_list(path), (social, "_index_edges"))
+        assert (parsed, hashed) == (1, 1)
 
     def test_parse_errors_are_not_cached(self, tmp_path):
         path = tmp_path / "edges.txt"
